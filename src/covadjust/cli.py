@@ -22,13 +22,27 @@ from .criteria import (
     satisfies_gac,
     satisfies_generalized_backdoor,
 )
-from .errors import GraphError, SizeCapExceededError
-from .graphs import GraphClass, validate_graph
+from .errors import DirectedCycleError, GraphError, SizeCapExceededError
+from .graphs import GraphClass, _find_directed_cycle, validate_ancestral, validate_graph
 from .mec import enumerate_dags, enumerate_mags, latent_project
 from .paths import DEFAULT_NODE_CAP
 from .sem import SOUNDNESS_TOL, verify_adjustment
 
 FORMAT_VERSION = 1
+
+# Commands whose work can grow exponentially with the graph.  The default
+# node cap guards only these; the decisions run in polynomial time.
+ENUMERATING_COMMANDS = frozenset({"validate", "list", "mec", "project", "verify"})
+
+
+def _int_at_least(low):
+    def count(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return count
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -59,7 +73,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def list_extra(p):
         p.add_argument("--minimal", action="store_true", help="inclusion-minimal sets only")
-        p.add_argument("--max-size", type=int, default=None, metavar="K")
+        p.add_argument("--max-size", type=_int_at_least(0), default=None, metavar="K")
 
     add("list", "enumerate all sets satisfying the criterion", extra=list_extra)
     add("mec", "enumerate the Markov equivalence class members", sets=False)
@@ -70,7 +84,7 @@ def _build_parser() -> argparse.ArgumentParser:
     add("project", "latent-project a DAG onto the observed nodes", sets=False, extra=project_extra)
 
     def verify_extra(p):
-        p.add_argument("--trials", type=int, default=20, metavar="N")
+        p.add_argument("--trials", type=_int_at_least(1), default=20, metavar="N")
         p.add_argument("--seed", type=int, default=0, metavar="N")
 
     add("verify", "compare adjusted estimates with true effects on random SEMs",
@@ -109,6 +123,21 @@ def _edge_list(g):
 
 def _witness_json(witness):
     return list(witness) if isinstance(witness, tuple) else witness
+
+
+def _require_class(g):
+    """Refuse a DAG with a directed cycle or a MAG that is not ancestral.
+
+    Both checks run in polynomial time.  Maximality of a MAG and the
+    class of a CPDAG or PAG are left to `validate`, whose checks are
+    exponential.
+    """
+    if g.graph_class is GraphClass.DAG:
+        cycle = _find_directed_cycle(g)
+        if cycle:
+            raise DirectedCycleError(cycle)
+    elif g.graph_class is GraphClass.MAG:
+        validate_ancestral(g)
 
 
 def _dispatch(args, doc):
@@ -230,9 +259,13 @@ def run_command(argv) -> int:
             text = fh.read()
         doc = cgtext.parse_document(text)
         g = doc.graph
-        cap = args.max_nodes if args.max_nodes is not None else DEFAULT_NODE_CAP
-        if len(g.nodes) > cap:
+        cap = args.max_nodes
+        if cap is None and command in ENUMERATING_COMMANDS:
+            cap = DEFAULT_NODE_CAP
+        if cap is not None and len(g.nodes) > cap:
             raise SizeCapExceededError(f"{len(g.nodes)} nodes exceeds the cap of {cap}")
+        if command != "validate":
+            _require_class(g)
         result, witness, code = _dispatch(args, doc)
     except SizeCapExceededError as exc:
         print(f"covadjust: {exc}", file=sys.stderr)

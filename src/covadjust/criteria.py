@@ -93,26 +93,21 @@ def is_visible(g: Graph, e: Edge) -> bool:
     x = e.tail_node()
     y = e.other(x)
     pa_y = parents(g, [y])
-    for v in g.nodes:
-        if v == y or v == x or g.adjacent(v, y):
-            continue
-        # collider paths v *-> w1 <-> ... <-> x  with every interior wi -> y
-        stack = [(v, (v,))]
-        while stack:
-            cur, path = stack.pop()
-            for w in g.sort_nodes(g.neighbors(cur)):
-                if w in path:
-                    continue
-                ew = g.edge_between(cur, w)
-                if ew.mark_at(w) is not Mark.ARROW:
-                    continue
-                if cur != v and ew.mark_at(cur) is not Mark.ARROW:
-                    continue
-                if w == x:
-                    return True
-                if w in pa_y:
-                    stack.append((w, path + (w,)))
-    return False
+    # the last nodes a collider path into x can step onto from outside:
+    # x and the parents of y joined to x by a <-> chain through parents of y
+    chain = {x}
+    stack = [x]
+    while stack:
+        b = stack.pop()
+        for w, eb in g._adjacency[b].items():
+            if w in pa_y and w not in chain and eb.is_bidirected():
+                chain.add(w)
+                stack.append(w)
+    return any(
+        v != y and eb.mark_at(b) is Mark.ARROW and not g.adjacent(v, y)
+        for b in chain
+        for v, eb in g._adjacency[b].items()
+    )
 
 
 def _possibly_directed_reach_to(g: Graph, y: frozenset, avoid: frozenset) -> frozenset:
@@ -223,6 +218,18 @@ def forbidden_set(g: Graph, x, y) -> frozenset:
     return possible_descendants(g, on_paths)
 
 
+def _proper_backdoor_exemption(g: Graph, x: frozenset, y: frozenset):
+    """`skip_first` for Cond2: exempts the first edges of proper possibly
+    causal paths from `x` to `y`, leaving the proper back-door graph.
+
+    For an amenable graph and Z outside the forbidden set, Z blocks every
+    proper definite status non-causal path iff it blocks every proper
+    definite status path in that graph (Perković et al., JMLR 2018).
+    """
+    reach = _possibly_directed_reach_to(g, y, avoid=x)
+    return lambda start, first: first in reach and g.mark_at(start, first) is not Mark.ARROW
+
+
 def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
     """Decide the generalized adjustment criterion for the query.
 
@@ -238,7 +245,9 @@ def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
     bad = z & forbidden_set(g, x, y)
     if bad:
         return AdjustmentVerdict(False, "Cond1", g.sort_nodes(bad)[0])
-    open_path = find_open_definite_path(g, x, y, z, proper=True, require_non_causal=True)
+    open_path = find_open_definite_path(
+        g, x, y, z, skip_first=_proper_backdoor_exemption(g, x, y)
+    )
     if open_path is not None:
         return AdjustmentVerdict(False, "Cond2", open_path)
     return AdjustmentVerdict(True)
@@ -300,7 +309,9 @@ def satisfies_ac(g: Graph, x, y, z) -> AdjustmentVerdict:
     bad = z & forb
     if bad:
         return AdjustmentVerdict(False, "Cond1", g.sort_nodes(bad)[0])
-    open_path = find_open_definite_path(g, x, y, z, proper=True, require_non_causal=True)
+    open_path = find_open_definite_path(
+        g, x, y, z, skip_first=_proper_backdoor_exemption(g, x, y)
+    )
     if open_path is not None:
         return AdjustmentVerdict(False, "Cond2", open_path)
     return AdjustmentVerdict(True)
@@ -354,11 +365,12 @@ def list_adjustment_sets(g: Graph, x, y, *, minimal_only=False, max_size=None):
     forb = forbidden_set(g, x, y)
     candidates = [n for n in g.nodes if n not in x and n not in y and n not in forb]
     limit = len(candidates) if max_size is None else min(max_size, len(candidates))
+    exempt = _proper_backdoor_exemption(g, x, y)
     passing = []
     for size in range(limit + 1):
         for combo in itertools.combinations(candidates, size):
             z = frozenset(combo)
-            if find_open_definite_path(g, x, y, z, proper=True, require_non_causal=True) is None:
+            if find_open_definite_path(g, x, y, z, skip_first=exempt) is None:
                 passing.append(z)
     if minimal_only:
         passing = [z for z in passing if not any(other < z for other in passing)]

@@ -67,6 +67,14 @@ class NotDefiniteStatusError(GraphError):
     """Blocking queried on a path that is not of definite status."""
 
 
+class NoPathWitnessError(GraphError):
+    """The shortest open walk from X to Y revisits a node, so it is no path."""
+
+    def __init__(self, walk):
+        self.walk = tuple(walk)
+        super().__init__(f"the shortest open walk {' '.join(self.walk)} revisits a node")
+
+
 class EndpointInZError(GraphError):
     """Blocking queried with a path endpoint inside the conditioning set."""
 

@@ -178,6 +178,12 @@ class Graph:
             adj[e.b][e.a] = e
         return adj
 
+    @cached_property
+    def _ordered_neighbors(self) -> dict:
+        """Each node's neighbours in declaration order."""
+        key = self.node_index.__getitem__
+        return {n: tuple(sorted(adj, key=key)) for n, adj in self._adjacency.items()}
+
     def neighbors(self, node: Node) -> frozenset:
         self._require(node)
         return frozenset(self._adjacency[node])

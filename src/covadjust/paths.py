@@ -15,8 +15,9 @@ standard definite-status m-separation for partial graphs.
 
 `m_connected` ships two implementations that are cross-checked in the
 test suite: exhaustive enumeration over definite status paths (the
-definition) and a reachability search over (previous node, current node)
-states honouring the same local rules.
+definition) and a breadth-first search over (previous node, current node)
+states honouring the same local rules.  `find_open_definite_path` runs
+the same search and rebuilds its witness from the parent pointers.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from enum import Enum
 from .errors import (
     EmptyXOrYError,
     EndpointInZError,
+    NoPathWitnessError,
     NotDefiniteStatusError,
     SetsNotDisjointError,
     SizeCapExceededError,
@@ -237,29 +239,53 @@ def _validate_disjoint(g, x, y, z):
     return x, y, z
 
 
-def _m_connected_reachability(g: Graph, x, y, z) -> bool:
-    """Search over (previous, current) states with the local open rules."""
+def _open_walk(g: Graph, x, y, z, skip_first=None):
+    """Shortest open definite status walk from `x` to `y` given `z`, or None.
+
+    Breadth-first search over (previous, current) edge states: a state is
+    entered at most once, and a step is taken when the local triple rules
+    leave its middle node open.  The walk never re-enters `x` and stops at
+    its first node of `y`.  `skip_first(start, first)` exempts first edges.
+    Neighbours are expanded in declaration order, so the walk rebuilt from
+    the parent pointers is the lexicographically first shortest one.
+    """
     an_z = _directed_closure(g, z, reverse=True)
-    seen = set()
+    order = g._ordered_neighbors
+    parent = {}
     queue = deque()
     for s in g.sort_nodes(x):
-        for w in g.sort_nodes(g.neighbors(s)):
+        for w in order[s]:
+            if w in x or (skip_first is not None and skip_first(s, w)):
+                continue
+            parent[(s, w)] = None
             if w in y:
-                return True
+                return _rebuild(parent, (s, w))
             queue.append((s, w))
-            seen.add((s, w))
     while queue:
-        u, v = queue.popleft()
-        for w in g.sort_nodes(g.neighbors(v)):
-            if w == u or (v, w) in seen:
+        state = queue.popleft()
+        u, v = state
+        for w in order[v]:
+            if w == u or w in x or (v, w) in parent:
                 continue
             if not _triple_open(g, u, v, w, z, an_z):
                 continue
+            parent[(v, w)] = state
             if w in y:
-                return True
-            seen.add((v, w))
+                return _rebuild(parent, (v, w))
             queue.append((v, w))
-    return False
+    return None
+
+
+def _rebuild(parent, state) -> tuple:
+    nodes = [state[1]]
+    while state is not None:
+        nodes.append(state[0])
+        state = parent[state]
+    return tuple(reversed(nodes))
+
+
+def _m_connected_reachability(g: Graph, x, y, z) -> bool:
+    return _open_walk(g, x, y, z) is not None
 
 
 def _m_connected_enumeration(g: Graph, x, y, z, max_nodes=None, max_paths=None) -> bool:
@@ -290,42 +316,30 @@ def m_separated(g: Graph, x, y, z=(), **kwargs) -> bool:
     return not m_connected(g, x, y, z, **kwargs)
 
 
-def find_open_definite_path(
-    g: Graph, x, y, z, *, proper=False, require_non_causal=False, skip_first=None
-):
+def find_open_definite_path(g: Graph, x, y, z, *, skip_first=None):
     """Shortest open definite status path from `x` to `y` given `z`, or None.
 
-    With `proper`, nodes of `x` may appear only in first position.  With
-    `require_non_causal`, the path must carry an arrowhead back towards its
-    start somewhere.  `skip_first(start, first)` exempts first edges from
-    the search.  Interior statuses and blocking are decided by the local
-    triple rules, so prefix pruning is exact; breadth-first search with
-    declaration-ordered expansion makes the result deterministic
-    (shortest, then lexicographic).
+    Only the first node of the path is in `x`.  `skip_first(start, first)`
+    exempts first edges from the search; the adjustment criteria pass
+    the first edges of proper possibly causal paths (GAC) or the visible
+    edges out of `x` (back-door) this way.  The result is the shortest
+    path, ties broken by declaration order.
+
+    The search runs over (previous, current) edge states in polynomial
+    time and finds the shortest open walk.  In DAGs and MAGs that walk is
+    a path: a loop in it could be cut, leaving a shorter open walk.  In
+    CPDAGs and PAGs a walk may need its loop to stay open; where the
+    shortest one revisits a node, NoPathWitnessError is raised rather than
+    a walk returned.  The differential tests check that this does not
+    happen under the preconditions of the adjustment criteria.
     """
     x = _as_set(g, x)
     y = _as_set(g, y)
     z = _as_set(g, z)
-    an_z = _directed_closure(g, z, reverse=True)
-    queue = deque()
-    for s in g.sort_nodes(x):
-        queue.append(((s,), False))
-    while queue:
-        path, non_causal = queue.popleft()
-        cur = path[-1]
-        if cur in y and len(path) >= 2 and (non_causal or not require_non_causal):
-            return path
-        for nxt in g.sort_nodes(g.neighbors(cur)):
-            if nxt in path:
-                continue
-            if proper and nxt in x:
-                continue
-            if len(path) == 1 and skip_first is not None and skip_first(cur, nxt):
-                continue
-            if len(path) >= 2 and not _triple_open(g, path[-2], cur, nxt, z, an_z):
-                continue
-            queue.append((path + (nxt,), non_causal or g.mark_at(cur, nxt) is Mark.ARROW))
-    return None
+    walk = _open_walk(g, x, y, z, skip_first)
+    if walk is not None and len(set(walk)) < len(walk):
+        raise NoPathWitnessError(walk)
+    return walk
 
 
 def separating_sets(g: Graph, a, b, *, method="reachability"):

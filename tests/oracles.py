@@ -7,10 +7,21 @@ sweeps instead of class-aware enumeration.
 """
 
 import itertools
+from collections import deque
 
 from covadjust.errors import GraphError
-from covadjust.graphs import Edge, Graph, GraphClass, Mark, _find_directed_cycle, validate_ancestral
+from covadjust.graphs import (
+    Edge,
+    Graph,
+    GraphClass,
+    Mark,
+    _directed_closure,
+    _find_directed_cycle,
+    parents,
+    validate_ancestral,
+)
 from covadjust.mec import _mark_union, separation_fingerprint, unshielded_colliders
+from covadjust.paths import _triple_open
 
 
 def directed_pairs(g):
@@ -179,3 +190,60 @@ def small_queries(nodes, max_xy=2, max_z=None):
                     for kz in range(top + 1):
                         for z in itertools.combinations(rest2, kz):
                             yield frozenset(x), frozenset(y), frozenset(z)
+
+
+def simple_path_search(g, x, y, z, *, proper=False, require_non_causal=False, skip_first=None):
+    """Shortest open definite status simple path from `x` to `y` given `z`.
+
+    Breadth-first search over whole simple paths (exponential in the
+    worst case).  With `proper`, nodes of `x` appear only in first
+    position; with `require_non_causal`, the path must carry an arrowhead
+    back towards its start somewhere; `skip_first(start, first)` exempts
+    first edges.  Ties are broken by declaration order.
+    """
+    an_z = _directed_closure(g, frozenset(z), reverse=True)
+    queue = deque(((s,), False) for s in g.sort_nodes(x))
+    while queue:
+        path, non_causal = queue.popleft()
+        cur = path[-1]
+        if cur in y and len(path) >= 2 and (non_causal or not require_non_causal):
+            return path
+        for nxt in g.sort_nodes(g.neighbors(cur)):
+            if nxt in path or (proper and nxt in x):
+                continue
+            if len(path) == 1 and skip_first is not None and skip_first(cur, nxt):
+                continue
+            if len(path) >= 2 and not _triple_open(g, path[-2], cur, nxt, z, an_z):
+                continue
+            queue.append((path + (nxt,), non_causal or g.mark_at(cur, nxt) is Mark.ARROW))
+    return None
+
+
+def is_visible_dfs(g, e):
+    """Visibility of the directed edge `e` by depth-first search over
+    collider paths V *-> W1 <-> ... <-> X whose interior nodes are all
+    parents of Y, from every V not adjacent to Y."""
+    if g.graph_class in (GraphClass.DAG, GraphClass.CPDAG):
+        return True
+    x = e.tail_node()
+    y = e.other(x)
+    pa_y = parents(g, [y])
+    for v in g.nodes:
+        if v == y or v == x or g.adjacent(v, y):
+            continue
+        stack = [(v, (v,))]
+        while stack:
+            cur, path = stack.pop()
+            for w in g.sort_nodes(g.neighbors(cur)):
+                if w in path:
+                    continue
+                ew = g.edge_between(cur, w)
+                if ew.mark_at(w) is not Mark.ARROW:
+                    continue
+                if cur != v and ew.mark_at(cur) is not Mark.ARROW:
+                    continue
+                if w == x:
+                    return True
+                if w in pa_y:
+                    stack.append((w, path + (w,)))
+    return False

@@ -1,8 +1,13 @@
 import json
+import random
 
+import pytest
+
+from covadjust.cgtext import serialize_graph
 from covadjust.cli import run_command
 
 from conftest import CORPUS_DIR
+from oracles import random_dag
 
 
 def corpus_path(name):
@@ -98,6 +103,60 @@ def test_cap_exceeded_exit_code(capsys):
     )
     assert code == 3
     assert payload["error"]["type"] == "SizeCapExceededError"
+
+
+def test_default_cap_guards_only_enumeration(tmp_path, capsys):
+    g = random_dag(random.Random(40), 40, 0.15)
+    f = tmp_path / "dag40.cg"
+    f.write_text(serialize_graph(g))
+    sets = ["-X", "N0", "-Y", "N39"]
+    for command in ("check", "backdoor"):
+        code, payload, _ = run(capsys, command, "--graph", str(f), *sets, "-Z", "N5,N7")
+        assert code in (0, 1) and "result" in payload
+    for command in ("amenable", "forbidden"):
+        code, payload, _ = run(capsys, command, "--graph", str(f), *sets)
+        assert code in (0, 1) and "result" in payload
+    code, payload, _ = run(capsys, "list", "--graph", str(f), *sets)
+    assert code == 3 and payload["error"]["type"] == "SizeCapExceededError"
+
+
+CYCLIC_DAG = "graph dag { X -> A A -> B B -> X X -> Y }"
+NON_ANCESTRAL_MAG = "graph mag { X -> Y Y -> W W <-> X }"
+
+
+@pytest.mark.parametrize("command", ["check", "backdoor", "amenable", "forbidden", "list",
+                                     "verify"])
+def test_cyclic_dag_is_refused(tmp_path, capsys, command):
+    f = tmp_path / "cyclic.cg"
+    f.write_text(CYCLIC_DAG)
+    code, payload, _ = run(capsys, command, "--graph", str(f), "-X", "X", "-Y", "Y")
+    assert code == 2
+    assert payload["error"]["type"] == "DirectedCycleError"
+
+
+def test_non_ancestral_mag_is_refused(tmp_path, capsys):
+    f = tmp_path / "mag.cg"
+    f.write_text(NON_ANCESTRAL_MAG)
+    code, payload, _ = run(capsys, "check", "--graph", str(f), "-X", "X", "-Y", "Y")
+    assert code == 2
+    assert payload["error"]["type"] == "AlmostDirectedCycleError"
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_verify_rejects_non_positive_trials(capsys, trials):
+    code, payload, err = run(
+        capsys, "verify", "--graph", corpus_path("fig1a"), "--trials", trials
+    )
+    assert code == 2 and payload is None
+    assert "--trials" in err
+
+
+def test_list_rejects_negative_max_size(capsys):
+    code, payload, err = run(capsys, "list", "--graph", corpus_path("fig1a"), "--max-size", "-1")
+    assert code == 2 and payload is None
+    assert "--max-size" in err
+    code, payload, _ = run(capsys, "list", "--graph", corpus_path("fig1a"), "--max-size", "0")
+    assert code == 0 and payload["result"] == []
 
 
 def test_validate_valid_and_invalid(tmp_path, capsys):
