@@ -22,7 +22,7 @@ from .criteria import (
     satisfies_gac,
     satisfies_generalized_backdoor,
 )
-from .errors import DirectedCycleError, GraphError, SizeCapExceededError
+from .errors import DirectedCycleError, GraphError, NotAmenableError, SizeCapExceededError
 from .graphs import GraphClass, _find_directed_cycle, validate_ancestral, validate_graph
 from .mec import enumerate_dags, enumerate_mags, latent_project
 from .paths import DEFAULT_NODE_CAP
@@ -215,17 +215,25 @@ def _dispatch(args, doc):
         x, y, z = _resolve_sets(args, query, need_z=True)
         if len(y) != 1:
             raise GraphError("verify needs a single Y node")
-        reports = verify_adjustment(
-            g, frozenset(x), next(iter(y)), frozenset(z), trials=args.trials, seed=args.seed
-        )
+        x_order = list(g.sort_nodes(frozenset(x)))
+        try:
+            reports = verify_adjustment(
+                g, frozenset(x), next(iter(y)), frozenset(z), trials=args.trials, seed=args.seed
+            )
+        except NotAmenableError as exc:
+            # no set adjusts in a graph that is not amenable; nothing to compare
+            result = {"members": 0, "trials": args.trials, "x_order": x_order,
+                      "max_abs_gap": None, "sound": False, "amenable": False, "reports": []}
+            return result, list(exc.witness), 1
         max_gap = max((r.max_abs_gap for r in reports), default=0.0)
         sound = max_gap <= SOUNDNESS_TOL
         result = {
             "members": 1 + max((r.member for r in reports), default=0),
             "trials": args.trials,
-            "x_order": list(g.sort_nodes(frozenset(x))),
+            "x_order": x_order,
             "max_abs_gap": max_gap,
             "sound": sound,
+            "amenable": True,
             "reports": [
                 {
                     "member": r.member,

@@ -169,16 +169,26 @@ def _shortest_possibly_directed_path(g: Graph, x_node, first, y: frozenset, avoi
     return None
 
 
-def find_amenability_violation(g: Graph, x, y):
-    """Shortest proper possibly directed path from `x` to `y` that does not
-    start with a visible directed edge out of `x`, or None if amenable."""
+def _checked_sets(g: Graph, x, y):
     x = _as_set(g, x)
     y = _as_set(g, y)
     if not x or not y:
         raise EmptyXOrYError("X and Y must be non-empty")
     if x & y:
         raise SetsNotDisjointError(f"sets overlap: {sorted(x & y)}")
-    suffix = _possibly_directed_reach_to(g, y, avoid=x)
+    return x, y
+
+
+def find_amenability_violation(g: Graph, x, y):
+    """Shortest proper possibly directed path from `x` to `y` that does not
+    start with a visible directed edge out of `x`, or None if amenable."""
+    x, y = _checked_sets(g, x, y)
+    return _amenability_violation(g, x, y, _possibly_directed_reach_to(g, y, avoid=x))
+
+
+def _amenability_violation(g: Graph, x: frozenset, y: frozenset, suffix: frozenset):
+    """`find_amenability_violation` given `suffix`, the possibly directed
+    closure `_possibly_directed_reach_to(g, y, avoid=x)`."""
     violations = []
     for x_node in g.sort_nodes(x):
         for u in g.sort_nodes(g.neighbors(x_node)):
@@ -206,27 +216,29 @@ def is_amenable(g: Graph, x, y) -> bool:
 def forbidden_set(g: Graph, x, y) -> frozenset:
     """Possible descendants of non-X nodes on proper possibly causal paths
     from `x` to `y`: the nodes that no adjustment set may contain."""
-    x = _as_set(g, x)
-    y = _as_set(g, y)
-    if not x or not y:
-        raise EmptyXOrYError("X and Y must be non-empty")
-    if x & y:
-        raise SetsNotDisjointError(f"sets overlap: {sorted(x & y)}")
-    on_paths = _possibly_directed_reach_from(g, x) & _possibly_directed_reach_to(g, y, avoid=x)
+    x, y = _checked_sets(g, x, y)
+    return _forbidden_set(g, x, _possibly_directed_reach_to(g, y, avoid=x))
+
+
+def _forbidden_set(g: Graph, x: frozenset, reach: frozenset) -> frozenset:
+    """`forbidden_set` given `reach`, the possibly directed closure
+    `_possibly_directed_reach_to(g, y, avoid=x)`."""
+    on_paths = _possibly_directed_reach_from(g, x) & reach
     if not on_paths:
         return frozenset()
     return possible_descendants(g, on_paths)
 
 
-def _proper_backdoor_exemption(g: Graph, x: frozenset, y: frozenset):
+def _proper_backdoor_exemption(g: Graph, reach: frozenset):
     """`skip_first` for Cond2: exempts the first edges of proper possibly
-    causal paths from `x` to `y`, leaving the proper back-door graph.
+    causal paths from X to Y, leaving the proper back-door graph.  `reach`
+    is the possibly directed closure `_possibly_directed_reach_to(g, Y,
+    avoid=X)`.
 
     For an amenable graph and Z outside the forbidden set, Z blocks every
     proper definite status non-causal path iff it blocks every proper
     definite status path in that graph (Perković et al., JMLR 2018).
     """
-    reach = _possibly_directed_reach_to(g, y, avoid=x)
     return lambda start, first: first in reach and g.mark_at(start, first) is not Mark.ARROW
 
 
@@ -239,14 +251,15 @@ def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
     for Cond2.
     """
     g, x, y, z = query.graph, query.x, query.y, query.z
-    violation = find_amenability_violation(g, x, y)
+    reach = _possibly_directed_reach_to(g, y, avoid=x)
+    violation = _amenability_violation(g, x, y, reach)
     if violation is not None:
         return AdjustmentVerdict(False, "Cond0", violation)
-    bad = z & forbidden_set(g, x, y)
+    bad = z & _forbidden_set(g, x, reach)
     if bad:
         return AdjustmentVerdict(False, "Cond1", g.sort_nodes(bad)[0])
     open_path = find_open_definite_path(
-        g, x, y, z, skip_first=_proper_backdoor_exemption(g, x, y)
+        g, x, y, z, skip_first=_proper_backdoor_exemption(g, reach)
     )
     if open_path is not None:
         return AdjustmentVerdict(False, "Cond2", open_path)
@@ -301,7 +314,8 @@ def satisfies_ac(g: Graph, x, y, z) -> AdjustmentVerdict:
         raise ClassMismatchError("the adjustment criterion applies to DAGs and MAGs")
     query = AdjustmentQuery(g, frozenset(x), frozenset(y), frozenset(z))
     x, y, z = query.x, query.y, query.z
-    violation = find_amenability_violation(g, x, y)
+    reach = _possibly_directed_reach_to(g, y, avoid=x)
+    violation = _amenability_violation(g, x, y, reach)
     if violation is not None:
         return AdjustmentVerdict(False, "Cond0", violation)
     on_causal = _directed_reach_from(g, x) & _directed_reach_to(g, y, avoid=x)
@@ -310,7 +324,7 @@ def satisfies_ac(g: Graph, x, y, z) -> AdjustmentVerdict:
     if bad:
         return AdjustmentVerdict(False, "Cond1", g.sort_nodes(bad)[0])
     open_path = find_open_definite_path(
-        g, x, y, z, skip_first=_proper_backdoor_exemption(g, x, y)
+        g, x, y, z, skip_first=_proper_backdoor_exemption(g, reach)
     )
     if open_path is not None:
         return AdjustmentVerdict(False, "Cond2", open_path)
@@ -360,12 +374,13 @@ def list_adjustment_sets(g: Graph, x, y, *, minimal_only=False, max_size=None):
     """
     query = AdjustmentQuery(g, frozenset(x), frozenset(y))
     x, y = query.x, query.y
-    if find_amenability_violation(g, x, y) is not None:
+    reach = _possibly_directed_reach_to(g, y, avoid=x)
+    if _amenability_violation(g, x, y, reach) is not None:
         return []
-    forb = forbidden_set(g, x, y)
+    forb = _forbidden_set(g, x, reach)
     candidates = [n for n in g.nodes if n not in x and n not in y and n not in forb]
     limit = len(candidates) if max_size is None else min(max_size, len(candidates))
-    exempt = _proper_backdoor_exemption(g, x, y)
+    exempt = _proper_backdoor_exemption(g, reach)
     passing = []
     for size in range(limit + 1):
         for combo in itertools.combinations(candidates, size):

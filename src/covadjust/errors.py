@@ -75,6 +75,17 @@ class NoPathWitnessError(GraphError):
         super().__init__(f"the shortest open walk {' '.join(self.walk)} revisits a node")
 
 
+class NotAmenableError(GraphError):
+    """The graph is not adjustment amenable for (X, Y), so no set adjusts."""
+
+    def __init__(self, witness):
+        self.witness = tuple(witness)
+        super().__init__(
+            f"not adjustment amenable: possibly directed path {' '.join(self.witness)}"
+            " does not start with a visible edge"
+        )
+
+
 class EndpointInZError(GraphError):
     """Blocking queried with a path endpoint inside the conditioning set."""
 

@@ -10,22 +10,29 @@ graph, so comparing them across all members of an equivalence class
 certifies criterion decisions numerically.
 
 Covariances are closed form; there is no sampling noise anywhere.
+
+numpy is imported inside the functions that compute, so importing the
+package (and every CLI command but `verify`) does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import numpy as np
-
+from .criteria import find_amenability_violation
 from .errors import (
     ClassMismatchError,
     EmptyXOrYError,
+    NotAmenableError,
     SetsNotDisjointError,
     SingularDesignError,
 )
 from .graphs import Graph, GraphClass, Mark, _as_set
 from .mec import canonical_dag, enumerate_dags, enumerate_mags
+
+if TYPE_CHECKING:
+    import numpy as np
 
 SOUNDNESS_TOL = 1e-8
 COMPLETENESS_GAP = 1e-3
@@ -44,6 +51,8 @@ class LinearSEM:
     noise_var: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         g = self.graph
         if g.graph_class is not GraphClass.DAG:
             raise ClassMismatchError("a linear SEM needs a DAG")
@@ -89,6 +98,8 @@ def random_sem(dag: Graph, seed: int) -> LinearSEM:
     [-1.5, -0.1] u [0.1, 1.5], noise variances uniform on [0.5, 1.5]."""
     if dag.graph_class is not GraphClass.DAG:
         raise ClassMismatchError("random_sem needs a DAG")
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     n = len(dag.nodes)
     idx = dag.node_index
@@ -106,6 +117,8 @@ def random_sem(dag: Graph, seed: int) -> LinearSEM:
 def covariance(sem: LinearSEM) -> np.ndarray:
     """Implied covariance (I - B)^-T Omega (I - B)^-1; symmetric positive
     definite for every SEM on a DAG."""
+    import numpy as np
+
     n = len(sem.graph.nodes)
     a = np.eye(n) - sem.coeffs
     a_inv = np.linalg.inv(a)  # unit determinant on a DAG, never singular
@@ -123,6 +136,8 @@ def total_effect(sem: LinearSEM, x, y) -> np.ndarray:
         raise EmptyXOrYError("x must be non-empty")
     if y in x:
         raise SetsNotDisjointError(f"{y} is in x")
+    import numpy as np
+
     n = len(g.nodes)
     cut = np.array(sem.coeffs)
     for node in x:
@@ -134,6 +149,8 @@ def total_effect(sem: LinearSEM, x, y) -> np.ndarray:
 def adjusted_estimate(sigma: np.ndarray, x_idx, y_idx: int, z_idx=()) -> np.ndarray:
     """Coefficients on the `x` coordinates when regressing `y` on `x` and `z`
     under the covariance `sigma` (indices into its order)."""
+    import numpy as np
+
     x_idx = list(x_idx)
     z_idx = list(z_idx)
     w = x_idx + z_idx
@@ -169,8 +186,13 @@ def verify_adjustment(g: Graph, x, y, z, trials: int = 20, seed: int = 0):
 
     Returns one `EffectReport` per (member, trial), in that order.  If Z
     satisfies the generalized adjustment criterion, every gap is tiny
-    (soundness); if it fails on an amenable graph, some member and trial
-    exhibits a clear gap (completeness, up to reseeding flukes).
+    (soundness); if it fails, some member and trial exhibits a clear gap
+    (completeness, up to reseeding flukes).
+
+    Raises `NotAmenableError` with the amenability violation when the
+    graph is not adjustment amenable for (x, y): no set is an adjustment
+    set then, yet the SEMs on the members' canonical DAGs carry no latent
+    confounder behind an invisible edge and could not show it.
     """
     x = _as_set(g, x)
     z = _as_set(g, z)
@@ -179,6 +201,11 @@ def verify_adjustment(g: Graph, x, y, z, trials: int = 20, seed: int = 0):
     g._require(y)
     if x & z or y in x or y in z:
         raise SetsNotDisjointError("x, y, z must be pairwise disjoint")
+    violation = find_amenability_violation(g, x, frozenset([y]))
+    if violation is not None:
+        raise NotAmenableError(violation)
+    import numpy as np
+
     reports = []
     for m_idx, (_, substrate) in enumerate(_member_substrates(g)):
         x_pos = [substrate.node_index[v] for v in substrate.sort_nodes(x)]

@@ -1,3 +1,5 @@
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -7,7 +9,8 @@ import covadjust as ca
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-CORPUS_DIR = Path(__file__).resolve().parent.parent / "corpus"
+REPO_ROOT = Path(__file__).resolve().parent.parent
+CORPUS_DIR = REPO_ROOT / "corpus"
 CORPUS_NAMES = [
     "fig1a",
     "fig2-left",
@@ -34,3 +37,14 @@ def corpus():
         return cache[name]
 
     return load
+
+
+def run_with_src(*args):
+    """Run a fresh interpreter with `args` from the repository root, with
+    the package imported from `src`; asserts exit code 0."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=REPO_ROOT, env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout

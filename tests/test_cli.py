@@ -6,7 +6,7 @@ import pytest
 from covadjust.cgtext import serialize_graph
 from covadjust.cli import run_command
 
-from conftest import CORPUS_DIR
+from conftest import CORPUS_DIR, run_with_src
 from oracles import random_dag
 
 
@@ -250,3 +250,49 @@ def test_output_is_deterministic_modulo_elapsed(capsys):
         payload.pop("elapsed_ms")
         outs.append(json.dumps(payload, sort_keys=True))
     assert outs[0] == outs[1]
+
+
+def test_verify_refuses_non_amenable_graph(capsys):
+    # fig3b: X -> Y is invisible, so no set (not even the empty one) adjusts
+    code, payload, _ = run(capsys, "verify", "--graph", corpus_path("fig3b"))
+    assert code == 1
+    result = payload["result"]
+    assert result["sound"] is False
+    assert result["amenable"] is False
+    assert result["reports"] == []
+    assert payload["witness"] == ["X", "Y"]
+
+
+def test_import_does_not_load_numpy():
+    out = run_with_src(
+        "-c",
+        "import sys, covadjust, covadjust.cli\n"
+        "print(sorted(m for m in ('numpy', 'covadjust.sem', 'covadjust.mec')"
+        " if m in sys.modules))"
+    )
+    assert out.strip() == "['covadjust.mec', 'covadjust.sem']"
+
+
+def test_check_command_does_not_load_numpy():
+    out = run_with_src(
+        "-c",
+        "import io, sys, contextlib\n"
+        "from covadjust import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.run_command(['check', '--graph', 'corpus/fig1a.cg'])\n"
+        "print(code, 'numpy' in sys.modules)"
+    )
+    assert out.split() == ["0", "False"]
+
+
+def test_verify_command_loads_numpy():
+    out = run_with_src(
+        "-c",
+        "import io, json, sys, contextlib\n"
+        "from covadjust import cli\n"
+        "buf = io.StringIO()\n"
+        "with contextlib.redirect_stdout(buf):\n"
+        "    code = cli.run_command(['verify', '--graph', 'corpus/fig5a.cg', '--trials', '2'])\n"
+        "print(code, json.loads(buf.getvalue())['result']['sound'], 'numpy' in sys.modules)"
+    )
+    assert out.split() == ["0", "True", "True"]

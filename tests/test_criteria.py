@@ -367,3 +367,36 @@ def test_list_agrees_with_per_set_checks():
                 if gac(c, x, y, frozenset(z)).passed:
                     brute.add(frozenset(z))
         assert listed == brute
+
+
+def test_possibly_directed_closure_computed_once_per_decision(corpus, monkeypatch):
+    from covadjust import criteria
+
+    calls = []
+    closure = criteria._possibly_directed_reach_to
+
+    def counted(g, y, avoid):
+        calls.append((y, avoid))
+        return closure(g, y, avoid)
+
+    monkeypatch.setattr(criteria, "_possibly_directed_reach_to", counted)
+    cases = [
+        ("fig3a", {"X"}, {"Y"}, set(), "Cond0"),
+        ("fig4a", {"X"}, {"Y"}, {"V4"}, "Cond1"),
+        ("fig4a", {"X"}, {"Y"}, {"V1"}, "Cond2"),
+        ("fig4a", {"X"}, {"Y"}, {"V3"}, None),
+        ("fig5a", {"X1", "X2"}, {"Y"}, {"V1", "V2"}, None),
+    ]
+    for name, x, y, z, failed in cases:
+        g = corpus(name).graph
+        calls.clear()
+        verdict = gac(g, x, y, z)
+        assert verdict.failed_condition == failed, name
+        assert len(calls) == 1, name
+        calls.clear()
+        ca.list_adjustment_sets(g, x, y)
+        assert len(calls) == 1, name
+    g = corpus("fig3c").graph
+    calls.clear()
+    assert ca.satisfies_ac(g, {"X"}, {"Y"}, set()).passed
+    assert len(calls) == 1

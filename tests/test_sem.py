@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 import covadjust as ca
-from covadjust.errors import ClassMismatchError, SetsNotDisjointError, SingularDesignError
+from covadjust.errors import (
+    ClassMismatchError,
+    NotAmenableError,
+    SetsNotDisjointError,
+    SingularDesignError,
+)
 from covadjust.graphs import Edge, GraphClass
 from covadjust.sem import COMPLETENESS_GAP, SOUNDNESS_TOL
 
@@ -192,3 +197,13 @@ def test_verify_adjustment_runs_on_mag_and_pag_members(corpus):
     reports = ca.verify_adjustment(p, {"X"}, "Y", {"V3"}, trials=2, seed=1)
     assert len(reports) == 2 * len(ca.enumerate_mags(p).members)
     assert max(r.max_abs_gap for r in reports) <= SOUNDNESS_TOL
+
+
+def test_verify_adjustment_refuses_non_amenable_graph(corpus):
+    # fig3b: the empty set would look sound on every member's canonical DAG,
+    # though no set adjusts because X -> Y is invisible
+    g = corpus("fig3b").graph
+    with pytest.raises(NotAmenableError) as info:
+        ca.verify_adjustment(g, {"X"}, "Y", set(), trials=2, seed=1)
+    assert info.value.witness == ("X", "Y")
+    assert info.value.witness == ca.find_amenability_violation(g, {"X"}, {"Y"})
