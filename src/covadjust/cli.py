@@ -129,8 +129,8 @@ def _require_class(g):
     """Refuse a DAG with a directed cycle or a MAG that is not ancestral.
 
     Both checks run in polynomial time.  Maximality of a MAG and the
-    class of a CPDAG or PAG are left to `validate`, whose checks are
-    exponential.
+    class of a CPDAG or PAG are left to `validate`, whose class checks
+    are exponential.
     """
     if g.graph_class is GraphClass.DAG:
         cycle = _find_directed_cycle(g)
@@ -271,14 +271,18 @@ def run_command(argv) -> int:
         if cap is None and command in ENUMERATING_COMMANDS:
             cap = DEFAULT_NODE_CAP
         if cap is not None and len(g.nodes) > cap:
-            raise SizeCapExceededError(f"{len(g.nodes)} nodes exceeds the cap of {cap}")
+            raise SizeCapExceededError(
+                f"{len(g.nodes)} nodes exceeds the cap of {cap}",
+                cap="nodes", limit=cap, required=len(g.nodes),
+            )
         if command != "validate":
             _require_class(g)
         result, witness, code = _dispatch(args, doc)
     except SizeCapExceededError as exc:
         print(f"covadjust: {exc}", file=sys.stderr)
         _emit({"format": FORMAT_VERSION, "command": command,
-               "error": {"type": type(exc).__name__, "message": str(exc)}})
+               "error": {"type": type(exc).__name__, "message": str(exc),
+                         "cap": exc.cap, "limit": exc.limit, "required": exc.required}})
         return 3
     except (GraphError, OSError) as exc:
         print(f"covadjust: {exc}", file=sys.stderr)

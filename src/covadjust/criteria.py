@@ -26,16 +26,7 @@ from .errors import (
     NotDirectedEdgeError,
     SetsNotDisjointError,
 )
-from .graphs import (
-    Edge,
-    Graph,
-    GraphClass,
-    Mark,
-    _as_set,
-    _directed_closure,
-    parents,
-    possible_descendants,
-)
+from .graphs import Edge, Graph, GraphClass, Mark, _as_set, _reach
 from .paths import find_open_definite_path
 
 
@@ -92,72 +83,47 @@ def is_visible(g: Graph, e: Edge) -> bool:
         return True
     x = e.tail_node()
     y = e.other(x)
-    pa_y = parents(g, [y])
+    marks = g._marks
+    pa_y = {w for w in marks[y] if marks[w][y] is Mark.TAIL}
     # the last nodes a collider path into x can step onto from outside:
     # x and the parents of y joined to x by a <-> chain through parents of y
     chain = {x}
     stack = [x]
     while stack:
         b = stack.pop()
-        for w, eb in g._adjacency[b].items():
-            if w in pa_y and w not in chain and eb.is_bidirected():
+        for w, m in marks[b].items():
+            if m is Mark.ARROW and w in pa_y and w not in chain and marks[w][b] is Mark.ARROW:
                 chain.add(w)
                 stack.append(w)
+    at_y = marks[y]
     return any(
-        v != y and eb.mark_at(b) is Mark.ARROW and not g.adjacent(v, y)
+        v != y and m is Mark.ARROW and v not in at_y
         for b in chain
-        for v, eb in g._adjacency[b].items()
+        for v, m in marks[b].items()
     )
 
 
 def _possibly_directed_reach_to(g: Graph, y: frozenset, avoid: frozenset) -> frozenset:
     """Nodes outside `avoid` with a possibly directed path to `y` that stays
     outside `avoid` (zero-length paths included)."""
-    reach = set(y) - set(avoid)
-    queue = deque(reach)
-    while queue:
-        w = queue.popleft()
-        for v in g.neighbors(w):
-            if v in reach or v in avoid:
-                continue
-            if g.mark_at(v, w) is not Mark.ARROW:
-                reach.add(v)
-                queue.append(v)
-    return frozenset(reach)
-
-
-def _possibly_directed_reach_from(g: Graph, x: frozenset) -> frozenset:
-    """Non-X nodes reachable from `x` by a proper possibly directed path."""
-    reach = set()
-    queue = deque()
-    for s in x:
-        for u in g.neighbors(s):
-            if u not in x and u not in reach and g.mark_at(s, u) is not Mark.ARROW:
-                reach.add(u)
-                queue.append(u)
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w in reach or w in x:
-                continue
-            if g.mark_at(v, w) is not Mark.ARROW:
-                reach.add(w)
-                queue.append(w)
-    return frozenset(reach)
+    return _reach(g, y - avoid, directed=False, reverse=True, avoid=avoid)
 
 
 def _shortest_possibly_directed_path(g: Graph, x_node, first, y: frozenset, avoid: frozenset):
     """Shortest possibly directed path x_node, first, ..., ending in `y`."""
     if first in y:
         return (x_node, first)
+    marks = g._marks
+    order = g._ordered_neighbors
     prev = {first: None}
     queue = deque([first])
     while queue:
         v = queue.popleft()
-        for w in g.sort_nodes(g.neighbors(v)):
+        mv = marks[v]
+        for w in order[v]:
             if w in prev or w in avoid or w == x_node:
                 continue
-            if g.mark_at(v, w) is not Mark.ARROW:
+            if mv[w] is not Mark.ARROW:
                 prev[w] = v
                 if w in y:
                     path = [w]
@@ -189,15 +155,17 @@ def find_amenability_violation(g: Graph, x, y):
 def _amenability_violation(g: Graph, x: frozenset, y: frozenset, suffix: frozenset):
     """`find_amenability_violation` given `suffix`, the possibly directed
     closure `_possibly_directed_reach_to(g, y, avoid=x)`."""
+    marks = g._marks
     violations = []
     for x_node in g.sort_nodes(x):
-        for u in g.sort_nodes(g.neighbors(x_node)):
-            if u in x or g.mark_at(x_node, u) is Mark.ARROW:
+        at_x = marks[x_node]
+        for u in g._ordered_neighbors[x_node]:
+            m = at_x[u]
+            if u in x or m is Mark.ARROW:
                 continue
             if u not in suffix:
                 continue  # no proper possibly directed continuation to y
-            e = g.edge_between(x_node, u)
-            if g.mark_at(x_node, u) is Mark.TAIL and is_visible(g, e):
+            if m is Mark.TAIL and is_visible(g, g.edge_between(x_node, u)):
                 continue
             witness = _shortest_possibly_directed_path(g, x_node, u, y, avoid=x)
             if witness:
@@ -223,10 +191,8 @@ def forbidden_set(g: Graph, x, y) -> frozenset:
 def _forbidden_set(g: Graph, x: frozenset, reach: frozenset) -> frozenset:
     """`forbidden_set` given `reach`, the possibly directed closure
     `_possibly_directed_reach_to(g, y, avoid=x)`."""
-    on_paths = _possibly_directed_reach_from(g, x) & reach
-    if not on_paths:
-        return frozenset()
-    return possible_descendants(g, on_paths)
+    on_paths = _reach(g, x, directed=False, avoid=x) & reach
+    return _reach(g, on_paths, directed=False)
 
 
 def _proper_backdoor_exemption(g: Graph, reach: frozenset):
@@ -239,7 +205,8 @@ def _proper_backdoor_exemption(g: Graph, reach: frozenset):
     proper definite status non-causal path iff it blocks every proper
     definite status path in that graph (Perković et al., JMLR 2018).
     """
-    return lambda start, first: first in reach and g.mark_at(start, first) is not Mark.ARROW
+    marks = g._marks
+    return lambda start, first: first in reach and marks[start][first] is not Mark.ARROW
 
 
 def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
@@ -266,43 +233,6 @@ def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
     return AdjustmentVerdict(True)
 
 
-def _directed_reach_from(g: Graph, x: frozenset) -> frozenset:
-    reach = set()
-    queue = deque()
-    for s in x:
-        for u in g.neighbors(s):
-            e = g.edge_between(s, u)
-            if u not in x and e.mark_at(s) is Mark.TAIL and e.mark_at(u) is Mark.ARROW:
-                if u not in reach:
-                    reach.add(u)
-                    queue.append(u)
-    while queue:
-        v = queue.popleft()
-        for w in g.neighbors(v):
-            if w in reach or w in x:
-                continue
-            e = g.edge_between(v, w)
-            if e.mark_at(v) is Mark.TAIL and e.mark_at(w) is Mark.ARROW:
-                reach.add(w)
-                queue.append(w)
-    return frozenset(reach)
-
-
-def _directed_reach_to(g: Graph, y: frozenset, avoid: frozenset) -> frozenset:
-    reach = set(y) - set(avoid)
-    queue = deque(reach)
-    while queue:
-        w = queue.popleft()
-        for v in g.neighbors(w):
-            if v in reach or v in avoid:
-                continue
-            e = g.edge_between(v, w)
-            if e.mark_at(v) is Mark.TAIL and e.mark_at(w) is Mark.ARROW:
-                reach.add(v)
-                queue.append(v)
-    return frozenset(reach)
-
-
 def satisfies_ac(g: Graph, x, y, z) -> AdjustmentVerdict:
     """Decide the adjustment criterion for a DAG or MAG.
 
@@ -318,9 +248,10 @@ def satisfies_ac(g: Graph, x, y, z) -> AdjustmentVerdict:
     violation = _amenability_violation(g, x, y, reach)
     if violation is not None:
         return AdjustmentVerdict(False, "Cond0", violation)
-    on_causal = _directed_reach_from(g, x) & _directed_reach_to(g, y, avoid=x)
-    forb = _directed_closure(g, on_causal) if on_causal else frozenset()
-    bad = z & forb
+    on_causal = _reach(g, x, directed=True, avoid=x) & _reach(
+        g, y, directed=True, reverse=True, avoid=x
+    )
+    bad = z & _reach(g, on_causal, directed=True)
     if bad:
         return AdjustmentVerdict(False, "Cond1", g.sort_nodes(bad)[0])
     open_path = find_open_definite_path(
@@ -342,20 +273,17 @@ def satisfies_generalized_backdoor(g: Graph, x, y, z) -> AdjustmentVerdict:
     """
     query = AdjustmentQuery(g, frozenset(x), frozenset(y), frozenset(z))
     x, y, z = query.x, query.y, query.z
-    bad = z & possible_descendants(g, x)
+    bad = z & _reach(g, x, directed=False)
     if bad:
         return AdjustmentVerdict(False, "Cond1", g.sort_nodes(bad)[0])
+    marks = g._marks
+
+    def first_edge_exempt(start, first):
+        # a tail at start makes the edge start -> first
+        return marks[start][first] is Mark.TAIL and is_visible(g, g.edge_between(start, first))
+
     for x_node in g.sort_nodes(x):
         cond = z | (x - {x_node})
-
-        def first_edge_exempt(start, first):
-            e = g.edge_between(start, first)
-            return (
-                g.mark_at(start, first) is Mark.TAIL
-                and e.mark_at(first) is Mark.ARROW
-                and is_visible(g, e)
-            )
-
         open_path = find_open_definite_path(
             g, frozenset([x_node]), y, cond, skip_first=first_edge_exempt
         )

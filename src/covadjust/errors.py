@@ -60,7 +60,18 @@ class ClassMismatchError(GraphError):
 
 
 class SizeCapExceededError(GraphError):
-    """Input exceeds a configured enumeration cap; refusing rather than stalling."""
+    """Input exceeds a configured enumeration cap; refusing rather than stalling.
+
+    `cap` names the cap, `limit` is its value and `required` what the
+    input needs.  For a cap on output (`paths`) the enumeration stops at
+    the first item past the limit, so `required` is a lower bound.
+    """
+
+    def __init__(self, message, *, cap, limit, required):
+        self.cap = cap
+        self.limit = limit
+        self.required = required
+        super().__init__(message)
 
 
 class NotDefiniteStatusError(GraphError):

@@ -116,7 +116,8 @@ class Edge:
         return self.b if node == self.a else self.a
 
     def is_directed(self) -> bool:
-        return {self.mark_a, self.mark_b} == {Mark.TAIL, Mark.ARROW}
+        ma, mb = self.mark_a, self.mark_b
+        return (ma is Mark.TAIL and mb is Mark.ARROW) or (ma is Mark.ARROW and mb is Mark.TAIL)
 
     def is_bidirected(self) -> bool:
         return self.mark_a is Mark.ARROW and self.mark_b is Mark.ARROW
@@ -179,6 +180,20 @@ class Graph:
         return adj
 
     @cached_property
+    def _marks(self) -> dict:
+        """`_marks[v][w]` is the mark at `v` of the edge v-w.
+
+        Every search reads marks here instead of through the edge objects.
+        Since tail-tail and tail-circle edges are rejected, a tail at `v`
+        means the edge is v -> w.
+        """
+        marks = {n: {} for n in self.nodes}
+        for e in self.edges:
+            marks[e.a][e.b] = e.mark_a
+            marks[e.b][e.a] = e.mark_b
+        return marks
+
+    @cached_property
     def _ordered_neighbors(self) -> dict:
         """Each node's neighbours in declaration order."""
         key = self.node_index.__getitem__
@@ -196,10 +211,10 @@ class Graph:
 
     def mark_at(self, near: Node, far: Node) -> Mark:
         """Mark at the `near` endpoint of the edge near-far."""
-        e = self._adjacency[near].get(far)
-        if e is None:
+        m = self._marks[near].get(far)
+        if m is None:
             raise UnknownNodeError(f"no edge between {near} and {far}")
-        return e.mark_at(near)
+        return m
 
     def sort_nodes(self, nodes: Iterable[Node]) -> tuple:
         """Sort by declaration order (the deterministic reporting order)."""
@@ -219,60 +234,73 @@ def _edge_glyph(e: Edge) -> str:
 
 def _as_set(g: Graph, nodes) -> frozenset:
     s = frozenset([nodes]) if isinstance(nodes, str) else frozenset(nodes)
-    g._require(*s)
+    if not g.node_index.keys() >= s:
+        g._require(*s)
     return s
+
+
+def _reach(g: Graph, seeds, *, directed: bool, reverse: bool = False, avoid=frozenset()) -> frozenset:
+    """Nodes reached from `seeds` along directed or possibly directed paths.
+
+    A forward step v -> w reads the mark at v of the edge v-w: it must be a
+    tail on a directed path (the edge is then v -> w) and anything but an
+    arrowhead on a possibly directed path.  With `reverse` the paths run
+    into the seeds, so the step reads the mark at w.  The search expands
+    every seed and enters no node of `avoid`; the result holds the seeds
+    and every node reached, minus `avoid`.
+    """
+    marks = g._marks
+    # the marks that stop a step, picked once for the whole search
+    stop1, stop2 = (Mark.ARROW, Mark.CIRCLE) if directed else (Mark.ARROW, Mark.ARROW)
+    seen = set(avoid)
+    seen.update(seeds)
+    stack = list(seeds)
+    push, add = stack.append, seen.add
+    if reverse:
+        while stack:
+            v = stack.pop()
+            for w in marks[v]:
+                if w not in seen:
+                    m = marks[w][v]
+                    if m is not stop1 and m is not stop2:
+                        add(w)
+                        push(w)
+    else:
+        while stack:
+            v = stack.pop()
+            for w, m in marks[v].items():
+                if w not in seen and m is not stop1 and m is not stop2:
+                    add(w)
+                    push(w)
+    return frozenset(seen.difference(avoid)) if avoid else frozenset(seen)
 
 
 def parents(g: Graph, s) -> frozenset:
     """Nodes W with a directed edge W -> v into some v in `s`."""
     s = _as_set(g, s)
-    out = set()
-    for v in s:
-        for w, e in g._adjacency[v].items():
-            if e.mark_at(w) is Mark.TAIL and e.mark_at(v) is Mark.ARROW:
-                out.add(w)
-    return frozenset(out)
+    marks = g._marks
+    return frozenset(w for v in s for w in marks[v] if marks[w][v] is Mark.TAIL)
 
 
 def children(g: Graph, s) -> frozenset:
     """Nodes W with a directed edge v -> W out of some v in `s`."""
     s = _as_set(g, s)
-    out = set()
-    for v in s:
-        for w, e in g._adjacency[v].items():
-            if e.mark_at(v) is Mark.TAIL and e.mark_at(w) is Mark.ARROW:
-                out.add(w)
-    return frozenset(out)
-
-
-def _directed_closure(g: Graph, s: frozenset, reverse: bool = False) -> frozenset:
-    """Reachability along directed edges only; includes `s` itself."""
-    seen = set(s)
-    stack = list(s)
-    while stack:
-        v = stack.pop()
-        for w, e in g._adjacency[v].items():
-            if w in seen:
-                continue
-            near, far = (w, v) if reverse else (v, w)
-            if e.mark_at(near) is Mark.TAIL and e.mark_at(far) is Mark.ARROW:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    marks = g._marks
+    return frozenset(w for v in s for w, m in marks[v].items() if m is Mark.TAIL)
 
 
 def descendants(g: Graph, s) -> frozenset:
     """Directed-edge reachability from `s`, including `s`.  DAG/MAG only."""
     if g.graph_class not in (GraphClass.DAG, GraphClass.MAG):
         raise ClassMismatchError("descendants is defined for DAGs and MAGs only")
-    return _directed_closure(g, _as_set(g, s))
+    return _reach(g, _as_set(g, s), directed=True)
 
 
 def ancestors(g: Graph, s) -> frozenset:
     """Directed-edge reachability into `s`, including `s`.  DAG/MAG only."""
     if g.graph_class not in (GraphClass.DAG, GraphClass.MAG):
         raise ClassMismatchError("ancestors is defined for DAGs and MAGs only")
-    return _directed_closure(g, _as_set(g, s), reverse=True)
+    return _reach(g, _as_set(g, s), directed=True, reverse=True)
 
 
 def possible_descendants(g: Graph, s) -> frozenset:
@@ -282,30 +310,18 @@ def possible_descendants(g: Graph, s) -> frozenset:
     endpoint nearer the start, so the traversal follows any edge whose
     near-side mark is not an arrow.
     """
-    s = _as_set(g, s)
-    seen = set(s)
-    stack = list(s)
-    while stack:
-        v = stack.pop()
-        for w, e in g._adjacency[v].items():
-            if w not in seen and e.mark_at(v) is not Mark.ARROW:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    return _reach(g, _as_set(g, s), directed=False)
 
 
 def possible_ancestors(g: Graph, s) -> frozenset:
     """Nodes with a possibly directed path into `s`, including `s`."""
-    s = _as_set(g, s)
-    seen = set(s)
-    stack = list(s)
-    while stack:
-        v = stack.pop()
-        for w, e in g._adjacency[v].items():
-            if w not in seen and e.mark_at(w) is not Mark.ARROW:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    return _reach(g, _as_set(g, s), directed=False, reverse=True)
+
+
+def _children_in_order(g: Graph, v: Node):
+    """Children of `v` in declaration order."""
+    marks = g._marks[v]
+    return (w for w in g._ordered_neighbors[v] if marks[w] is Mark.TAIL)
 
 
 def _find_directed_cycle(g: Graph):
@@ -315,7 +331,7 @@ def _find_directed_cycle(g: Graph):
     for root in g.nodes:
         if color[root]:
             continue
-        stack = [(root, iter(g.sort_nodes(children(g, [root]))))]
+        stack = [(root, _children_in_order(g, root))]
         color[root] = 1
         while stack:
             v, it = stack[-1]
@@ -330,7 +346,7 @@ def _find_directed_cycle(g: Graph):
                 if color[w] == 0:
                     color[w] = 1
                     parent[w] = v
-                    stack.append((w, iter(g.sort_nodes(children(g, [w])))))
+                    stack.append((w, _children_in_order(g, w)))
                     advanced = True
                     break
             if not advanced:
@@ -362,7 +378,7 @@ def _shortest_directed_path(g: Graph, src: Node, dst: Node):
                 path.append(v)
                 v = prev[v]
             return path[::-1]
-        for w in g.sort_nodes(children(g, [v])):
+        for w in _children_in_order(g, v):
             if w not in prev:
                 prev[w] = v
                 queue.append(w)

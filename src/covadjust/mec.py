@@ -6,8 +6,9 @@ colliders; a PAG describes a class of Markov equivalent MAGs.  Members
 are recovered by orienting the circle marks of the representative and
 keeping the assignments that reproduce the class; the representative is
 recovered from members as the per-endpoint mark union (circle wherever
-members disagree).  Everything here is exact brute force at desk scale:
-equivalence is decided by comparing complete m-separation fingerprints.
+members disagree).  Class enumeration is exact brute force at desk
+scale: equivalence is decided by comparing complete m-separation
+fingerprints.  Latent projection takes one d-separation search per pair.
 """
 
 from __future__ import annotations
@@ -33,11 +34,11 @@ from .graphs import (
     Graph,
     GraphClass,
     Mark,
-    _directed_closure,
     _find_directed_cycle,
+    _reach,
     validate_ancestral,
 )
-from .paths import DEFAULT_NODE_CAP, _m_connected_reachability, require_maximal
+from .paths import DEFAULT_NODE_CAP, _m_connected_reachability, _open_walk, require_maximal
 
 DEFAULT_ORIENTATION_CAP = 20  # undirected edges in a CPDAG -> DAG search
 DEFAULT_MARK_SLOT_CAP = 16  # circle marks in a PAG -> MAG search
@@ -75,7 +76,10 @@ def separation_fingerprint(g: Graph, *, max_nodes=None) -> frozenset:
     """All m-separated triples (a, b, conditioning set), a < b by name."""
     cap = DEFAULT_FINGERPRINT_NODE_CAP if max_nodes is None else max_nodes
     if len(g.nodes) > cap:
-        raise SizeCapExceededError(f"{len(g.nodes)} nodes exceeds the fingerprint cap of {cap}")
+        raise SizeCapExceededError(
+            f"{len(g.nodes)} nodes exceeds the fingerprint cap of {cap}",
+            cap="fingerprint_nodes", limit=cap, required=len(g.nodes),
+        )
     out = set()
     names = sorted(g.nodes)
     for a, b in itertools.combinations(names, 2):
@@ -161,7 +165,10 @@ def enumerate_dags(c: Graph, *, max_undirected=None) -> EquivalenceClass:
         key=lambda e: (c.node_index[e.a], c.node_index[e.b]),
     )
     if len(undirected) > cap:
-        raise SizeCapExceededError(f"{len(undirected)} undirected edges exceeds the cap of {cap}")
+        raise SizeCapExceededError(
+            f"{len(undirected)} undirected edges exceeds the cap of {cap}",
+            cap="undirected_edges", limit=cap, required=len(undirected),
+        )
     base = [e for e in c.edges if e.is_directed()]
     target_colliders = unshielded_colliders(c)
     members = []
@@ -205,7 +212,10 @@ def enumerate_mags(p: Graph, *, max_circle_marks=None, max_nodes=None) -> Equiva
             fixed.append(e)
     n_marks = sum((e.mark_a is Mark.CIRCLE) + (e.mark_b is Mark.CIRCLE) for e in slots)
     if n_marks > cap:
-        raise SizeCapExceededError(f"{n_marks} circle marks exceeds the cap of {cap}")
+        raise SizeCapExceededError(
+            f"{n_marks} circle marks exceeds the cap of {cap}",
+            cap="circle_marks", limit=cap, required=n_marks,
+        )
 
     def assignments(edge):
         choices_a = (Mark.TAIL, Mark.ARROW) if edge.mark_a is Mark.CIRCLE else (edge.mark_a,)
@@ -263,22 +273,22 @@ def latent_project(d: Graph, observed) -> Graph:
     if unknown:
         raise UnknownNodeError(f"observed nodes not in the graph: {sorted(unknown)}")
     if len(d.nodes) > DEFAULT_NODE_CAP:
-        raise SizeCapExceededError(f"latent projection capped at {DEFAULT_NODE_CAP} nodes")
+        raise SizeCapExceededError(
+            f"latent projection capped at {DEFAULT_NODE_CAP} nodes",
+            cap="projection_nodes", limit=DEFAULT_NODE_CAP, required=len(d.nodes),
+        )
     obs = [n for n in d.nodes if n in observed]
+    # a and b are adjacent iff (An({a, b}) & observed) minus {a, b} does
+    # not d-separate them (Richardson & Spirtes 2002); the mark at a is a
+    # tail iff a is an ancestor of b
+    an = {v: _reach(d, frozenset([v]), directed=True, reverse=True) for v in obs}
     edges = []
     for a, b in itertools.combinations(obs, 2):
-        rest = [n for n in obs if n not in (a, b)]
-        separable = any(
-            not _m_connected_reachability(d, frozenset([a]), frozenset([b]), frozenset(z))
-            for r in range(len(rest) + 1)
-            for z in itertools.combinations(rest, r)
-        )
-        if separable:
+        z = ((an[a] | an[b]) & observed) - {a, b}
+        if _open_walk(d, frozenset([a]), frozenset([b]), z) is None:
             continue
-        an_a = _directed_closure(d, frozenset([a]))
-        an_b = _directed_closure(d, frozenset([b]))
-        mark_a = Mark.TAIL if b in an_a else Mark.ARROW
-        mark_b = Mark.TAIL if a in an_b else Mark.ARROW
+        mark_a = Mark.TAIL if a in an[b] else Mark.ARROW
+        mark_b = Mark.TAIL if b in an[a] else Mark.ARROW
         edges.append(Edge(a, b, mark_a, mark_b))
     mag = Graph(GraphClass.MAG, tuple(obs), frozenset(edges))
     validate_ancestral(mag)

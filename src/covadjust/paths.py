@@ -13,11 +13,16 @@ Z; otherwise Z blocks it.  The collider condition uses directed-edge
 reachability in every graph class (circles never count), following the
 standard definite-status m-separation for partial graphs.
 
-`m_connected` ships two implementations that are cross-checked in the
-test suite: exhaustive enumeration over definite status paths (the
-definition) and a breadth-first search over (previous node, current node)
-states honouring the same local rules.  `find_open_definite_path` runs
-the same search and rebuilds its witness from the parent pointers.
+`_open_walk` decides m-connection in polynomial time: a breadth-first
+search over (previous node, current node) states that reads every mark
+from the graph's mark table.  For each dequeued state it looks up the
+marks at the current node and whether that node is in Z or has a
+descendant in Z once, which fixes the marks on the next edge that leave
+the node open.  `m_connected`, `find_open_definite_path` (which rebuilds
+its witness from the parent pointers) and `require_maximal` run on it.
+`m_connected(method="enumeration")` is the definition instead:
+exhaustive enumeration of definite status paths, cross-checked against
+the search in the test suite.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .errors import (
     SizeCapExceededError,
     UnknownNodeError,
 )
-from .graphs import Graph, Mark, _as_set, _directed_closure
+from .graphs import Graph, Mark, _as_set, _reach
 
 DEFAULT_NODE_CAP = 15
 DEFAULT_PATH_CAP = 10**6
@@ -121,7 +126,10 @@ def classify(p: Path, x=()) -> PathKind:
 def _check_caps(g: Graph, max_nodes):
     cap = DEFAULT_NODE_CAP if max_nodes is None else max_nodes
     if len(g.nodes) > cap:
-        raise SizeCapExceededError(f"{len(g.nodes)} nodes exceeds the cap of {cap}")
+        raise SizeCapExceededError(
+            f"{len(g.nodes)} nodes exceeds the cap of {cap}",
+            cap="nodes", limit=cap, required=len(g.nodes),
+        )
 
 
 def enumerate_paths(
@@ -172,7 +180,10 @@ def enumerate_paths(
             if matches(p):
                 found.append(p)
                 if len(found) > path_cap:
-                    raise SizeCapExceededError(f"more than {path_cap} paths")
+                    raise SizeCapExceededError(
+                        f"more than {path_cap} paths",
+                        cap="paths", limit=path_cap, required=len(found),
+                    )
         for nxt in g.sort_nodes(g.neighbors(cur)):
             if nxt in path:
                 continue
@@ -205,7 +216,7 @@ def blocks(g: Graph, p: Path, z) -> bool:
     z = _as_set(g, z)
     if p.nodes[0] in z or p.nodes[-1] in z:
         raise EndpointInZError("path endpoints may not be conditioned on")
-    an_z = _directed_closure(g, z, reverse=True)
+    an_z = _reach(g, z, directed=True, reverse=True)
     for i in range(1, len(p.nodes) - 1):
         status = status_at(p, i)
         v = p.nodes[i]
@@ -215,15 +226,6 @@ def blocks(g: Graph, p: Path, z) -> bool:
             return True
         if status is NodePathStatus.COLLIDER and v not in an_z:
             return True
-    return False
-
-
-def _triple_open(g: Graph, left, mid, right, z, an_z) -> bool:
-    status = _triple_status(g, left, mid, right)
-    if status is NodePathStatus.COLLIDER:
-        return mid in an_z
-    if status is NodePathStatus.DEFINITE_NON_COLLIDER:
-        return mid not in z
     return False
 
 
@@ -249,8 +251,10 @@ def _open_walk(g: Graph, x, y, z, skip_first=None):
     Neighbours are expanded in declaration order, so the walk rebuilt from
     the parent pointers is the lexicographically first shortest one.
     """
-    an_z = _directed_closure(g, z, reverse=True)
+    an_z = _reach(g, z, directed=True, reverse=True)
+    marks = g._marks
     order = g._ordered_neighbors
+    arrow, tail, circle = Mark.ARROW, Mark.TAIL, Mark.CIRCLE
     parent = {}
     queue = deque()
     for s in g.sort_nodes(x):
@@ -264,15 +268,42 @@ def _open_walk(g: Graph, x, y, z, skip_first=None):
     while queue:
         state = queue.popleft()
         u, v = state
+        mv = marks[v]
+        m_in = mv[u]
+        # The triple rules at v, settled once per state: which mark at v on
+        # the next edge leaves v open.  Two arrowheads make a collider, open
+        # iff v is in An(z); a tail makes a non-collider, open iff v is not
+        # in z; two circles do too if u and the next node are non-adjacent.
+        # An arrowhead against a circle is not of definite status.
+        non_collider = v not in z
+        if m_in is arrow:
+            open_arrow, open_tail, open_circle = v in an_z, non_collider, False
+        elif m_in is tail:
+            open_arrow = open_tail = open_circle = non_collider
+        else:
+            open_arrow, open_tail, open_circle = False, non_collider, non_collider
+        if not (open_arrow or open_tail or open_circle):
+            continue
+        shielded = marks[u] if m_in is circle else ()
         for w in order[v]:
-            if w == u or w in x or (v, w) in parent:
+            if w == u or w in x:
                 continue
-            if not _triple_open(g, u, v, w, z, an_z):
+            m = mv[w]
+            if m is arrow:
+                if not open_arrow:
+                    continue
+            elif m is tail:
+                if not open_tail:
+                    continue
+            elif not open_circle or w in shielded:
                 continue
-            parent[(v, w)] = state
+            nxt = (v, w)
+            if nxt in parent:
+                continue
+            parent[nxt] = state
             if w in y:
-                return _rebuild(parent, (v, w))
-            queue.append((v, w))
+                return _rebuild(parent, nxt)
+            queue.append(nxt)
     return None
 
 
@@ -354,17 +385,19 @@ def separating_sets(g: Graph, a, b, *, method="reachability"):
 
 
 def require_maximal(g: Graph) -> None:
-    """Raise unless every non-adjacent pair can be m-separated by some subset."""
+    """Raise unless every non-adjacent pair can be m-separated by some set.
+
+    `g` must be ancestral.  Then non-adjacent a and b are m-separable iff
+    An({a, b}) minus {a, b} separates them (Richardson & Spirtes 2002), so
+    each pair takes one search.
+    """
     from .errors import NotMaximalError
 
     for i, a in enumerate(g.nodes):
         for b in g.nodes[i + 1 :]:
             if g.adjacent(a, b):
                 continue
-            rest = [n for n in g.nodes if n not in (a, b)]
-            if not any(
-                not _m_connected_reachability(g, frozenset([a]), frozenset([b]), frozenset(zc))
-                for r in range(len(rest) + 1)
-                for zc in itertools.combinations(rest, r)
-            ):
+            ab = frozenset((a, b))
+            z = _reach(g, ab, directed=True, reverse=True) - ab
+            if _open_walk(g, frozenset([a]), frozenset([b]), z) is not None:
                 raise NotMaximalError((a, b))

@@ -6,22 +6,22 @@ explicit path sums instead of matrix inverses, exhaustive orientation
 sweeps instead of class-aware enumeration.
 """
 
+import functools
 import itertools
+import random
 from collections import deque
 
-from covadjust.errors import GraphError
+from covadjust.errors import GraphError, NotMaximalError
 from covadjust.graphs import (
     Edge,
     Graph,
     GraphClass,
     Mark,
-    _directed_closure,
     _find_directed_cycle,
-    parents,
     validate_ancestral,
 )
 from covadjust.mec import _mark_union, separation_fingerprint, unshielded_colliders
-from covadjust.paths import _triple_open
+from covadjust.paths import _m_connected_reachability
 
 
 def directed_pairs(g):
@@ -127,6 +127,32 @@ def random_dag(rng, n, p, prefix="N"):
     return Graph(GraphClass.DAG, names, frozenset(edges))
 
 
+@functools.lru_cache(maxsize=None)
+def class_graphs(cls, seed, count):
+    """`count` seeded random graphs of class `cls` ("dag", "cpdag", "mag"
+    or "pag"): DAGs of 4-7 nodes and their CPDAGs, MAGs projected from
+    5-7-node DAGs and the PAGs of those with at most 7 edges."""
+    import covadjust as ca
+
+    rng = random.Random(f"{cls}-{seed}")
+    out = []
+    while len(out) < count:
+        if cls in ("dag", "cpdag"):
+            d = random_dag(rng, rng.randint(4, 7), 0.4)
+            out.append(d if cls == "dag" else cpdag_of(d))
+            continue
+        d = random_dag(rng, rng.randint(5, 7), 0.45)
+        observed = [n for n in d.nodes if rng.random() < 0.8]
+        if len(observed) < 3:
+            continue
+        m = ca.latent_project(d, observed)
+        if cls == "mag":
+            out.append(m)
+        elif len(m.edges) <= 7:
+            out.append(pag_of(m))
+    return tuple(out)
+
+
 def cpdag_of(dag):
     """The CPDAG of a DAG by exhaustive orientation sweep: all acyclic
     same-skeleton orientations with the same unshielded colliders."""
@@ -192,6 +218,26 @@ def small_queries(nodes, max_xy=2, max_z=None):
                             yield frozenset(x), frozenset(y), frozenset(z)
 
 
+def edge_mark(g, near, far):
+    """Mark at `near` of the edge near-far, read off the raw edge object."""
+    return g.edge_between(near, far).mark_at(near)
+
+
+def _triple_open(g, left, mid, right, z, an_z):
+    """Whether `mid` is open between `left` and `right` given `z`: a
+    collider with a descendant in `z`, or a definite non-collider outside
+    `z`.  Marks come from the raw edge objects."""
+    m_left = edge_mark(g, mid, left)
+    m_right = edge_mark(g, mid, right)
+    if m_left is Mark.ARROW and m_right is Mark.ARROW:
+        return mid in an_z
+    if m_left is Mark.TAIL or m_right is Mark.TAIL:
+        return mid not in z
+    if m_left is Mark.CIRCLE and m_right is Mark.CIRCLE and g.edge_between(left, right) is None:
+        return mid not in z
+    return False
+
+
 def simple_path_search(g, x, y, z, *, proper=False, require_non_causal=False, skip_first=None):
     """Shortest open definite status simple path from `x` to `y` given `z`.
 
@@ -201,7 +247,7 @@ def simple_path_search(g, x, y, z, *, proper=False, require_non_causal=False, sk
     back towards its start somewhere; `skip_first(start, first)` exempts
     first edges.  Ties are broken by declaration order.
     """
-    an_z = _directed_closure(g, frozenset(z), reverse=True)
+    an_z = directed_closure(g, frozenset(z), reverse=True)
     queue = deque(((s,), False) for s in g.sort_nodes(x))
     while queue:
         path, non_causal = queue.popleft()
@@ -215,7 +261,7 @@ def simple_path_search(g, x, y, z, *, proper=False, require_non_causal=False, sk
                 continue
             if len(path) >= 2 and not _triple_open(g, path[-2], cur, nxt, z, an_z):
                 continue
-            queue.append((path + (nxt,), non_causal or g.mark_at(cur, nxt) is Mark.ARROW))
+            queue.append((path + (nxt,), non_causal or edge_mark(g, cur, nxt) is Mark.ARROW))
     return None
 
 
@@ -227,7 +273,7 @@ def is_visible_dfs(g, e):
         return True
     x = e.tail_node()
     y = e.other(x)
-    pa_y = parents(g, [y])
+    pa_y = {tail for tail, head in directed_pairs(g) if head == y}
     for v in g.nodes:
         if v == y or v == x or g.adjacent(v, y):
             continue
@@ -247,3 +293,151 @@ def is_visible_dfs(g, e):
                 if w in pa_y:
                     stack.append((w, path + (w,)))
     return False
+
+
+# ------------------------------------------------- closures over edge objects
+# The library's closures read its mark table; these are the edge-object
+# loops they replaced.
+
+
+def _directed_edge(e, tail, head):
+    return e.mark_at(tail) is Mark.TAIL and e.mark_at(head) is Mark.ARROW
+
+
+def parents_loop(g, s):
+    return frozenset(w for v in s for w, e in g._adjacency[v].items() if _directed_edge(e, w, v))
+
+
+def children_loop(g, s):
+    return frozenset(w for v in s for w, e in g._adjacency[v].items() if _directed_edge(e, v, w))
+
+
+def directed_closure(g, s, reverse=False):
+    """Reachability along directed edges, into `s` with `reverse`; includes `s`."""
+    seen = set(s)
+    stack = list(s)
+    while stack:
+        v = stack.pop()
+        for w, e in g._adjacency[v].items():
+            if w in seen:
+                continue
+            near, far = (w, v) if reverse else (v, w)
+            if _directed_edge(e, near, far):
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
+def possible_descendants_loop(g, s):
+    seen = set(s)
+    stack = list(s)
+    while stack:
+        v = stack.pop()
+        for w, e in g._adjacency[v].items():
+            if w not in seen and e.mark_at(v) is not Mark.ARROW:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
+def possible_ancestors_loop(g, s):
+    seen = set(s)
+    stack = list(s)
+    while stack:
+        v = stack.pop()
+        for w, e in g._adjacency[v].items():
+            if w not in seen and e.mark_at(w) is not Mark.ARROW:
+                seen.add(w)
+                stack.append(w)
+    return frozenset(seen)
+
+
+def _reach_from(g, x, step):
+    """Non-X nodes reached from `x` by proper paths whose edges pass `step`."""
+    reach = set()
+    queue = deque()
+    for s in x:
+        for u in g.neighbors(s):
+            if u not in x and u not in reach and step(g.edge_between(s, u), s, u):
+                reach.add(u)
+                queue.append(u)
+    while queue:
+        v = queue.popleft()
+        for w in g.neighbors(v):
+            if w not in reach and w not in x and step(g.edge_between(v, w), v, w):
+                reach.add(w)
+                queue.append(w)
+    return frozenset(reach)
+
+
+def _reach_to(g, y, avoid, step):
+    """Nodes outside `avoid` with a path into `y` outside `avoid` whose
+    edges pass `step`."""
+    reach = set(y) - set(avoid)
+    queue = deque(reach)
+    while queue:
+        w = queue.popleft()
+        for v in g.neighbors(w):
+            if v not in reach and v not in avoid and step(g.edge_between(v, w), v, w):
+                reach.add(v)
+                queue.append(v)
+    return frozenset(reach)
+
+
+def _possibly_directed_step(e, v, w):
+    return e.mark_at(v) is not Mark.ARROW
+
+
+def possibly_directed_reach_from(g, x):
+    return _reach_from(g, x, _possibly_directed_step)
+
+
+def possibly_directed_reach_to(g, y, avoid):
+    return _reach_to(g, y, avoid, _possibly_directed_step)
+
+
+def directed_reach_from(g, x):
+    return _reach_from(g, x, _directed_edge)
+
+
+def directed_reach_to(g, y, avoid):
+    return _reach_to(g, y, avoid, _directed_edge)
+
+
+# ------------------------------------------- maximality and projection by subsets
+
+
+def require_maximal_subsets(g):
+    """Raise NotMaximalError unless every non-adjacent pair is m-separated
+    by some subset of the other nodes (all 2^(n-2) subsets tried)."""
+    for i, a in enumerate(g.nodes):
+        for b in g.nodes[i + 1:]:
+            if g.adjacent(a, b):
+                continue
+            rest = [n for n in g.nodes if n not in (a, b)]
+            if not any(
+                not _m_connected_reachability(g, frozenset([a]), frozenset([b]), frozenset(zc))
+                for r in range(len(rest) + 1)
+                for zc in itertools.combinations(rest, r)
+            ):
+                raise NotMaximalError((a, b))
+
+
+def latent_project_subsets(d, observed):
+    """The latent projection of a DAG: observed a and b are adjacent iff no
+    subset of the other observed nodes d-separates them (by moralization);
+    the mark at a is a tail iff a is an ancestor of b."""
+    obs = [n for n in d.nodes if n in observed]
+    edges = []
+    for a, b in itertools.combinations(obs, 2):
+        rest = [n for n in obs if n not in (a, b)]
+        if any(
+            moral_d_separated(d, {a}, {b}, set(z))
+            for r in range(len(rest) + 1)
+            for z in itertools.combinations(rest, r)
+        ):
+            continue
+        mark_a = Mark.TAIL if b in directed_closure(d, {a}) else Mark.ARROW
+        mark_b = Mark.TAIL if a in directed_closure(d, {b}) else Mark.ARROW
+        edges.append(Edge(a, b, mark_a, mark_b))
+    return Graph(GraphClass.MAG, tuple(obs), frozenset(edges))

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from covadjust.cgtext import serialize_graph
+from covadjust.cgtext import parse_document, serialize_graph
 from covadjust.cli import run_command
 
 from conftest import CORPUS_DIR, run_with_src
@@ -103,6 +103,31 @@ def test_cap_exceeded_exit_code(capsys):
     )
     assert code == 3
     assert payload["error"]["type"] == "SizeCapExceededError"
+
+
+def test_cap_error_reports_the_cap(tmp_path, capsys):
+    code, payload, err = run(
+        capsys, "check", "--graph", corpus_path("fig1a"), "--max-nodes", "3"
+    )
+    nodes = len(parse_document(open(corpus_path("fig1a"), encoding="utf-8").read()).graph.nodes)
+    assert code == 3
+    assert payload["error"] == {
+        "type": "SizeCapExceededError",
+        "message": f"{nodes} nodes exceeds the cap of 3",
+        "cap": "nodes",
+        "limit": 3,
+        "required": nodes,
+    }
+    assert err.strip() == f"covadjust: {nodes} nodes exceeds the cap of 3"
+    # a cap met inside the library: 21 undirected edges against the default 20
+    edges = [f"N{i} -- N{i + 1}" for i in range(14)] + [f"N{i} -- N{i + 2}" for i in range(7)]
+    f = tmp_path / "cpdag21.cg"
+    f.write_text("graph cpdag { " + " ".join(edges) + " }")
+    code, payload, _ = run(capsys, "mec", "--graph", str(f))
+    assert code == 3
+    assert payload["error"]["message"] == "21 undirected edges exceeds the cap of 20"
+    assert (payload["error"]["cap"], payload["error"]["limit"],
+            payload["error"]["required"]) == ("undirected_edges", 20, 21)
 
 
 def test_default_cap_guards_only_enumeration(tmp_path, capsys):

@@ -19,38 +19,17 @@ from covadjust.graphs import Edge, Graph, GraphClass, Mark
 from covadjust.paths import Path
 
 from oracles import (
-    cpdag_of,
+    class_graphs,
     directed_pairs,
     is_visible_dfs,
     moral_d_separated,
-    pag_of,
     random_dag,
     simple_path_search,
 )
 
 
-def _graphs(cls, seed, count):
-    rng = random.Random(f"{cls}-{seed}")
-    out = []
-    while len(out) < count:
-        if cls in ("dag", "cpdag"):
-            d = random_dag(rng, rng.randint(4, 7), 0.4)
-            out.append(d if cls == "dag" else cpdag_of(d))
-            continue
-        d = random_dag(rng, rng.randint(5, 7), 0.45)
-        observed = [n for n in d.nodes if rng.random() < 0.8]
-        if len(observed) < 3:
-            continue
-        m = ca.latent_project(d, observed)
-        if cls == "mag":
-            out.append(m)
-        elif len(m.edges) <= 7:
-            out.append(pag_of(m))
-    return out
-
-
-GRAPHS = {cls: _graphs(cls, 1, n) for cls, n in (("dag", 30), ("cpdag", 20), ("mag", 25),
-                                                 ("pag", 12))}
+GRAPHS = {cls: class_graphs(cls, 1, n) for cls, n in (("dag", 30), ("cpdag", 20), ("mag", 25),
+                                                       ("pag", 12))}
 
 
 def _queries(g, rng, per_graph=8):

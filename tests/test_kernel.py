@@ -1,0 +1,256 @@
+"""The mark table and the closure kernel against the edge objects.
+
+Every search reads marks from `Graph._marks` and every closure runs on
+`graphs._reach`.  Here the table is compared with the edge objects, each
+closure with the edge-object loop it replaced (kept in `oracles`), the
+ancestral-separator forms of `require_maximal` and `latent_project` with
+their subset searches, and a counting guard checks that the decisions
+never go back through the edge objects.
+"""
+
+import itertools
+import random
+
+import pytest
+
+import covadjust as ca
+from covadjust import criteria, graphs
+from covadjust.errors import (
+    AlmostDirectedCycleError,
+    DirectedCycleError,
+    NotMaximalError,
+    SizeCapExceededError,
+    UnknownNodeError,
+)
+from covadjust.graphs import Edge, Graph, GraphClass, _as_set, _reach
+from covadjust.paths import require_maximal
+
+import oracles
+from oracles import class_graphs, random_dag
+
+CLASSES = ("dag", "cpdag", "mag", "pag")
+GRAPHS = {cls: class_graphs(cls, 1, n) for cls, n in (("dag", 30), ("cpdag", 20), ("mag", 25),
+                                                      ("pag", 12))}
+
+
+def _node_sets(g, rng, count=6):
+    """Singletons of every node, then random subsets of one to three nodes."""
+    names = list(g.nodes)
+    for v in names:
+        yield frozenset([v])
+    for _ in range(count):
+        yield frozenset(rng.sample(names, rng.randint(1, min(3, len(names)))))
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_mark_table_matches_edge_objects(cls):
+    for g in GRAPHS[cls]:
+        assert set(g._marks) == set(g.nodes)
+        for e in g.edges:
+            for v, w in ((e.a, e.b), (e.b, e.a)):
+                assert g._marks[v][w] is g.edge_between(v, w).mark_at(v)
+                assert g.mark_at(v, w) is e.mark_at(v)
+        assert sum(len(row) for row in g._marks.values()) == 2 * len(g.edges)
+
+
+def test_non_edges_and_unknown_nodes_still_raise():
+    g = ca.parse_graph("graph dag { X -> Y Y -> Z }")
+    with pytest.raises(UnknownNodeError):
+        g.mark_at("X", "Z")
+    with pytest.raises(UnknownNodeError):
+        _as_set(g, {"X", "Q"})
+    with pytest.raises(UnknownNodeError):
+        _as_set(g, "Q")
+    assert _as_set(g, "X") == frozenset({"X"})
+    with pytest.raises(UnknownNodeError):
+        ca.parents(g, ["Q"])
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_closures_agree_with_edge_object_loops(cls):
+    rng = random.Random(f"closures-{cls}")
+    for g in GRAPHS[cls]:
+        for s in _node_sets(g, rng):
+            assert ca.parents(g, s) == oracles.parents_loop(g, s)
+            assert ca.children(g, s) == oracles.children_loop(g, s)
+            assert _reach(g, s, directed=True) == oracles.directed_closure(g, s)
+            assert _reach(g, s, directed=True, reverse=True) == oracles.directed_closure(
+                g, s, reverse=True)
+            if cls in ("dag", "mag"):
+                assert ca.descendants(g, s) == oracles.directed_closure(g, s)
+                assert ca.ancestors(g, s) == oracles.directed_closure(g, s, reverse=True)
+            assert ca.possible_descendants(g, s) == oracles.possible_descendants_loop(g, s)
+            assert ca.possible_ancestors(g, s) == oracles.possible_ancestors_loop(g, s)
+            # the forms the criteria use: proper closures from X, closures to Y avoiding X
+            assert _reach(g, s, directed=False, avoid=s) == (
+                oracles.possibly_directed_reach_from(g, s))
+            assert _reach(g, s, directed=True, avoid=s) == oracles.directed_reach_from(g, s)
+            y = frozenset(rng.sample(list(g.nodes), 1))
+            assert criteria._possibly_directed_reach_to(g, y, avoid=s) == (
+                oracles.possibly_directed_reach_to(g, y, s))
+            assert _reach(g, y - s, directed=True, reverse=True, avoid=s) == (
+                oracles.directed_reach_to(g, y, s))
+
+
+def test_shielded_circle_triple_is_not_of_definite_status():
+    # with the edge X o-o Y exempt, the only walk is X o-o V o-o Y; V is
+    # a definite non-collider only while X and Y are non-adjacent
+    def not_first(start, first):
+        return first == "Y"
+
+    shielded = ca.parse_graph("graph pag { X o-o V V o-o Y X o-o Y }")
+    assert ca.find_open_definite_path(shielded, {"X"}, {"Y"}, set(), skip_first=not_first) is None
+    assert oracles.simple_path_search(shielded, {"X"}, {"Y"}, set(), skip_first=not_first) is None
+    unshielded = ca.parse_graph("graph pag { X o-o V V o-o Y }")
+    assert ca.find_open_definite_path(unshielded, {"X"}, {"Y"}, set()) == ("X", "V", "Y")
+    assert ca.find_open_definite_path(unshielded, {"X"}, {"Y"}, {"V"}) is None
+
+
+def _random_ancestral(rng, n):
+    """Directed edges along a random order, then bidirected edges between
+    non-adjacent pairs of which neither is an ancestor of the other.  Half
+    the time four nodes get the inducing path A <-> B <-> C <-> D with
+    B -> D and C -> A, which leaves non-adjacent A and D inseparable;
+    those graphs are kept only if still ancestral."""
+    names = tuple(f"N{i}" for i in range(n))
+    order = list(names)
+    rng.shuffle(order)
+    edges = [Edge.directed(order[i], order[j])
+             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+    dag = Graph(GraphClass.DAG, names, frozenset(edges))
+    for a, b in itertools.combinations(names, 2):
+        if (dag.adjacent(a, b) or a in ca.ancestors(dag, {b}) or b in ca.ancestors(dag, {a})
+                or rng.random() > 0.6):
+            continue
+        edges.append(Edge.bidirected(a, b))
+    if n >= 4 and rng.random() < 0.5:
+        a, b, c, d = rng.sample(names, 4)
+        gadget = {a, b, c, d}
+        edges = [e for e in edges if not {e.a, e.b} <= gadget]
+        edges += [Edge.bidirected(a, b), Edge.bidirected(b, c), Edge.bidirected(c, d),
+                  Edge.directed(b, d), Edge.directed(c, a)]
+    g = Graph(GraphClass.MAG, names, frozenset(edges))
+    try:
+        graphs.validate_ancestral(g)
+    except (DirectedCycleError, AlmostDirectedCycleError):
+        return None
+    return g
+
+
+def _maximality(check, g):
+    try:
+        check(g)
+    except NotMaximalError as exc:
+        return exc.pair
+    return None
+
+
+def test_require_maximal_agrees_with_subset_search():
+    rng = random.Random(11)
+    outcomes = []
+    for _ in range(400):
+        g = _random_ancestral(rng, rng.randint(3, 7))
+        if g is None:
+            continue
+        got = _maximality(require_maximal, g)
+        assert got == _maximality(oracles.require_maximal_subsets, g)
+        outcomes.append(got is None)
+    assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
+
+
+def test_latent_project_agrees_with_subset_search():
+    rng = random.Random(12)
+    bidirected = 0
+    for _ in range(200):
+        d = random_dag(rng, rng.randint(4, 8), 0.4)
+        observed = [v for v in d.nodes if rng.random() < 0.7]
+        if len(observed) < 2:
+            continue
+        mag = ca.latent_project(d, observed)
+        assert mag == oracles.latent_project_subsets(d, observed)
+        bidirected += sum(e.is_bidirected() for e in mag.edges)
+    assert bidirected >= 10
+
+
+CAP_CASES = [
+    ("nodes", 15, 16,
+     lambda: ca.enumerate_paths(Graph(GraphClass.DAG, tuple(f"N{i}" for i in range(16)),
+                                      frozenset()), {"N0"}, {"N1"})),
+    ("paths", 0, 1, lambda: ca.enumerate_paths(ca.parse_graph("graph dag { X -> Y }"), {"X"},
+                                               {"Y"}, max_paths=0)),
+    ("fingerprint_nodes", 12, 13,
+     lambda: ca.separation_fingerprint(Graph(GraphClass.DAG, tuple(f"N{i}" for i in range(13)),
+                                             frozenset()))),
+    ("undirected_edges", 1, 2,
+     lambda: ca.enumerate_dags(ca.parse_graph("graph cpdag { A -- B B -- C }"),
+                               max_undirected=1)),
+    ("circle_marks", 3, 4,
+     lambda: ca.enumerate_mags(ca.parse_graph("graph pag { A o-o B B o-o C }"),
+                               max_circle_marks=3)),
+    ("projection_nodes", 15, 16,
+     lambda: ca.latent_project(Graph(GraphClass.DAG, tuple(f"N{i}" for i in range(16)),
+                                     frozenset()), ["N0", "N1"])),
+]
+
+
+@pytest.mark.parametrize("cap,limit,required,call", CAP_CASES, ids=[c[0] for c in CAP_CASES])
+def test_cap_errors_carry_the_cap(cap, limit, required, call):
+    with pytest.raises(SizeCapExceededError) as info:
+        call()
+    assert (info.value.cap, info.value.limit, info.value.required) == (cap, limit, required)
+
+
+# ------------------------------------------------------------ hot-path guard
+
+
+def _guard_graph(cls):
+    """A 25-node graph of class `cls`, the disjoint union of seeded class
+    graphs (again a graph of the class), and the node lists of its pieces."""
+    pieces, edges = [], []
+    for i, piece in enumerate(class_graphs(cls, 2, 6)):
+        rename = {v: f"P{i}{v}" for v in piece.nodes}
+        pieces.append([rename[v] for v in piece.nodes])
+        edges += [Edge(rename[e.a], rename[e.b], e.mark_a, e.mark_b) for e in piece.edges]
+        if sum(map(len, pieces)) >= 25:
+            break
+    nodes = tuple(v for piece in pieces for v in piece)
+    return Graph(getattr(GraphClass, cls.upper()), nodes, frozenset(edges)), pieces
+
+
+def test_decisions_read_the_mark_table_only(monkeypatch):
+    cases = [(cls, *_guard_graph(cls)) for cls in CLASSES]
+    counts = {"mark_at": 0, "neighbors": 0, "sort_nodes": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(graphs.Edge, "mark_at", counted("mark_at", graphs.Edge.mark_at))
+    monkeypatch.setattr(graphs.Graph, "neighbors", counted("neighbors", graphs.Graph.neighbors))
+    monkeypatch.setattr(graphs.Graph, "sort_nodes", counted("sort_nodes", graphs.Graph.sort_nodes))
+    rng = random.Random(25)
+    decisions = 0
+    failed = set()
+    for cls, g, pieces in cases:
+        assert len(g.nodes) >= 25
+        for _ in range(20):
+            # X and Y in one piece, so that paths join them
+            piece = list(rng.choice(pieces))
+            rng.shuffle(piece)
+            k = 2 if len(piece) > 4 and rng.random() < 0.3 else 1
+            x, y = frozenset(piece[:k]), frozenset(piece[k:k + 1])
+            z = frozenset(v for v in g.nodes if v not in x | y and rng.random() < 0.3)
+            ca.find_amenability_violation(g, x, y)
+            forb = ca.forbidden_set(g, x, y)
+            verdict = ca.satisfies_gac(ca.AdjustmentQuery(g, x, y, z - forb))
+            failed.add((cls, verdict.failed_condition))
+            ca.satisfies_generalized_backdoor(g, x, y, z - ca.possible_descendants(g, x))
+            decisions += 4
+            for closure in (ca.parents, ca.children, ca.possible_ancestors):
+                closure(g, y)
+    assert counts["mark_at"] == 0
+    assert counts["neighbors"] == 0
+    assert counts["sort_nodes"] <= 2 * decisions
+    assert all((cls, "Cond2") in failed for cls in CLASSES)
