@@ -23,7 +23,6 @@ from .criteria import (
     is_amenable,
     is_visible,
     list_adjustment_sets,
-    satisfies_ac,
     satisfies_gac,
     satisfies_generalized_backdoor,
 )
@@ -58,11 +57,9 @@ from .paths import (
     PathKind,
     blocks,
     classify,
-    enumerate_paths,
     find_open_definite_path,
     m_connected,
     m_separated,
-    separating_sets,
     status_at,
 )
 from .sem import (
@@ -103,7 +100,6 @@ __all__ = [
     "descendants",
     "enumerate_dags",
     "enumerate_mags",
-    "enumerate_paths",
     "errors",
     "find_amenability_violation",
     "find_open_definite_path",
@@ -121,10 +117,8 @@ __all__ = [
     "possible_ancestors",
     "possible_descendants",
     "random_sem",
-    "satisfies_ac",
     "satisfies_gac",
     "satisfies_generalized_backdoor",
-    "separating_sets",
     "separation_fingerprint",
     "serialize_document",
     "serialize_graph",

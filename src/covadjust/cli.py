@@ -22,17 +22,17 @@ from .criteria import (
     satisfies_gac,
     satisfies_generalized_backdoor,
 )
-from .errors import DirectedCycleError, GraphError, NotAmenableError, SizeCapExceededError
-from .graphs import GraphClass, _find_directed_cycle, validate_ancestral, validate_graph
+from .errors import GraphError, NotAmenableError, SizeCapExceededError
+from .graphs import GraphClass, validate_graph
 from .mec import enumerate_dags, enumerate_mags, latent_project
-from .paths import DEFAULT_NODE_CAP
 from .sem import SOUNDNESS_TOL, verify_adjustment
 
 FORMAT_VERSION = 1
 
 # Commands whose work can grow exponentially with the graph.  The default
 # node cap guards only these; the decisions run in polynomial time.
-ENUMERATING_COMMANDS = frozenset({"validate", "list", "mec", "project", "verify"})
+ENUMERATING_COMMANDS = frozenset({"validate", "list", "mec", "verify"})
+DEFAULT_NODE_CAP = 15
 
 
 def _int_at_least(low):
@@ -126,18 +126,14 @@ def _witness_json(witness):
 
 
 def _require_class(g):
-    """Refuse a DAG with a directed cycle or a MAG that is not ancestral.
+    """Refuse a DAG with a directed cycle and a MAG that is not ancestral
+    or not maximal.
 
-    Both checks run in polynomial time.  Maximality of a MAG and the
-    class of a CPDAG or PAG are left to `validate`, whose class checks
-    are exponential.
+    Both checks run in polynomial time.  The class of a CPDAG or PAG is
+    left to `validate`, whose class checks enumerate the class.
     """
-    if g.graph_class is GraphClass.DAG:
-        cycle = _find_directed_cycle(g)
-        if cycle:
-            raise DirectedCycleError(cycle)
-    elif g.graph_class is GraphClass.MAG:
-        validate_ancestral(g)
+    if g.graph_class in (GraphClass.DAG, GraphClass.MAG):
+        validate_graph(g)
 
 
 def _dispatch(args, doc):
@@ -157,7 +153,6 @@ def _dispatch(args, doc):
 
     if cmd == "amenable":
         x, y, _ = _resolve_sets(args, query)
-        AdjustmentQuery(g, frozenset(x), frozenset(y))
         violation = find_amenability_violation(g, x, y)
         if violation is None:
             return {"amenable": True}, None, 0
@@ -165,7 +160,6 @@ def _dispatch(args, doc):
 
     if cmd == "forbidden":
         x, y, _ = _resolve_sets(args, query)
-        AdjustmentQuery(g, frozenset(x), frozenset(y))
         forb = forbidden_set(g, x, y)
         return {"forbidden": list(g.sort_nodes(forb))}, None, 0
 

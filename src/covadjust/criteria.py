@@ -8,25 +8,19 @@ non-causal path from X to Y.  A set passing all three is a valid
 adjustment set in every graph of the represented class, and every valid
 adjustment set passes.
 
-`satisfies_ac` is the DAG/MAG special case (descendants and causal paths
-instead of their "possible" versions), and
-`satisfies_generalized_backdoor` implements the earlier, sufficient-only
-back-door style criterion for comparison.
+In a DAG or MAG there are no circle marks, so every possibly directed
+path is directed and the criterion is the adjustment criterion (AC) of
+those classes.  `satisfies_generalized_backdoor` implements the earlier,
+sufficient-only back-door style criterion for comparison.
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from dataclasses import dataclass
 
-from .errors import (
-    ClassMismatchError,
-    EmptyXOrYError,
-    NotDirectedEdgeError,
-    SetsNotDisjointError,
-)
-from .graphs import Edge, Graph, GraphClass, Mark, _as_set, _reach
+from .errors import NotDirectedEdgeError
+from .graphs import Edge, Graph, GraphClass, Mark, _disjoint_sets, _reach, _shortest_path
 from .paths import find_open_definite_path
 
 
@@ -40,15 +34,10 @@ class AdjustmentQuery:
     z: frozenset = frozenset()
 
     def __post_init__(self):
-        g = self.graph
-        object.__setattr__(self, "x", _as_set(g, self.x))
-        object.__setattr__(self, "y", _as_set(g, self.y))
-        object.__setattr__(self, "z", _as_set(g, self.z))
-        if not self.x or not self.y:
-            raise EmptyXOrYError("X and Y must be non-empty")
-        for a, b in ((self.x, self.y), (self.x, self.z), (self.y, self.z)):
-            if a & b:
-                raise SetsNotDisjointError(f"sets overlap: {sorted(a & b)}")
+        x, y, z = _disjoint_sets(self.graph, self.x, self.y, self.z)
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        object.__setattr__(self, "z", z)
 
 
 @dataclass(frozen=True)
@@ -109,46 +98,10 @@ def _possibly_directed_reach_to(g: Graph, y: frozenset, avoid: frozenset) -> fro
     return _reach(g, y - avoid, directed=False, reverse=True, avoid=avoid)
 
 
-def _shortest_possibly_directed_path(g: Graph, x_node, first, y: frozenset, avoid: frozenset):
-    """Shortest possibly directed path x_node, first, ..., ending in `y`."""
-    if first in y:
-        return (x_node, first)
-    marks = g._marks
-    order = g._ordered_neighbors
-    prev = {first: None}
-    queue = deque([first])
-    while queue:
-        v = queue.popleft()
-        mv = marks[v]
-        for w in order[v]:
-            if w in prev or w in avoid or w == x_node:
-                continue
-            if mv[w] is not Mark.ARROW:
-                prev[w] = v
-                if w in y:
-                    path = [w]
-                    while path[-1] is not None and path[-1] != first:
-                        path.append(prev[path[-1]])
-                    path.append(x_node)
-                    return tuple(path[::-1])
-                queue.append(w)
-    return None
-
-
-def _checked_sets(g: Graph, x, y):
-    x = _as_set(g, x)
-    y = _as_set(g, y)
-    if not x or not y:
-        raise EmptyXOrYError("X and Y must be non-empty")
-    if x & y:
-        raise SetsNotDisjointError(f"sets overlap: {sorted(x & y)}")
-    return x, y
-
-
 def find_amenability_violation(g: Graph, x, y):
     """Shortest proper possibly directed path from `x` to `y` that does not
     start with a visible directed edge out of `x`, or None if amenable."""
-    x, y = _checked_sets(g, x, y)
+    x, y, _ = _disjoint_sets(g, x, y)
     return _amenability_violation(g, x, y, _possibly_directed_reach_to(g, y, avoid=x))
 
 
@@ -167,9 +120,9 @@ def _amenability_violation(g: Graph, x: frozenset, y: frozenset, suffix: frozens
                 continue  # no proper possibly directed continuation to y
             if m is Mark.TAIL and is_visible(g, g.edge_between(x_node, u)):
                 continue
-            witness = _shortest_possibly_directed_path(g, x_node, u, y, avoid=x)
-            if witness:
-                violations.append(witness)
+            rest = _shortest_path(g, u, y, directed=False, avoid=x)
+            if rest:
+                violations.append((x_node,) + rest)
     if not violations:
         return None
     return min(violations, key=lambda p: (len(p), tuple(g.node_index[n] for n in p)))
@@ -184,7 +137,7 @@ def is_amenable(g: Graph, x, y) -> bool:
 def forbidden_set(g: Graph, x, y) -> frozenset:
     """Possible descendants of non-X nodes on proper possibly causal paths
     from `x` to `y`: the nodes that no adjustment set may contain."""
-    x, y = _checked_sets(g, x, y)
+    x, y, _ = _disjoint_sets(g, x, y)
     return _forbidden_set(g, x, _possibly_directed_reach_to(g, y, avoid=x))
 
 
@@ -233,35 +186,6 @@ def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
     return AdjustmentVerdict(True)
 
 
-def satisfies_ac(g: Graph, x, y, z) -> AdjustmentVerdict:
-    """Decide the adjustment criterion for a DAG or MAG.
-
-    Same shape as the generalized criterion but with plain descendants of
-    nodes on proper causal (directed) paths, and blocking of all proper
-    non-causal paths (every path in a DAG or MAG is of definite status).
-    """
-    if g.graph_class not in (GraphClass.DAG, GraphClass.MAG):
-        raise ClassMismatchError("the adjustment criterion applies to DAGs and MAGs")
-    query = AdjustmentQuery(g, frozenset(x), frozenset(y), frozenset(z))
-    x, y, z = query.x, query.y, query.z
-    reach = _possibly_directed_reach_to(g, y, avoid=x)
-    violation = _amenability_violation(g, x, y, reach)
-    if violation is not None:
-        return AdjustmentVerdict(False, "Cond0", violation)
-    on_causal = _reach(g, x, directed=True, avoid=x) & _reach(
-        g, y, directed=True, reverse=True, avoid=x
-    )
-    bad = z & _reach(g, on_causal, directed=True)
-    if bad:
-        return AdjustmentVerdict(False, "Cond1", g.sort_nodes(bad)[0])
-    open_path = find_open_definite_path(
-        g, x, y, z, skip_first=_proper_backdoor_exemption(g, reach)
-    )
-    if open_path is not None:
-        return AdjustmentVerdict(False, "Cond2", open_path)
-    return AdjustmentVerdict(True)
-
-
 def satisfies_generalized_backdoor(g: Graph, x, y, z) -> AdjustmentVerdict:
     """Decide the generalized back-door criterion.
 
@@ -271,8 +195,7 @@ def satisfies_generalized_backdoor(g: Graph, x, y, z) -> AdjustmentVerdict:
     edge out of x.  Sufficient but not necessary for adjustment; compare
     with `satisfies_gac`.
     """
-    query = AdjustmentQuery(g, frozenset(x), frozenset(y), frozenset(z))
-    x, y, z = query.x, query.y, query.z
+    x, y, z = _disjoint_sets(g, x, y, z)
     bad = z & _reach(g, x, directed=False)
     if bad:
         return AdjustmentVerdict(False, "Cond1", g.sort_nodes(bad)[0])
@@ -300,8 +223,7 @@ def list_adjustment_sets(g: Graph, x, y, *, minimal_only=False, max_size=None):
     proper subset of which also satisfies the criterion.  Returns an
     empty list when the graph is not amenable: no adjustment set exists.
     """
-    query = AdjustmentQuery(g, frozenset(x), frozenset(y))
-    x, y = query.x, query.y
+    x, y, _ = _disjoint_sets(g, x, y)
     reach = _possibly_directed_reach_to(g, y, avoid=x)
     if _amenability_violation(g, x, y, reach) is not None:
         return []

@@ -63,8 +63,7 @@ class SizeCapExceededError(GraphError):
     """Input exceeds a configured enumeration cap; refusing rather than stalling.
 
     `cap` names the cap, `limit` is its value and `required` what the
-    input needs.  For a cap on output (`paths`) the enumeration stops at
-    the first item past the limit, so `required` is a lower bound.
+    input needs.
     """
 
     def __init__(self, message, *, cap, limit, required):

@@ -25,7 +25,9 @@ from .errors import (
     ClassMismatchError,
     DirectedCycleError,
     DuplicateEdgeError,
+    EmptyXOrYError,
     MarkNotAllowedError,
+    SetsNotDisjointError,
     UnknownNodeError,
 )
 
@@ -239,6 +241,22 @@ def _as_set(g: Graph, nodes) -> frozenset:
     return s
 
 
+def _disjoint_sets(g: Graph, x, y, z=()):
+    """`x`, `y` and `z` as node sets; raises unless `x` and `y` are
+    non-empty and the three are pairwise disjoint."""
+    x, y, z = _as_set(g, x), _as_set(g, y), _as_set(g, z)
+    if not x or not y:
+        raise EmptyXOrYError("X and Y must be non-empty")
+    for a, b in ((x, y), (x, z), (y, z)):
+        if a & b:
+            raise SetsNotDisjointError(f"sets overlap: {sorted(a & b)}")
+    return x, y, z
+
+
+# directed -> the marks at v that stop a step from v to w (see `_reach`)
+_STOP_MARKS = {True: (Mark.ARROW, Mark.CIRCLE), False: (Mark.ARROW, Mark.ARROW)}
+
+
 def _reach(g: Graph, seeds, *, directed: bool, reverse: bool = False, avoid=frozenset()) -> frozenset:
     """Nodes reached from `seeds` along directed or possibly directed paths.
 
@@ -250,8 +268,7 @@ def _reach(g: Graph, seeds, *, directed: bool, reverse: bool = False, avoid=froz
     and every node reached, minus `avoid`.
     """
     marks = g._marks
-    # the marks that stop a step, picked once for the whole search
-    stop1, stop2 = (Mark.ARROW, Mark.CIRCLE) if directed else (Mark.ARROW, Mark.ARROW)
+    stop1, stop2 = _STOP_MARKS[directed]
     seen = set(avoid)
     seen.update(seeds)
     stack = list(seeds)
@@ -361,27 +378,41 @@ def _find_almost_directed_cycle(g: Graph):
         if not e.is_bidirected():
             continue
         for src, dst in ((e.a, e.b), (e.b, e.a)):
-            path = _shortest_directed_path(g, src, dst)
-            if path and len(path) > 1:
+            path = _shortest_path(g, src, {dst}, directed=True)
+            if path:
                 return path
     return None
 
 
-def _shortest_directed_path(g: Graph, src: Node, dst: Node):
+def _shortest_path(g: Graph, src: Node, targets, *, directed: bool, avoid=frozenset()):
+    """Shortest directed or possibly directed path from `src` to a node of
+    `targets` that enters no node of `avoid`, as a tuple, or None.
+
+    Steps read the mark table as `_reach` does.  Neighbours are expanded
+    in declaration order, so ties go to the path first in that order.
+    """
+    if src in targets:
+        return (src,)
+    marks = g._marks
+    order = g._ordered_neighbors
+    stop1, stop2 = _STOP_MARKS[directed]
     prev = {src: None}
     queue = deque([src])
     while queue:
         v = queue.popleft()
-        if v == dst:
-            path = []
-            while v is not None:
-                path.append(v)
-                v = prev[v]
-            return path[::-1]
-        for w in _children_in_order(g, v):
-            if w not in prev:
-                prev[w] = v
-                queue.append(w)
+        mv = marks[v]
+        for w in order[v]:
+            m = mv[w]
+            if w in prev or w in avoid or m is stop1 or m is stop2:
+                continue
+            prev[w] = v
+            if w in targets:
+                path = [w]
+                while v is not None:
+                    path.append(v)
+                    v = prev[v]
+                return tuple(reversed(path))
+            queue.append(w)
     return None
 
 

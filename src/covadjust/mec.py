@@ -38,7 +38,7 @@ from .graphs import (
     _reach,
     validate_ancestral,
 )
-from .paths import DEFAULT_NODE_CAP, _m_connected_reachability, _open_walk, require_maximal
+from .paths import _open_walk, require_maximal
 
 DEFAULT_ORIENTATION_CAP = 20  # undirected edges in a CPDAG -> DAG search
 DEFAULT_MARK_SLOT_CAP = 16  # circle marks in a PAG -> MAG search
@@ -86,7 +86,7 @@ def separation_fingerprint(g: Graph, *, max_nodes=None) -> frozenset:
         rest = [n for n in names if n not in (a, b)]
         for r in range(len(rest) + 1):
             for z in itertools.combinations(rest, r):
-                if not _m_connected_reachability(g, frozenset([a]), frozenset([b]), frozenset(z)):
+                if _open_walk(g, frozenset([a]), frozenset([b]), frozenset(z)) is None:
                     out.add((a, b, frozenset(z)))
     return frozenset(out)
 
@@ -272,11 +272,6 @@ def latent_project(d: Graph, observed) -> Graph:
     unknown = observed - set(d.nodes)
     if unknown:
         raise UnknownNodeError(f"observed nodes not in the graph: {sorted(unknown)}")
-    if len(d.nodes) > DEFAULT_NODE_CAP:
-        raise SizeCapExceededError(
-            f"latent projection capped at {DEFAULT_NODE_CAP} nodes",
-            cap="projection_nodes", limit=DEFAULT_NODE_CAP, required=len(d.nodes),
-        )
     obs = [n for n in d.nodes if n in observed]
     # a and b are adjacent iff (An({a, b}) & observed) minus {a, b} does
     # not d-separate them (Richardson & Spirtes 2002); the mark at a is a

@@ -13,38 +13,30 @@ Z; otherwise Z blocks it.  The collider condition uses directed-edge
 reachability in every graph class (circles never count), following the
 standard definite-status m-separation for partial graphs.
 
-`_open_walk` decides m-connection in polynomial time: a breadth-first
-search over (previous node, current node) states that reads every mark
-from the graph's mark table.  For each dequeued state it looks up the
-marks at the current node and whether that node is in Z or has a
-descendant in Z once, which fixes the marks on the next edge that leave
-the node open.  `m_connected`, `find_open_definite_path` (which rebuilds
-its witness from the parent pointers) and `require_maximal` run on it.
-`m_connected(method="enumeration")` is the definition instead:
-exhaustive enumeration of definite status paths, cross-checked against
-the search in the test suite.
+`_open_walk` is the one m-connection search, polynomial in the graph:
+a breadth-first search over (previous node, current node) states that
+reads every mark from the graph's mark table.  For each dequeued state
+it looks up the marks at the current node and whether that node is in Z
+or has a descendant in Z once, which fixes the marks on the next edge
+that leave the node open.  `m_connected`, `find_open_definite_path`
+(which rebuilds its witness from the parent pointers), `require_maximal`
+and the `mec` fingerprints and projection run on it.  The test suite
+checks it against exhaustive enumeration of definite status paths.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
-    EmptyXOrYError,
     EndpointInZError,
     NoPathWitnessError,
     NotDefiniteStatusError,
-    SetsNotDisjointError,
-    SizeCapExceededError,
     UnknownNodeError,
 )
-from .graphs import Graph, Mark, _as_set, _reach
-
-DEFAULT_NODE_CAP = 15
-DEFAULT_PATH_CAP = 10**6
+from .graphs import Graph, Mark, _as_set, _disjoint_sets, _reach
 
 
 class NodePathStatus(Enum):
@@ -123,94 +115,6 @@ def classify(p: Path, x=()) -> PathKind:
     return PathKind(possibly_causal, causal, proper, definite)
 
 
-def _check_caps(g: Graph, max_nodes):
-    cap = DEFAULT_NODE_CAP if max_nodes is None else max_nodes
-    if len(g.nodes) > cap:
-        raise SizeCapExceededError(
-            f"{len(g.nodes)} nodes exceeds the cap of {cap}",
-            cap="nodes", limit=cap, required=len(g.nodes),
-        )
-
-
-def enumerate_paths(
-    g: Graph,
-    x,
-    y,
-    *,
-    possibly_causal=None,
-    causal=None,
-    proper=None,
-    definite_status=None,
-    max_nodes=None,
-    max_paths=None,
-):
-    """All simple paths from a node of `x` to a node of `y` matching the mask.
-
-    Each filter flag is True (require), False (forbid) or None (ignore).
-    Paths come out in lexicographic order of node declaration indices.
-    Exceeding a cap raises, never truncates.
-    """
-    x = _as_set(g, x)
-    y = _as_set(g, y)
-    if not x or not y:
-        raise EmptyXOrYError("x and y must be non-empty")
-    if x & y:
-        raise SetsNotDisjointError(f"x and y overlap: {sorted(x & y)}")
-    _check_caps(g, max_nodes)
-    path_cap = DEFAULT_PATH_CAP if max_paths is None else max_paths
-
-    found = []
-
-    def matches(p: Path) -> bool:
-        kind = classify(p, x)
-        for want, have in (
-            (possibly_causal, kind.possibly_causal),
-            (causal, kind.causal),
-            (proper, kind.proper_wrt_x),
-            (definite_status, kind.definite_status),
-        ):
-            if want is not None and have is not want:
-                return False
-        return True
-
-    def extend(path):
-        cur = path[-1]
-        if cur in y:
-            p = Path(g, tuple(path))
-            if matches(p):
-                found.append(p)
-                if len(found) > path_cap:
-                    raise SizeCapExceededError(
-                        f"more than {path_cap} paths",
-                        cap="paths", limit=path_cap, required=len(found),
-                    )
-        for nxt in g.sort_nodes(g.neighbors(cur)):
-            if nxt in path:
-                continue
-            # prefix-final constraints prune exactly
-            if proper is True and nxt in x:
-                continue
-            if causal is True and not (
-                g.mark_at(cur, nxt) is Mark.TAIL and g.mark_at(nxt, cur) is Mark.ARROW
-            ):
-                continue
-            if possibly_causal is True and g.mark_at(cur, nxt) is Mark.ARROW:
-                continue
-            if (
-                definite_status is True
-                and len(path) >= 2
-                and _triple_status(g, path[-2], cur, nxt) is NodePathStatus.NOT_DEFINITE
-            ):
-                continue
-            path.append(nxt)
-            extend(path)
-            path.pop()
-
-    for start in g.sort_nodes(x):
-        extend([start])
-    return found
-
-
 def blocks(g: Graph, p: Path, z) -> bool:
     """Whether `z` blocks the definite status path `p`."""
     z = _as_set(g, z)
@@ -227,18 +131,6 @@ def blocks(g: Graph, p: Path, z) -> bool:
         if status is NodePathStatus.COLLIDER and v not in an_z:
             return True
     return False
-
-
-def _validate_disjoint(g, x, y, z):
-    x = _as_set(g, x)
-    y = _as_set(g, y)
-    z = _as_set(g, z)
-    if not x or not y:
-        raise EmptyXOrYError("x and y must be non-empty")
-    for a, b in ((x, y), (x, z), (y, z)):
-        if a & b:
-            raise SetsNotDisjointError(f"sets overlap: {sorted(a & b)}")
-    return x, y, z
 
 
 def _open_walk(g: Graph, x, y, z, skip_first=None):
@@ -315,36 +207,14 @@ def _rebuild(parent, state) -> tuple:
     return tuple(reversed(nodes))
 
 
-def _m_connected_reachability(g: Graph, x, y, z) -> bool:
+def m_connected(g: Graph, x, y, z=()) -> bool:
+    """Whether some definite status path between `x` and `y` is open given `z`."""
+    x, y, z = _disjoint_sets(g, x, y, z)
     return _open_walk(g, x, y, z) is not None
 
 
-def _m_connected_enumeration(g: Graph, x, y, z, max_nodes=None, max_paths=None) -> bool:
-    for p in enumerate_paths(
-        g, x, y, definite_status=True, max_nodes=max_nodes, max_paths=max_paths
-    ):
-        if not blocks(g, p, z):
-            return True
-    return False
-
-
-def m_connected(g: Graph, x, y, z=(), *, method="reachability", max_nodes=None, max_paths=None) -> bool:
-    """Whether some definite status path between `x` and `y` is open given `z`.
-
-    `method` selects the implementation: "reachability" (default) or
-    "enumeration".  The two agree on all four graph classes and are
-    cross-checked in the test suite.
-    """
-    x, y, z = _validate_disjoint(g, x, y, z)
-    if method == "reachability":
-        return _m_connected_reachability(g, x, y, z)
-    if method == "enumeration":
-        return _m_connected_enumeration(g, x, y, z, max_nodes=max_nodes, max_paths=max_paths)
-    raise ValueError(f"unknown method: {method}")
-
-
-def m_separated(g: Graph, x, y, z=(), **kwargs) -> bool:
-    return not m_connected(g, x, y, z, **kwargs)
+def m_separated(g: Graph, x, y, z=()) -> bool:
+    return not m_connected(g, x, y, z)
 
 
 def find_open_definite_path(g: Graph, x, y, z, *, skip_first=None):
@@ -371,17 +241,6 @@ def find_open_definite_path(g: Graph, x, y, z, *, skip_first=None):
     if walk is not None and len(set(walk)) < len(walk):
         raise NoPathWitnessError(walk)
     return walk
-
-
-def separating_sets(g: Graph, a, b, *, method="reachability"):
-    """All subsets of V minus {a, b} that m-separate `a` from `b`."""
-    rest = [n for n in g.nodes if n not in (a, b)]
-    out = []
-    for r in range(len(rest) + 1):
-        for z in itertools.combinations(rest, r):
-            if not m_connected(g, [a], [b], z, method=method):
-                out.append(frozenset(z))
-    return out
 
 
 def require_maximal(g: Graph) -> None:

@@ -23,12 +23,11 @@ from typing import TYPE_CHECKING
 from .criteria import find_amenability_violation
 from .errors import (
     ClassMismatchError,
-    EmptyXOrYError,
     NotAmenableError,
     SetsNotDisjointError,
     SingularDesignError,
 )
-from .graphs import Graph, GraphClass, Mark, _as_set
+from .graphs import Graph, GraphClass, Mark, _disjoint_sets
 from .mec import canonical_dag, enumerate_dags, enumerate_mags
 
 if TYPE_CHECKING:
@@ -129,13 +128,7 @@ def total_effect(sem: LinearSEM, x, y) -> np.ndarray:
     """Interventional effect of each node of `x` (declaration order) on `y`:
     sever all edges into `x`, then read the (x_i, y) entries of (I - B)^-1."""
     g = sem.graph
-    x = _as_set(g, x)
-    if isinstance(y, str):
-        g._require(y)
-    if not x:
-        raise EmptyXOrYError("x must be non-empty")
-    if y in x:
-        raise SetsNotDisjointError(f"{y} is in x")
+    x, _, _ = _disjoint_sets(g, x, y)
     import numpy as np
 
     n = len(g.nodes)
@@ -194,14 +187,9 @@ def verify_adjustment(g: Graph, x, y, z, trials: int = 20, seed: int = 0):
     set then, yet the SEMs on the members' canonical DAGs carry no latent
     confounder behind an invisible edge and could not show it.
     """
-    x = _as_set(g, x)
-    z = _as_set(g, z)
-    if isinstance(y, (set, frozenset, list, tuple)):
-        (y,) = y
-    g._require(y)
-    if x & z or y in x or y in z:
-        raise SetsNotDisjointError("x, y, z must be pairwise disjoint")
-    violation = find_amenability_violation(g, x, frozenset([y]))
+    x, ys, z = _disjoint_sets(g, x, y, z)
+    (y,) = ys
+    violation = find_amenability_violation(g, x, ys)
     if violation is not None:
         raise NotAmenableError(violation)
     import numpy as np

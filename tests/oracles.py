@@ -11,6 +11,7 @@ import itertools
 import random
 from collections import deque
 
+from covadjust.criteria import AdjustmentVerdict
 from covadjust.errors import GraphError, NotMaximalError
 from covadjust.graphs import (
     Edge,
@@ -21,7 +22,7 @@ from covadjust.graphs import (
     validate_ancestral,
 )
 from covadjust.mec import _mark_union, separation_fingerprint, unshielded_colliders
-from covadjust.paths import _m_connected_reachability
+from covadjust.paths import Path, _open_walk, classify
 
 
 def directed_pairs(g):
@@ -238,6 +239,44 @@ def _triple_open(g, left, mid, right, z, an_z):
     return False
 
 
+def enumerate_paths(g, x, y, *, possibly_causal=None, causal=None, proper=None,
+                    definite_status=None):
+    """All simple paths from a node of `x` to a node of `y` matching the mask,
+    in lexicographic order of node declaration indices.  Each filter flag
+    is True (require), False (forbid) or None (ignore)."""
+    mask = {"possibly_causal": possibly_causal, "causal": causal, "proper_wrt_x": proper,
+            "definite_status": definite_status}
+    found = []
+
+    def extend(path):
+        if path[-1] in y and len(path) > 1:
+            p = Path(g, path)
+            kind = classify(p, x)
+            if all(want is None or getattr(kind, k) is want for k, want in mask.items()):
+                found.append(p)
+        for nxt in g._ordered_neighbors[path[-1]]:
+            if nxt not in path:
+                extend(path + (nxt,))
+
+    for start in g.sort_nodes(x):
+        extend((start,))
+    return found
+
+
+def m_connected_enumeration(g, x, y, z):
+    """m-connection by its definition: some simple path from `x` to `y` has
+    every interior node open given `z`, by depth-first search."""
+    an_z = directed_closure(g, frozenset(z), reverse=True)
+
+    def extend(path):
+        return path[-1] in y or any(
+            extend(path + (nxt,)) for nxt in g._ordered_neighbors[path[-1]]
+            if nxt not in path and (len(path) < 2 or _triple_open(g, *path[-2:], nxt, z, an_z))
+        )
+
+    return any(extend((s,)) for s in x)
+
+
 def simple_path_search(g, x, y, z, *, proper=False, require_non_causal=False, skip_first=None):
     """Shortest open definite status simple path from `x` to `y` given `z`.
 
@@ -254,7 +293,7 @@ def simple_path_search(g, x, y, z, *, proper=False, require_non_causal=False, sk
         cur = path[-1]
         if cur in y and len(path) >= 2 and (non_causal or not require_non_causal):
             return path
-        for nxt in g.sort_nodes(g.neighbors(cur)):
+        for nxt in g._ordered_neighbors[cur]:
             if nxt in path or (proper and nxt in x):
                 continue
             if len(path) == 1 and skip_first is not None and skip_first(cur, nxt):
@@ -416,7 +455,7 @@ def require_maximal_subsets(g):
                 continue
             rest = [n for n in g.nodes if n not in (a, b)]
             if not any(
-                not _m_connected_reachability(g, frozenset([a]), frozenset([b]), frozenset(zc))
+                _open_walk(g, frozenset([a]), frozenset([b]), frozenset(zc)) is None
                 for r in range(len(rest) + 1)
                 for zc in itertools.combinations(rest, r)
             ):
@@ -441,3 +480,96 @@ def latent_project_subsets(d, observed):
         mark_b = Mark.TAIL if a in directed_closure(d, {b}) else Mark.ARROW
         edges.append(Edge(a, b, mark_a, mark_b))
     return Graph(GraphClass.MAG, tuple(obs), frozenset(edges))
+
+
+# ------------------------------------------- the AC and the shortest-path searches
+
+
+def satisfies_ac(g, x, y, z):
+    """The adjustment criterion of a DAG or MAG from the edge-object
+    closures: (0) every proper causal path from `x` to `y` starts with a
+    visible edge, (1) `z` holds no descendant of a non-X node on one, and
+    (2) `z` blocks every proper non-causal path (simple-path search)."""
+    x, y, z = frozenset(x), frozenset(y), frozenset(z)
+    to_y = directed_reach_to(g, y, x)
+    for s in x:
+        for u, e in g._adjacency[s].items():
+            if u in to_y and _directed_edge(e, s, u) and not is_visible_dfs(g, e):
+                return AdjustmentVerdict(False, "Cond0", amenability_violation(g, x, y))
+    bad = z and z & directed_closure(g, directed_reach_from(g, x) & to_y)
+    if bad:
+        return AdjustmentVerdict(False, "Cond1", g.sort_nodes(bad)[0])
+    path = simple_path_search(g, x, y, z, proper=True, require_non_causal=True)
+    return AdjustmentVerdict(True) if path is None else AdjustmentVerdict(False, "Cond2", path)
+
+
+def shortest_directed_path(g, src, dst):
+    """Shortest directed path from `src` to `dst`, ties by declaration order."""
+    prev = {src: None}
+    queue = deque([src])
+    while queue:
+        v = queue.popleft()
+        if v == dst:
+            path = []
+            while v is not None:
+                path.append(v)
+                v = prev[v]
+            return tuple(path[::-1])
+        for w in g.sort_nodes(g.neighbors(v)):
+            if w not in prev and _directed_edge(g.edge_between(v, w), v, w):
+                prev[w] = v
+                queue.append(w)
+    return None
+
+
+def shortest_possibly_directed_path(g, x_node, first, y, avoid):
+    """Shortest possibly directed path x_node, first, ..., ending in `y`,
+    entering no node of `avoid`."""
+    if first in y:
+        return (x_node, first)
+    prev = {first: None}
+    queue = deque([first])
+    while queue:
+        v = queue.popleft()
+        for w in g.sort_nodes(g.neighbors(v)):
+            if w in prev or w in avoid or w == x_node:
+                continue
+            if edge_mark(g, v, w) is not Mark.ARROW:
+                prev[w] = v
+                if w in y:
+                    path = [w]
+                    while path[-1] != first:
+                        path.append(prev[path[-1]])
+                    path.append(x_node)
+                    return tuple(path[::-1])
+                queue.append(w)
+    return None
+
+
+def amenability_violation(g, x, y):
+    """Shortest proper possibly directed path from `x` to `y`, then first
+    in declaration order, whose first edge is not a visible edge out of
+    `x`; None if there is none."""
+    suffix = possibly_directed_reach_to(g, y, x)
+    found = []
+    for x_node in x:
+        for u in g.neighbors(x_node):
+            m = edge_mark(g, x_node, u)
+            if u in x or u not in suffix or m is Mark.ARROW:
+                continue
+            if m is Mark.TAIL and is_visible_dfs(g, g.edge_between(x_node, u)):
+                continue
+            found.append(shortest_possibly_directed_path(g, x_node, u, y, x))
+    return min(found, key=lambda p: (len(p), [g.node_index[n] for n in p]), default=None)
+
+
+def almost_directed_cycle(g):
+    """The first edge a <-> b in declaration order with a directed path
+    between its ends, as that shortest path; None if there is none."""
+    for e in sorted(g.edges, key=lambda e: (g.node_index[e.a], g.node_index[e.b])):
+        if e.mark_a is Mark.ARROW and e.mark_b is Mark.ARROW:
+            for src, dst in ((e.a, e.b), (e.b, e.a)):
+                path = shortest_directed_path(g, src, dst)
+                if path:
+                    return path
+    return None

@@ -167,6 +167,18 @@ def test_non_ancestral_mag_is_refused(tmp_path, capsys):
     assert payload["error"]["type"] == "AlmostDirectedCycleError"
 
 
+@pytest.mark.parametrize("command", ["check", "backdoor", "amenable", "forbidden", "list",
+                                     "verify"])
+def test_non_maximal_mag_is_refused(tmp_path, capsys, command):
+    # A and D are non-adjacent, yet every set that separates them is open
+    # along the inducing path A <-> B <-> C <-> D
+    f = tmp_path / "mag.cg"
+    f.write_text("graph mag { A <-> B B <-> C C <-> D B -> D C -> A }")
+    code, payload, _ = run(capsys, command, "--graph", str(f), "-X", "B", "-Y", "D")
+    assert code == 2
+    assert payload["error"]["type"] == "NotMaximalError"
+
+
 @pytest.mark.parametrize("trials", ["0", "-3"])
 def test_verify_rejects_non_positive_trials(capsys, trials):
     code, payload, err = run(

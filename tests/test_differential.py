@@ -13,11 +13,12 @@ import random
 import pytest
 
 import covadjust as ca
-from covadjust import criteria
+from covadjust import criteria, graphs
 from covadjust.errors import NoPathWitnessError
 from covadjust.graphs import Edge, Graph, GraphClass, Mark
 from covadjust.paths import Path
 
+import oracles
 from oracles import (
     class_graphs,
     directed_pairs,
@@ -25,6 +26,7 @@ from oracles import (
     moral_d_separated,
     random_dag,
     simple_path_search,
+    small_queries,
 )
 
 
@@ -92,13 +94,14 @@ def test_gac_agrees_with_simple_path_search(cls):
 
 @pytest.mark.parametrize("cls", ["dag", "mag"])
 def test_ac_agrees_with_simple_path_search(cls):
+    """The library's Cond0 and Cond1 against the AC from edge-object closures."""
     rng = random.Random(f"ac-{cls}")
     for g in GRAPHS[cls]:
         for x, y, z in _queries(g, rng):
             forb = ca.forbidden_set(g, x, y)  # in DAGs and MAGs, the AC's forbidden set
             if rng.random() < 0.5:
                 z = z - forb
-            v = ca.satisfies_ac(g, x, y, z)
+            v = oracles.satisfies_ac(g, x, y, z)
             assert (v.passed, v.failed_condition) == _oracle_gac(g, x, y, z, forb)
             if v.failed_condition == "Cond2":
                 _check_witness(g, v.witness, x, z, gac=True)
@@ -184,6 +187,31 @@ def test_is_visible_through_bidirected_chain_of_parents():
     cut = ca.parse_graph("graph mag { V -> W1 W1 <-> W2 W2 <-> X W1 -> Y W2 <-> Y X -> Y }")
     e = cut.edge_between("X", "Y")
     assert not criteria.is_visible(cut, e) and not is_visible_dfs(cut, e)
+
+
+@pytest.mark.parametrize("cls", sorted(GRAPHS))
+def test_shortest_path_agrees_with_the_old_searches(cls):
+    """`graphs._shortest_path` against the directed and the possibly
+    directed search it replaced: every directed pair, the Cond0 witness of
+    every query with one or two X nodes, and the almost directed cycles
+    that one added bidirected edge closes."""
+    found = {"cycle": 0, "cond0": 0}
+    for g in GRAPHS[cls]:
+        for src, dst in itertools.permutations(g.nodes, 2):
+            want = oracles.shortest_directed_path(g, src, dst)
+            assert graphs._shortest_path(g, src, {dst}, directed=True) == want
+            if want is not None and not g.adjacent(src, dst):
+                # src <-> dst along the directed path src -> ... -> dst
+                h = Graph(GraphClass.PAG, g.nodes, g.edges | {Edge.bidirected(src, dst)})
+                assert graphs._find_almost_directed_cycle(h) == oracles.almost_directed_cycle(h)
+                found["cycle"] += 1
+        for x, y, _ in small_queries(g.nodes, max_xy=2, max_z=0):
+            want = oracles.amenability_violation(g, x, y)
+            assert ca.find_amenability_violation(g, x, y) == want
+            found["cond0"] += want is not None
+    # PAGs have few directed edges, and DAGs are always amenable
+    assert found["cycle"] or cls == "pag"
+    assert found["cond0"] or cls == "dag"
 
 
 def _proper_backdoor_dag(dag, x, y):

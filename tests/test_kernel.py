@@ -9,12 +9,14 @@ never go back through the edge objects.
 """
 
 import itertools
+import json
 import random
 
 import pytest
 
 import covadjust as ca
 from covadjust import criteria, graphs
+from covadjust.cli import run_command
 from covadjust.errors import (
     AlmostDirectedCycleError,
     DirectedCycleError,
@@ -173,11 +175,6 @@ def test_latent_project_agrees_with_subset_search():
 
 
 CAP_CASES = [
-    ("nodes", 15, 16,
-     lambda: ca.enumerate_paths(Graph(GraphClass.DAG, tuple(f"N{i}" for i in range(16)),
-                                      frozenset()), {"N0"}, {"N1"})),
-    ("paths", 0, 1, lambda: ca.enumerate_paths(ca.parse_graph("graph dag { X -> Y }"), {"X"},
-                                               {"Y"}, max_paths=0)),
     ("fingerprint_nodes", 12, 13,
      lambda: ca.separation_fingerprint(Graph(GraphClass.DAG, tuple(f"N{i}" for i in range(13)),
                                              frozenset()))),
@@ -187,9 +184,6 @@ CAP_CASES = [
     ("circle_marks", 3, 4,
      lambda: ca.enumerate_mags(ca.parse_graph("graph pag { A o-o B B o-o C }"),
                                max_circle_marks=3)),
-    ("projection_nodes", 15, 16,
-     lambda: ca.latent_project(Graph(GraphClass.DAG, tuple(f"N{i}" for i in range(16)),
-                                     frozenset()), ["N0", "N1"])),
 ]
 
 
@@ -198,6 +192,20 @@ def test_cap_errors_carry_the_cap(cap, limit, required, call):
     with pytest.raises(SizeCapExceededError) as info:
         call()
     assert (info.value.cap, info.value.limit, info.value.required) == (cap, limit, required)
+
+
+def test_latent_project_has_no_node_cap(tmp_path, capsys):
+    chain = [f"N{i}" for i in range(41)]
+    d = Graph(GraphClass.DAG, tuple(chain),
+              frozenset(Edge.directed(a, b) for a, b in zip(chain, chain[1:])))
+    observed = chain[::2]
+    pairs = list(zip(observed, observed[1:]))
+    assert ca.latent_project(d, observed).edges == {Edge.directed(a, b) for a, b in pairs}
+    f = tmp_path / "chain.cg"
+    f.write_text(ca.serialize_graph(d))
+    assert run_command(["project", "--graph", str(f), "--observed", ",".join(observed)]) == 0
+    edges = json.loads(capsys.readouterr().out)["result"]["edges"]
+    assert edges == [f"{a} -> {b}" for a, b in pairs]
 
 
 # ------------------------------------------------------------ hot-path guard

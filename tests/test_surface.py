@@ -1,0 +1,42 @@
+"""Every exported name, and every name that `perfbench/tracing.py` wraps
+by module and name, resolves.  The tracer imports only the standard
+library, so it is loaded here by path."""
+
+import importlib
+import importlib.util
+
+import covadjust as ca
+
+from conftest import REPO_ROOT
+
+
+def _traced_spans():
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO_ROOT / "perfbench" / "tracing.py"
+    )
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SPANS
+
+
+def test_traced_names_resolve():
+    spans = _traced_spans()
+    assert spans
+    for module, names in spans.values():
+        mod = importlib.import_module(module)
+        for name in names:
+            assert callable(getattr(mod, name, None)), f"{module}.{name}"
+
+
+def test_exported_names_resolve():
+    for name in ca.__all__:
+        assert hasattr(ca, name), name
+
+
+def test_removed_names_stay_removed():
+    from covadjust import criteria, paths
+
+    for name, module in (("enumerate_paths", paths), ("separating_sets", paths),
+                         ("satisfies_ac", criteria)):
+        assert name not in ca.__all__
+        assert not hasattr(ca, name) and not hasattr(module, name)
