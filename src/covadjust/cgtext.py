@@ -17,10 +17,9 @@ class-level graph invariants are checked by `covadjust.validate_graph`.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 from .errors import MarkNotAllowedError, ParseError
-from .graphs import Edge, Graph, GraphClass, Mark
+from .graphs import Edge, Graph, GraphClass, Mark, _Record, _set
 
 _EDGE_OPS = {
     "->": (Mark.TAIL, Mark.ARROW),
@@ -38,30 +37,36 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(_Record):
     """The optional query block: node name tuples for X, Y and Z.
 
     A present-but-empty Z (``Z =``) is the empty set; an absent key is None.
     """
 
-    x: tuple | None = None
-    y: tuple | None = None
-    z: tuple | None = None
+    __slots__ = _fields = ("x", "y", "z")
+
+    def __init__(self, x: tuple | None = None, y: tuple | None = None, z: tuple | None = None):
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
 
-@dataclass(frozen=True)
-class GraphDocument:
-    graph: Graph
-    query: Query | None = None
+class GraphDocument(_Record):
+    __slots__ = _fields = ("graph", "query")
+
+    def __init__(self, graph: Graph, query: Query | None = None):
+        _set(self, "graph", graph)
+        _set(self, "query", query)
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "op" | "name" | "punct" | "eof"
-    text: str
-    line: int
-    col: int
+class _Token(_Record):
+    __slots__ = _fields = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        _set(self, "kind", kind)  # "op" | "name" | "punct" | "eof"
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
 
 
 def _tokenize(text: str):

@@ -17,31 +17,36 @@ sufficient-only back-door style criterion for comparison.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import NotDirectedEdgeError
-from .graphs import Edge, Graph, GraphClass, Mark, _disjoint_sets, _reach, _shortest_path
+from .graphs import (
+    Edge,
+    Graph,
+    GraphClass,
+    Mark,
+    _disjoint_sets,
+    _reach,
+    _Record,
+    _set,
+    _shortest_path,
+)
 from .paths import find_open_definite_path
 
 
-@dataclass(frozen=True)
-class AdjustmentQuery:
+class AdjustmentQuery(_Record):
     """Disjoint node sets (X, Y, Z) with X and Y non-empty."""
 
-    graph: Graph
-    x: frozenset
-    y: frozenset
-    z: frozenset = frozenset()
+    __slots__ = _fields = ("graph", "x", "y", "z")
 
-    def __post_init__(self):
-        x, y, z = _disjoint_sets(self.graph, self.x, self.y, self.z)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+    def __init__(self, graph: Graph, x: frozenset, y: frozenset, z: frozenset = frozenset()):
+        x, y, z = _disjoint_sets(graph, x, y, z)
+        _set(self, "graph", graph)
+        _set(self, "x", x)
+        _set(self, "y", y)
+        _set(self, "z", z)
 
 
-@dataclass(frozen=True)
-class AdjustmentVerdict:
+class AdjustmentVerdict(_Record):
     """Pass/fail with the first violated condition and a checkable witness.
 
     `failed_condition` is "Cond0" (amenability), "Cond1" (forbidden set)
@@ -49,9 +54,13 @@ class AdjustmentVerdict:
     names) for Cond0/Cond2 and a node name for Cond1.
     """
 
-    passed: bool
-    failed_condition: str | None = None
-    witness: tuple | str | None = None
+    __slots__ = _fields = ("passed", "failed_condition", "witness")
+
+    def __init__(self, passed: bool, failed_condition: str | None = None,
+                 witness: tuple | str | None = None):
+        _set(self, "passed", passed)
+        _set(self, "failed_condition", failed_condition)
+        _set(self, "witness", witness)
 
     def __bool__(self):
         return self.passed

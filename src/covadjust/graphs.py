@@ -15,10 +15,10 @@ functions, so everything in this package is safe for concurrent reads.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
+from collections.abc import Iterable
 from enum import Enum
 from functools import cached_property
-from typing import Iterable
+from operator import attrgetter
 
 from .errors import (
     AlmostDirectedCycleError,
@@ -64,28 +64,82 @@ _ALLOWED_MARKS = {
 }
 
 
-@dataclass(frozen=True)
-class Edge:
+_set = object.__setattr__  # how a record's `__init__` stores its fields
+
+
+class _Record:
+    """Base of the package's immutable records.
+
+    A subclass names its fields, in constructor order, in `__slots__` and
+    `_fields` (two or more), and stores each one with `_set` in its own
+    `__init__`.  The base supplies the rest without generating code:
+    equality and hashing over the field tuple (`NotImplemented` against
+    any other type), the repr ``Name(field=value, ...)``, an
+    `AttributeError` on assigning or deleting an attribute, and copy and
+    pickle by calling the class on the field values again, which reruns
+    the checks of `__init__`.
+    """
+
+    __slots__ = ()
+    _fields = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._values = attrgetter(*cls._fields)  # instance -> field tuple
+        cls.__match_args__ = cls._fields
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            values = self._values
+            return values(self) == values(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._values(self)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Edge(_Record):
     """One edge with a mark at each endpoint.
 
     Endpoints are stored in lexicographic order so that the same edge
     written in either direction compares equal.
     """
 
-    a: Node
-    b: Node
-    mark_a: Mark
-    mark_b: Mark
+    __slots__ = _fields = ("a", "b", "mark_a", "mark_b")
 
-    def __post_init__(self):
-        if self.a == self.b:
-            raise MarkNotAllowedError(f"self loop at {self.a}")
-        if self.a > self.b:
-            a, b, ma, mb = self.b, self.a, self.mark_b, self.mark_a
-            object.__setattr__(self, "a", a)
-            object.__setattr__(self, "b", b)
-            object.__setattr__(self, "mark_a", ma)
-            object.__setattr__(self, "mark_b", mb)
+    def __init__(self, a: Node, b: Node, mark_a: Mark, mark_b: Mark):
+        if a == b:
+            raise MarkNotAllowedError(f"self loop at {a}")
+        if a > b:
+            a, b, mark_a, mark_b = b, a, mark_b, mark_a
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "mark_a", mark_a)
+        _set(self, "mark_b", mark_b)
+
+    # Written out rather than inherited: every graph hashes its edges into
+    # its edge set, and plain attribute reads beat the generic getter.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.mark_a, self.mark_b) == (
+                other.a, other.b, other.mark_a, other.mark_b)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.mark_a, self.mark_b))
 
     @staticmethod
     def directed(tail: Node, head: Node) -> "Edge":
@@ -131,8 +185,7 @@ class Edge:
         return self.a if self.mark_a is Mark.TAIL else self.b
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Record):
     """Immutable partial mixed graph with a class tag.
 
     Construction checks structural invariants only (distinct node names,
@@ -145,20 +198,22 @@ class Graph:
     set-valued output deterministically.
     """
 
-    graph_class: GraphClass
-    nodes: tuple
-    edges: frozenset
+    _fields = ("graph_class", "nodes", "edges")
+    __slots__ = (*_fields, "__dict__")  # the dict holds the cached tables
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        object.__setattr__(self, "edges", frozenset(self.edges))
-        if len(set(self.nodes)) != len(self.nodes):
-            dup = sorted({n for n in self.nodes if self.nodes.count(n) > 1})
+    def __init__(self, graph_class: GraphClass, nodes: tuple, edges: frozenset):
+        nodes = tuple(nodes)
+        edges = frozenset(edges)
+        _set(self, "graph_class", graph_class)
+        _set(self, "nodes", nodes)
+        _set(self, "edges", edges)
+        if len(set(nodes)) != len(nodes):
+            dup = sorted({n for n in nodes if nodes.count(n) > 1})
             raise DuplicateEdgeError(f"duplicate node declaration: {', '.join(dup)}")
-        known = set(self.nodes)
-        allowed = _ALLOWED_MARKS[self.graph_class]
+        known = set(nodes)
+        allowed = _ALLOWED_MARKS[graph_class]
         seen_pairs = set()
-        for e in self.edges:
+        for e in edges:
             if e.a not in known or e.b not in known:
                 raise UnknownNodeError(f"edge endpoint not declared: {e.a}-{e.b}")
             if (e.a, e.b) in seen_pairs:
@@ -166,7 +221,7 @@ class Graph:
             seen_pairs.add((e.a, e.b))
             if (e.mark_a, e.mark_b) not in allowed:
                 raise MarkNotAllowedError(
-                    f"edge {e.a} {_edge_glyph(e)} {e.b} not allowed in a {self.graph_class.value}"
+                    f"edge {e.a} {_edge_glyph(e)} {e.b} not allowed in a {graph_class.value}"
                 )
 
     @cached_property

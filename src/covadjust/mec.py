@@ -14,7 +14,6 @@ fingerprints.  Latent projection takes one d-separation search per pair.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 from .errors import (
     AlmostDirectedCycleError,
@@ -36,6 +35,8 @@ from .graphs import (
     Mark,
     _find_directed_cycle,
     _reach,
+    _Record,
+    _set,
     validate_ancestral,
 )
 from .paths import _open_walk, require_maximal
@@ -45,12 +46,14 @@ DEFAULT_MARK_SLOT_CAP = 16  # circle marks in a PAG -> MAG search
 DEFAULT_FINGERPRINT_NODE_CAP = 12
 
 
-@dataclass(frozen=True)
-class EquivalenceClass:
+class EquivalenceClass(_Record):
     """A class representative together with the explicit member list."""
 
-    representative: Graph
-    members: tuple
+    __slots__ = _fields = ("representative", "members")
+
+    def __init__(self, representative: Graph, members: tuple):
+        _set(self, "representative", representative)
+        _set(self, "members", members)
 
     def __len__(self):
         return len(self.members)

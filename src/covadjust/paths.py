@@ -27,7 +27,6 @@ checks it against exhaustive enumeration of definite status paths.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 
 from .errors import (
@@ -36,7 +35,7 @@ from .errors import (
     NotDefiniteStatusError,
     UnknownNodeError,
 )
-from .graphs import Graph, Mark, _as_set, _disjoint_sets, _reach
+from .graphs import Graph, Mark, _as_set, _disjoint_sets, _reach, _Record, _set
 
 
 class NodePathStatus(Enum):
@@ -46,22 +45,23 @@ class NodePathStatus(Enum):
     ENDPOINT = "endpoint"
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(_Record):
     """A concrete path in a graph: at least two distinct adjacent nodes."""
 
-    graph: Graph
-    nodes: tuple
+    __slots__ = _fields = ("graph", "nodes")
 
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        if len(self.nodes) < 2:
+    def __init__(self, graph: Graph, nodes: tuple):
+        nodes = tuple(nodes)
+        if len(nodes) < 2:
             raise UnknownNodeError("a path has at least two nodes")
-        if len(set(self.nodes)) != len(self.nodes):
-            raise UnknownNodeError(f"path nodes are not distinct: {self.nodes}")
-        for a, b in zip(self.nodes, self.nodes[1:]):
-            if not self.graph.adjacent(a, b):
+        if len(set(nodes)) != len(nodes):
+            raise UnknownNodeError(f"path nodes are not distinct: {nodes}")
+        graph._require(*nodes)
+        for a, b in zip(nodes, nodes[1:]):
+            if not graph.adjacent(a, b):
                 raise UnknownNodeError(f"{a} and {b} are not adjacent")
+        _set(self, "graph", graph)
+        _set(self, "nodes", nodes)
 
     def __len__(self):
         return len(self.nodes) - 1  # length = number of edges
@@ -70,12 +70,15 @@ class Path:
         return Path(self.graph, self.nodes[::-1])
 
 
-@dataclass(frozen=True)
-class PathKind:
-    possibly_causal: bool
-    causal: bool
-    proper_wrt_x: bool
-    definite_status: bool
+class PathKind(_Record):
+    __slots__ = _fields = ("possibly_causal", "causal", "proper_wrt_x", "definite_status")
+
+    def __init__(self, possibly_causal: bool, causal: bool, proper_wrt_x: bool,
+                 definite_status: bool):
+        _set(self, "possibly_causal", possibly_causal)
+        _set(self, "causal", causal)
+        _set(self, "proper_wrt_x", proper_wrt_x)
+        _set(self, "definite_status", definite_status)
 
 
 def _triple_status(g: Graph, left, mid, right) -> NodePathStatus:

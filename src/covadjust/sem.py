@@ -17,9 +17,6 @@ package (and every CLI command but `verify`) does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
-
 from .criteria import find_amenability_violation
 from .errors import (
     ClassMismatchError,
@@ -27,9 +24,10 @@ from .errors import (
     SetsNotDisjointError,
     SingularDesignError,
 )
-from .graphs import Graph, GraphClass, Mark, _disjoint_sets
+from .graphs import Graph, GraphClass, Mark, _disjoint_sets, _Record, _set
 from .mec import canonical_dag, enumerate_dags, enumerate_mags
 
+TYPE_CHECKING = False  # true only to type checkers, which then see numpy
 if TYPE_CHECKING:
     import numpy as np
 
@@ -37,32 +35,28 @@ SOUNDNESS_TOL = 1e-8
 COMPLETENESS_GAP = 1e-3
 
 
-@dataclass(frozen=True)
-class LinearSEM:
+class LinearSEM(_Record):
     """Coefficient matrix over a DAG plus independent noise variances.
 
     `coeffs[i, j]` is the weight of the edge nodes[i] -> nodes[j] and must
     be zero off the edge set; `noise_var` is positive.
     """
 
-    graph: Graph
-    coeffs: np.ndarray
-    noise_var: np.ndarray
+    __slots__ = _fields = ("graph", "coeffs", "noise_var")
 
-    def __post_init__(self):
+    def __init__(self, graph: Graph, coeffs: np.ndarray, noise_var: np.ndarray):
         import numpy as np
 
-        g = self.graph
-        if g.graph_class is not GraphClass.DAG:
+        if graph.graph_class is not GraphClass.DAG:
             raise ClassMismatchError("a linear SEM needs a DAG")
-        n = len(g.nodes)
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        noise = np.asarray(self.noise_var, dtype=float)
+        n = len(graph.nodes)
+        coeffs = np.asarray(coeffs, dtype=float)
+        noise = np.asarray(noise_var, dtype=float)
         if coeffs.shape != (n, n) or noise.shape != (n,):
             raise ValueError("coefficient or noise shape does not match the graph")
         allowed = np.zeros((n, n), dtype=bool)
-        idx = g.node_index
-        for e in g.edges:
+        idx = graph.node_index
+        for e in graph.edges:
             if e.mark_a is Mark.TAIL:
                 allowed[idx[e.a], idx[e.b]] = True
             else:
@@ -73,23 +67,29 @@ class LinearSEM:
             raise ValueError("noise variances must be positive")
         coeffs.flags.writeable = False
         noise.flags.writeable = False
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "noise_var", noise)
+        _set(self, "graph", graph)
+        _set(self, "coeffs", coeffs)
+        _set(self, "noise_var", noise)
 
     def index(self, node) -> int:
         return self.graph.node_index[node]
 
 
-@dataclass(frozen=True)
-class EffectReport:
+class EffectReport(_Record):
     """Outcome of one member/trial comparison for `verify_adjustment`."""
 
-    z_set: frozenset
-    member: int
-    trial: int
-    true_effect: tuple
-    adjusted_estimate: tuple
-    max_abs_gap: float
+    __slots__ = _fields = (
+        "z_set", "member", "trial", "true_effect", "adjusted_estimate", "max_abs_gap"
+    )
+
+    def __init__(self, z_set: frozenset, member: int, trial: int, true_effect: tuple,
+                 adjusted_estimate: tuple, max_abs_gap: float):
+        _set(self, "z_set", z_set)
+        _set(self, "member", member)
+        _set(self, "trial", trial)
+        _set(self, "true_effect", true_effect)
+        _set(self, "adjusted_estimate", adjusted_estimate)
+        _set(self, "max_abs_gap", max_abs_gap)
 
 
 def random_sem(dag: Graph, seed: int) -> LinearSEM:

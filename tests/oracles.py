@@ -102,19 +102,6 @@ def is_subsequence(sub, seq):
     return all(s in it for s in sub)
 
 
-def concat_paths(p, q):
-    """Concatenate two node sequences sharing an endpoint; cut at the
-    first revisit and splice so the result is again a path."""
-    assert p[-1] == q[0]
-    out = []
-    for v in list(p) + list(q[1:]):
-        if v in out:
-            out = out[: out.index(v) + 1]
-        else:
-            out.append(v)
-    return tuple(out)
-
-
 def random_dag(rng, n, p, prefix="N"):
     """Random DAG: random topological order, independent edges."""
     names = tuple(f"{prefix}{i}" for i in range(n))

@@ -9,12 +9,12 @@ from covadjust.errors import (
     EndpointInZError,
     NotDefiniteStatusError,
     SetsNotDisjointError,
+    UnknownNodeError,
 )
 from covadjust.graphs import Edge, Graph, GraphClass
 from covadjust.paths import NodePathStatus, Path
 
 from oracles import (
-    concat_paths,
     cpdag_of,
     enumerate_paths,
     is_subsequence,
@@ -275,12 +275,25 @@ def test_classify_definite_status_invariant_under_reversal(corpus):
             assert ca.classify(p).definite_status == ca.classify(p.reversed()).definite_status
 
 
-def test_concatenation_with_loop_removal():
-    g = corpus_graph = ca.parse_graph("graph dag { A -> B B -> C A -> C C -> D }")
-    p = ("A", "B", "C", "D")
-    assert concat_paths(p[:3], p[2:]) == p
-    # loop gets cut at the first revisit
-    assert concat_paths(("A", "B", "C"), ("C", "A", "B"))[0] == "A"
-    joined = concat_paths(("D", "C", "A"), ("A", "B", "C"))
-    assert joined == ("D", "C")
-    Path(g, joined)  # still a valid path
+def test_path_checks_its_nodes():
+    g = ca.parse_graph("graph dag { A -> B B -> C A -> C C -> D }")
+    p = Path(g, ["A", "B", "C", "D"])
+    assert p.nodes == ("A", "B", "C", "D")
+    assert len(p) == 3  # edges, not nodes
+    r = p.reversed()
+    assert r == Path(g, ("D", "C", "B", "A")) and r.graph is g
+    assert r.reversed() == p
+    assert len(Path(g, ("C", "A"))) == 1
+    bad = {
+        (): "at least two nodes",
+        ("A",): "at least two nodes",
+        ("A", "B", "A"): "not distinct",
+        ("A", "B", "C", "A"): "not distinct",
+        ("A", "D"): "not adjacent",
+        ("A", "B", "D"): "not adjacent",
+        ("Q", "A"): "unknown node",
+        ("A", "Q"): "unknown node",
+    }
+    for nodes, message in bad.items():
+        with pytest.raises(UnknownNodeError, match=message):
+            Path(g, nodes)
