@@ -21,8 +21,7 @@ def load(name):
 # Two configurations that make X -> Y visible.
 for name in ("fig2-left.cg", "fig2-right.cg"):
     g = load(name)
-    e = g.edge_between("X", "Y")
-    print(f"{name}: X -> Y visible: {ca.is_visible(g, e)}")
+    print(f"{name}: X -> Y visible: {ca.is_visible(g, 'X', 'Y')}")
 
 # The same edge can be visible in one member of an equivalence class and
 # invisible in another.
@@ -33,9 +32,9 @@ mag2 = load("fig3c.cg")
 print("\nPAG amenable for (X, Y):", ca.is_amenable(pag, {"X"}, {"Y"}))
 print("  violating path:", ca.find_amenability_violation(pag, {"X"}, {"Y"}))
 print("member MAG #1 amenable:", ca.is_amenable(mag1, {"X"}, {"Y"}),
-      " (X -> Y visible:", str(ca.is_visible(mag1, mag1.edge_between("X", "Y"))) + ")")
+      " (X -> Y visible:", str(ca.is_visible(mag1, "X", "Y")) + ")")
 print("member MAG #2 amenable:", ca.is_amenable(mag2, {"X"}, {"Y"}),
-      " (X -> Y visible:", str(ca.is_visible(mag2, mag2.edge_between("X", "Y"))) + ")")
+      " (X -> Y visible:", str(ca.is_visible(mag2, "X", "Y")) + ")")
 
 # In the amenable member the empty set already works.
 verdict = ca.satisfies_gac(ca.AdjustmentQuery(mag2, frozenset({"X"}), frozenset({"Y"})))

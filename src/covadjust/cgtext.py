@@ -12,6 +12,11 @@ of o-o.  Node names match [A-Za-z_][A-Za-z0-9_]*; the keywords graph,
 query, dag, cpdag, mag and pag are reserved.  Whitespace and newlines are
 interchangeable.  Parsing checks structure and mark vocabulary; the
 class-level graph invariants are checked by `covadjust.validate_graph`.
+
+`parse_document` makes one pass: one regular expression yields
+`(kind, text, offset)` token tuples, and the statements go straight into
+the `Graph`.  Errors report the line and column of their token, and a
+character that starts no token is reported before any syntax error.
 """
 
 from __future__ import annotations
@@ -30,10 +35,15 @@ _EDGE_OPS = {
     "--": (Mark.CIRCLE, Mark.CIRCLE),  # CPDAG alias of o-o
 }
 _RESERVED = {"graph", "query", "dag", "cpdag", "mag", "pag"}
-_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# Whitespace and comments, then one token: an operator, a name, a
+# punctuation mark, the end of the text or, failing all of those, one
+# bad character.  The match always succeeds, so `finditer` walks the
+# whole text without gaps and its last match is the end.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<op><->|o->|<-o|o-o|->|--)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[{}=,;])"
+    r"(?:\s+|#[^\n]*)*"
+    r"(?:(?P<op><->|o->|<-o|o-o|->|--)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[{}=,;])"
+    r"|(?P<eof>\Z)|(?P<bad>.))",
+    re.DOTALL,
 )
 
 
@@ -59,147 +69,111 @@ class GraphDocument(_Record):
         _set(self, "query", query)
 
 
-class _Token(_Record):
-    __slots__ = _fields = ("kind", "text", "line", "col")
-
-    def __init__(self, kind: str, text: str, line: int, col: int):
-        _set(self, "kind", kind)  # "op" | "name" | "punct" | "eof"
-        _set(self, "text", text)
-        _set(self, "line", line)
-        _set(self, "col", col)
+def _position(text: str, offset: int) -> tuple:
+    """1-based (line, column) of `offset` in `text`."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-def _tokenize(text: str):
-    tokens = []
-    line, col, pos = 1, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
-        kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Token(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _unexpected(text: str, token: tuple, expected: str) -> ParseError:
+    word = token[1]
+    message = f"unexpected {word!r}" if word else "unexpected end of input"
+    return ParseError(message, *_position(text, token[2]), expected)
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.tokens = _tokenize(text)
-        self.pos = 0
+def _expect(text: str, token: tuple, word: str, expected: str | None = None) -> None:
+    if token[1] != word:
+        raise _unexpected(text, token, expected or word)
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
 
-    def take(self, kind=None, text=None, expected=None) -> _Token:
-        tok = self.tokens[self.pos]
-        if (kind and tok.kind != kind) or (text and tok.text != text):
-            raise ParseError(
-                f"unexpected {tok.text!r}" if tok.text else "unexpected end of input",
-                tok.line,
-                tok.col,
-                expected=expected or text or kind,
-            )
-        self.pos += 1
-        return tok
-
-    def take_name(self, expected="a node name") -> _Token:
-        tok = self.take("name", expected=expected)
-        if tok.text in _RESERVED:
-            raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.col, expected)
-        return tok
-
-    def parse_document(self) -> GraphDocument:
-        self.take("name", "graph", expected="'graph'")
-        cls_tok = self.take("name", expected="a graph class (dag|cpdag|mag|pag)")
-        try:
-            graph_class = GraphClass(cls_tok.text)
-        except ValueError:
-            raise ParseError(
-                f"unknown graph class {cls_tok.text!r}",
-                cls_tok.line,
-                cls_tok.col,
-                expected="dag|cpdag|mag|pag",
-            ) from None
-        self.take("punct", "{")
-        nodes: list = []
-        edges: list = []
-        seen = set()
-
-        def declare(name):
-            if name not in seen:
-                seen.add(name)
-                nodes.append(name)
-
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "}":
-                self.take()
-                break
-            first = self.take_name()
-            declare(first.text)
-            nxt = self.peek()
-            if nxt.kind == "op":
-                op = self.take()
-                if op.text == "--" and graph_class is not GraphClass.CPDAG:
-                    raise MarkNotAllowedError(
-                        f"{op.line}:{op.col}: '--' is only allowed in CPDAG files"
-                    )
-                second = self.take_name()
-                if second.text == first.text:
-                    raise ParseError("self loop", second.line, second.col)
-                declare(second.text)
-                mark_first, mark_second = _EDGE_OPS[op.text]
-                edges.append(Edge(first.text, second.text, mark_first, mark_second))
-        graph = Graph(graph_class, tuple(nodes), frozenset(edges))
-
-        query = None
-        tok = self.peek()
-        if tok.kind == "name" and tok.text == "query":
-            query = self.parse_query()
-        self.take("eof", expected="end of input")
-        return GraphDocument(graph, query)
-
-    def parse_query(self) -> Query:
-        self.take("name", "query")
-        self.take("punct", "{")
-        parts: dict = {}
-        while True:
-            tok = self.peek()
-            if tok.kind == "punct" and tok.text == "}":
-                self.take()
-                break
-            if tok.kind == "punct" and tok.text == ";":
-                self.take()
-                continue
-            key = self.take("name", expected="X, Y or Z")
-            if key.text not in ("X", "Y", "Z"):
-                raise ParseError(
-                    f"unknown query key {key.text!r}", key.line, key.col, expected="X, Y or Z"
-                )
-            if key.text in parts:
-                raise ParseError(f"duplicate query key {key.text}", key.line, key.col)
-            self.take("punct", "=")
-            names = []
-            while self.peek().kind == "name" and self.peek().text not in _RESERVED:
-                names.append(self.take_name().text)
-                if self.peek().kind == "punct" and self.peek().text == ",":
-                    self.take()
-            parts[key.text] = tuple(names)
-        return Query(x=parts.get("X"), y=parts.get("Y"), z=parts.get("Z"))
+def _node_name(text: str, token: tuple) -> str:
+    kind, word, offset = token
+    if kind != "name":
+        raise _unexpected(text, token, "a node name")
+    if word in _RESERVED:
+        raise ParseError(f"{word!r} is a reserved word", *_position(text, offset), "a node name")
+    return word
 
 
 def parse_document(text: str) -> GraphDocument:
     """Parse a .cg document into a graph and its optional query block."""
-    return _Parser(text).parse_document()
+    tokens = []
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}",
+                             *_position(text, m.start(kind)))
+        tokens.append((kind, m[kind], m.start(kind)))
+
+    # Token texts of different kinds never coincide, so comparing the text
+    # alone also checks the kind; the end of the text has the empty text.
+    _expect(text, tokens[0], "graph", "'graph'")
+    kind, word, offset = tokens[1]
+    if kind != "name":
+        raise _unexpected(text, tokens[1], "a graph class (dag|cpdag|mag|pag)")
+    try:
+        graph_class = GraphClass(word)
+    except ValueError:
+        raise ParseError(f"unknown graph class {word!r}", *_position(text, offset),
+                         "dag|cpdag|mag|pag") from None
+    _expect(text, tokens[2], "{")
+    nodes = {}  # insertion-ordered set: the first mention fixes the order
+    edges = []
+    i = 3
+    while tokens[i][1] != "}":
+        first = _node_name(text, tokens[i])
+        nodes[first] = None
+        op = tokens[i + 1][1]
+        if op not in _EDGE_OPS:
+            i += 1
+            continue
+        if op == "--" and graph_class is not GraphClass.CPDAG:
+            line, col = _position(text, tokens[i + 1][2])
+            raise MarkNotAllowedError(f"{line}:{col}: '--' is only allowed in CPDAG files")
+        second = _node_name(text, tokens[i + 2])
+        if second == first:
+            raise ParseError("self loop", *_position(text, tokens[i + 2][2]))
+        nodes[second] = None
+        edges.append(Edge(first, second, *_EDGE_OPS[op]))
+        i += 3
+    graph = Graph(graph_class, tuple(nodes), frozenset(edges))
+
+    query = None
+    i += 1
+    if tokens[i][1] == "query":
+        query, i = _parse_query(text, tokens, i + 1)
+    if tokens[i][1]:
+        raise _unexpected(text, tokens[i], "end of input")
+    return GraphDocument(graph, query)
+
+
+def _parse_query(text: str, tokens: list, i: int) -> tuple:
+    """The query block whose '{' is expected at `tokens[i]`, and the index
+    of the token after its '}'."""
+    _expect(text, tokens[i], "{")
+    i += 1
+    parts: dict = {}
+    while True:
+        kind, key, offset = tokens[i]
+        if key == "}":
+            return Query(x=parts.get("X"), y=parts.get("Y"), z=parts.get("Z")), i + 1
+        if key == ";":
+            i += 1
+            continue
+        if kind != "name":
+            raise _unexpected(text, tokens[i], "X, Y or Z")
+        if key not in ("X", "Y", "Z"):
+            raise ParseError(f"unknown query key {key!r}", *_position(text, offset), "X, Y or Z")
+        if key in parts:
+            raise ParseError(f"duplicate query key {key}", *_position(text, offset))
+        _expect(text, tokens[i + 1], "=")
+        i += 2
+        names = []
+        while tokens[i][0] == "name" and tokens[i][1] not in _RESERVED:
+            names.append(tokens[i][1])
+            i += 1
+            if tokens[i][1] == ",":
+                i += 1
+        parts[key] = tuple(names)
 
 
 def parse_graph(text: str) -> Graph:

@@ -278,7 +278,7 @@ def run_command(argv) -> int:
                "error": {"type": type(exc).__name__, "message": str(exc),
                          "cap": exc.cap, "limit": exc.limit, "required": exc.required}})
         return 3
-    except (GraphError, OSError) as exc:
+    except (GraphError, OSError, UnicodeDecodeError) as exc:
         print(f"covadjust: {exc}", file=sys.stderr)
         _emit({"format": FORMAT_VERSION, "command": command,
                "error": {"type": type(exc).__name__, "message": str(exc)}})

@@ -20,7 +20,6 @@ import itertools
 
 from .errors import NotDirectedEdgeError
 from .graphs import (
-    Edge,
     Graph,
     GraphClass,
     Mark,
@@ -66,22 +65,24 @@ class AdjustmentVerdict(_Record):
         return self.passed
 
 
-def is_visible(g: Graph, e: Edge) -> bool:
-    """Whether a directed edge X -> Y is visible.
+def is_visible(g: Graph, x, y) -> bool:
+    """Whether the directed edge x -> y is visible.
 
     In DAGs and CPDAGs all directed edges are visible.  In MAGs and PAGs
-    the edge is visible when some node V not adjacent to Y reaches X
-    through a collider path into X whose interior nodes are all parents
-    of Y (a single edge into X is the trivial such path).  A visible edge
+    the edge is visible when some node V not adjacent to y reaches x
+    through a collider path into x whose interior nodes are all parents
+    of y (a single edge into x is the trivial such path).  A visible edge
     is guaranteed free of latent confounding between its endpoints.
+    Raises `UnknownNodeError` for an unknown node and
+    `NotDirectedEdgeError` unless x -> y is an edge.
     """
-    if not e.is_directed():
-        raise NotDirectedEdgeError(f"{e.a}-{e.b} is not a directed edge")
+    marks = g._marks
+    if x not in marks or y not in marks:
+        g._require(x, y)
+    if marks[x].get(y) is not Mark.TAIL:
+        raise NotDirectedEdgeError(f"{x} -> {y} is not an edge")
     if g.graph_class in (GraphClass.DAG, GraphClass.CPDAG):
         return True
-    x = e.tail_node()
-    y = e.other(x)
-    marks = g._marks
     pa_y = {w for w in marks[y] if marks[w][y] is Mark.TAIL}
     # the last nodes a collider path into x can step onto from outside:
     # x and the parents of y joined to x by a <-> chain through parents of y
@@ -127,7 +128,7 @@ def _amenability_violation(g: Graph, x: frozenset, y: frozenset, suffix: frozens
                 continue
             if u not in suffix:
                 continue  # no proper possibly directed continuation to y
-            if m is Mark.TAIL and is_visible(g, g.edge_between(x_node, u)):
+            if m is Mark.TAIL and is_visible(g, x_node, u):
                 continue
             rest = _shortest_path(g, u, y, directed=False, avoid=x)
             if rest:
@@ -212,7 +213,7 @@ def satisfies_generalized_backdoor(g: Graph, x, y, z) -> AdjustmentVerdict:
 
     def first_edge_exempt(start, first):
         # a tail at start makes the edge start -> first
-        return marks[start][first] is Mark.TAIL and is_visible(g, g.edge_between(start, first))
+        return marks[start][first] is Mark.TAIL and is_visible(g, start, first)
 
     for x_node in g.sort_nodes(x):
         cond = z | (x - {x_node})

@@ -199,7 +199,7 @@ class Graph(_Record):
     """
 
     _fields = ("graph_class", "nodes", "edges")
-    __slots__ = (*_fields, "__dict__")  # the dict holds the cached tables
+    __slots__ = (*_fields, "__dict__")  # the dict holds the mark table and cached tables
 
     def __init__(self, graph_class: GraphClass, nodes: tuple, edges: frozenset):
         nodes = tuple(nodes)
@@ -207,64 +207,50 @@ class Graph(_Record):
         _set(self, "graph_class", graph_class)
         _set(self, "nodes", nodes)
         _set(self, "edges", edges)
-        if len(set(nodes)) != len(nodes):
+        # `_marks[v][w]` is the mark at `v` of the edge v-w.  Every search
+        # reads marks here instead of through the edge objects.  Since
+        # tail-tail and tail-circle edges are rejected, a tail at `v` means
+        # the edge is v -> w.
+        marks = {n: {} for n in nodes}
+        if len(marks) != len(nodes):
             dup = sorted({n for n in nodes if nodes.count(n) > 1})
             raise DuplicateEdgeError(f"duplicate node declaration: {', '.join(dup)}")
-        known = set(nodes)
         allowed = _ALLOWED_MARKS[graph_class]
-        seen_pairs = set()
         for e in edges:
-            if e.a not in known or e.b not in known:
-                raise UnknownNodeError(f"edge endpoint not declared: {e.a}-{e.b}")
-            if (e.a, e.b) in seen_pairs:
-                raise DuplicateEdgeError(f"more than one edge between {e.a} and {e.b}")
-            seen_pairs.add((e.a, e.b))
+            a, b = e.a, e.b
+            if a not in marks or b not in marks:
+                raise UnknownNodeError(f"edge endpoint not declared: {a}-{b}")
+            if b in marks[a]:
+                raise DuplicateEdgeError(f"more than one edge between {a} and {b}")
             if (e.mark_a, e.mark_b) not in allowed:
                 raise MarkNotAllowedError(
-                    f"edge {e.a} {_edge_glyph(e)} {e.b} not allowed in a {graph_class.value}"
+                    f"edge {a} {_edge_glyph(e)} {b} not allowed in a {graph_class.value}"
                 )
+            marks[a][b] = e.mark_a
+            marks[b][a] = e.mark_b
+        _set(self, "_marks", marks)
 
     @cached_property
     def node_index(self) -> dict:
         return {n: i for i, n in enumerate(self.nodes)}
 
     @cached_property
-    def _adjacency(self) -> dict:
-        adj = {n: {} for n in self.nodes}
-        for e in self.edges:
-            adj[e.a][e.b] = e
-            adj[e.b][e.a] = e
-        return adj
-
-    @cached_property
-    def _marks(self) -> dict:
-        """`_marks[v][w]` is the mark at `v` of the edge v-w.
-
-        Every search reads marks here instead of through the edge objects.
-        Since tail-tail and tail-circle edges are rejected, a tail at `v`
-        means the edge is v -> w.
-        """
-        marks = {n: {} for n in self.nodes}
-        for e in self.edges:
-            marks[e.a][e.b] = e.mark_a
-            marks[e.b][e.a] = e.mark_b
-        return marks
-
-    @cached_property
     def _ordered_neighbors(self) -> dict:
         """Each node's neighbours in declaration order."""
         key = self.node_index.__getitem__
-        return {n: tuple(sorted(adj, key=key)) for n, adj in self._adjacency.items()}
+        return {n: tuple(sorted(row, key=key)) for n, row in self._marks.items()}
 
     def neighbors(self, node: Node) -> frozenset:
         self._require(node)
-        return frozenset(self._adjacency[node])
+        return frozenset(self._marks[node])
 
     def adjacent(self, a: Node, b: Node) -> bool:
-        return b in self._adjacency[a]
+        return b in self._marks[a]
 
     def edge_between(self, a: Node, b: Node):
-        return self._adjacency[a].get(b)
+        """The edge a-b, equal to the one in `edges`, or None."""
+        mark = self._marks[a].get(b)
+        return None if mark is None else Edge(a, b, mark, self._marks[b][a])
 
     def mark_at(self, near: Node, far: Node) -> Mark:
         """Mark at the `near` endpoint of the edge near-far."""
@@ -471,7 +457,7 @@ def _shortest_path(g: Graph, src: Node, targets, *, directed: bool, avoid=frozen
     return None
 
 
-def validate_graph(g: Graph, **caps) -> None:
+def validate_graph(g: Graph) -> None:
     """Check the class invariants that go beyond mark vocabulary.
 
     DAG: no directed cycles.  MAG: ancestral and maximal.  CPDAG and PAG:
@@ -491,11 +477,11 @@ def validate_graph(g: Graph, **caps) -> None:
     elif g.graph_class is GraphClass.CPDAG:
         from .mec import enumerate_dags
 
-        enumerate_dags(g, **caps)
+        enumerate_dags(g)
     elif g.graph_class is GraphClass.PAG:
         from .mec import enumerate_mags
 
-        enumerate_mags(g, **caps)
+        enumerate_mags(g)
 
 
 def validate_ancestral(g: Graph) -> None:
@@ -508,7 +494,7 @@ def validate_ancestral(g: Graph) -> None:
         raise AlmostDirectedCycleError(almost)
 
 
-def build_graph(graph_class: GraphClass, nodes, edges, **caps) -> Graph:
+def build_graph(graph_class: GraphClass, nodes, edges) -> Graph:
     """Construct and fully validate a graph of the given class.
 
     `nodes` fixes the declaration order; `edges` is any iterable of
@@ -516,5 +502,5 @@ def build_graph(graph_class: GraphClass, nodes, edges, **caps) -> Graph:
     error naming the violated class invariant.
     """
     g = Graph(graph_class, tuple(nodes), frozenset(edges))
-    validate_graph(g, **caps)
+    validate_graph(g)
     return g

@@ -75,9 +75,9 @@ def unshielded_colliders(g: Graph) -> frozenset:
     return frozenset(out)
 
 
-def separation_fingerprint(g: Graph, *, max_nodes=None) -> frozenset:
+def separation_fingerprint(g: Graph) -> frozenset:
     """All m-separated triples (a, b, conditioning set), a < b by name."""
-    cap = DEFAULT_FINGERPRINT_NODE_CAP if max_nodes is None else max_nodes
+    cap = DEFAULT_FINGERPRINT_NODE_CAP
     if len(g.nodes) > cap:
         raise SizeCapExceededError(
             f"{len(g.nodes)} nodes exceeds the fingerprint cap of {cap}",
@@ -94,7 +94,7 @@ def separation_fingerprint(g: Graph, *, max_nodes=None) -> frozenset:
     return frozenset(out)
 
 
-def markov_equivalent(g1: Graph, g2: Graph, *, max_nodes=None) -> bool:
+def markov_equivalent(g1: Graph, g2: Graph) -> bool:
     """Whether two DAGs (or two MAGs) encode identical m-separations."""
     if set(g1.nodes) != set(g2.nodes):
         raise NodeSetMismatchError("graphs are over different node sets")
@@ -103,9 +103,7 @@ def markov_equivalent(g1: Graph, g2: Graph, *, max_nodes=None) -> bool:
         GraphClass.MAG,
     ):
         raise ClassMismatchError("markov_equivalent compares two DAGs or two MAGs")
-    return separation_fingerprint(g1, max_nodes=max_nodes) == separation_fingerprint(
-        g2, max_nodes=max_nodes
-    )
+    return separation_fingerprint(g1) == separation_fingerprint(g2)
 
 
 def _skeleton(g: Graph) -> frozenset:
@@ -116,8 +114,8 @@ def _mark_union(members, graph_class: GraphClass, nodes) -> Graph:
     """Per-endpoint mark union; no equivalence verification."""
     edges = []
     for a, b in sorted(_skeleton(members[0])):
-        marks_a = {m.edge_between(a, b).mark_at(a) for m in members}
-        marks_b = {m.edge_between(a, b).mark_at(b) for m in members}
+        marks_a = {m._marks[a][b] for m in members}
+        marks_b = {m._marks[b][a] for m in members}
         mark_a = marks_a.pop() if len(marks_a) == 1 else Mark.CIRCLE
         mark_b = marks_b.pop() if len(marks_b) == 1 else Mark.CIRCLE
         edges.append(Edge(a, b, mark_a, mark_b))
@@ -151,7 +149,7 @@ def union_representative(members) -> Graph:
     return _mark_union(members, out_class, members[0].nodes)
 
 
-def enumerate_dags(c: Graph, *, max_undirected=None) -> EquivalenceClass:
+def enumerate_dags(c: Graph) -> EquivalenceClass:
     """All DAGs in the class of a CPDAG.
 
     Orients every undirected edge both ways and keeps the acyclic results
@@ -162,7 +160,7 @@ def enumerate_dags(c: Graph, *, max_undirected=None) -> EquivalenceClass:
         return EquivalenceClass(c, (c,))
     if c.graph_class is not GraphClass.CPDAG:
         raise ClassMismatchError("enumerate_dags expects a CPDAG")
-    cap = DEFAULT_ORIENTATION_CAP if max_undirected is None else max_undirected
+    cap = DEFAULT_ORIENTATION_CAP
     undirected = sorted(
         (e for e in c.edges if not e.is_directed()),
         key=lambda e: (c.node_index[e.a], c.node_index[e.b]),
@@ -192,7 +190,7 @@ def enumerate_dags(c: Graph, *, max_undirected=None) -> EquivalenceClass:
     return EquivalenceClass(c, tuple(members))
 
 
-def enumerate_mags(p: Graph, *, max_circle_marks=None, max_nodes=None) -> EquivalenceClass:
+def enumerate_mags(p: Graph) -> EquivalenceClass:
     """All MAGs in the class of a PAG.
 
     Every circle mark is assigned a tail or an arrowhead (tail-tail edges
@@ -205,7 +203,7 @@ def enumerate_mags(p: Graph, *, max_circle_marks=None, max_nodes=None) -> Equiva
         return EquivalenceClass(p, (p,))
     if p.graph_class is not GraphClass.PAG:
         raise ClassMismatchError("enumerate_mags expects a PAG or MAG")
-    cap = DEFAULT_MARK_SLOT_CAP if max_circle_marks is None else max_circle_marks
+    cap = DEFAULT_MARK_SLOT_CAP
     slots = []
     fixed = []
     for e in sorted(p.edges, key=lambda e: (p.node_index[e.a], p.node_index[e.b])):
@@ -240,7 +238,7 @@ def enumerate_mags(p: Graph, *, max_circle_marks=None, max_nodes=None) -> Equiva
             validate_ancestral(candidate)
         except (DirectedCycleError, AlmostDirectedCycleError):
             continue
-        fp = separation_fingerprint(candidate, max_nodes=max_nodes)
+        fp = separation_fingerprint(candidate)
         groups.setdefault(fp, []).append(candidate)
 
     matching = [

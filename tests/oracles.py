@@ -9,20 +9,37 @@ sweeps instead of class-aware enumeration.
 import functools
 import itertools
 import random
+import re
 from collections import deque
 
+from covadjust.cgtext import GraphDocument, Query
 from covadjust.criteria import AdjustmentVerdict
-from covadjust.errors import GraphError, NotMaximalError
+from covadjust.errors import GraphError, MarkNotAllowedError, NotMaximalError, ParseError
 from covadjust.graphs import (
     Edge,
     Graph,
     GraphClass,
     Mark,
     _find_directed_cycle,
+    _Record,
+    _set,
     validate_ancestral,
 )
 from covadjust.mec import _mark_union, separation_fingerprint, unshielded_colliders
 from covadjust.paths import Path, _open_walk, classify
+
+
+@functools.lru_cache(maxsize=1024)
+def edge_table(g):
+    """`edge_table(g)[v]` maps each neighbour w of v, in declaration order,
+    to the edge object v-w.  Built from `g.edges`, so the oracles do not
+    read the library's mark table."""
+    idx = {n: i for i, n in enumerate(g.nodes)}
+    table = {n: [] for n in g.nodes}
+    for e in g.edges:
+        table[e.a].append((e.b, e))
+        table[e.b].append((e.a, e))
+    return {n: dict(sorted(row, key=lambda item: idx[item[0]])) for n, row in table.items()}
 
 
 def directed_pairs(g):
@@ -206,22 +223,23 @@ def small_queries(nodes, max_xy=2, max_z=None):
                             yield frozenset(x), frozenset(y), frozenset(z)
 
 
-def edge_mark(g, near, far):
-    """Mark at `near` of the edge near-far, read off the raw edge object."""
-    return g.edge_between(near, far).mark_at(near)
+def edge_mark(adj, near, far):
+    """Mark at `near` of the edge near-far in the table `adj` of
+    `edge_table`, read off the raw edge object."""
+    return adj[near][far].mark_at(near)
 
 
-def _triple_open(g, left, mid, right, z, an_z):
+def _triple_open(adj, left, mid, right, z, an_z):
     """Whether `mid` is open between `left` and `right` given `z`: a
     collider with a descendant in `z`, or a definite non-collider outside
-    `z`.  Marks come from the raw edge objects."""
-    m_left = edge_mark(g, mid, left)
-    m_right = edge_mark(g, mid, right)
+    `z`.  Marks come from the raw edge objects of `adj`."""
+    m_left = edge_mark(adj, mid, left)
+    m_right = edge_mark(adj, mid, right)
     if m_left is Mark.ARROW and m_right is Mark.ARROW:
         return mid in an_z
     if m_left is Mark.TAIL or m_right is Mark.TAIL:
         return mid not in z
-    if m_left is Mark.CIRCLE and m_right is Mark.CIRCLE and g.edge_between(left, right) is None:
+    if m_left is Mark.CIRCLE and m_right is Mark.CIRCLE and right not in adj[left]:
         return mid not in z
     return False
 
@@ -234,6 +252,7 @@ def enumerate_paths(g, x, y, *, possibly_causal=None, causal=None, proper=None,
     mask = {"possibly_causal": possibly_causal, "causal": causal, "proper_wrt_x": proper,
             "definite_status": definite_status}
     found = []
+    adj = edge_table(g)
 
     def extend(path):
         if path[-1] in y and len(path) > 1:
@@ -241,7 +260,7 @@ def enumerate_paths(g, x, y, *, possibly_causal=None, causal=None, proper=None,
             kind = classify(p, x)
             if all(want is None or getattr(kind, k) is want for k, want in mask.items()):
                 found.append(p)
-        for nxt in g._ordered_neighbors[path[-1]]:
+        for nxt in adj[path[-1]]:
             if nxt not in path:
                 extend(path + (nxt,))
 
@@ -254,11 +273,12 @@ def m_connected_enumeration(g, x, y, z):
     """m-connection by its definition: some simple path from `x` to `y` has
     every interior node open given `z`, by depth-first search."""
     an_z = directed_closure(g, frozenset(z), reverse=True)
+    adj = edge_table(g)
 
     def extend(path):
         return path[-1] in y or any(
-            extend(path + (nxt,)) for nxt in g._ordered_neighbors[path[-1]]
-            if nxt not in path and (len(path) < 2 or _triple_open(g, *path[-2:], nxt, z, an_z))
+            extend(path + (nxt,)) for nxt in adj[path[-1]]
+            if nxt not in path and (len(path) < 2 or _triple_open(adj, *path[-2:], nxt, z, an_z))
         )
 
     return any(extend((s,)) for s in x)
@@ -274,20 +294,21 @@ def simple_path_search(g, x, y, z, *, proper=False, require_non_causal=False, sk
     first edges.  Ties are broken by declaration order.
     """
     an_z = directed_closure(g, frozenset(z), reverse=True)
+    adj = edge_table(g)
     queue = deque(((s,), False) for s in g.sort_nodes(x))
     while queue:
         path, non_causal = queue.popleft()
         cur = path[-1]
         if cur in y and len(path) >= 2 and (non_causal or not require_non_causal):
             return path
-        for nxt in g._ordered_neighbors[cur]:
+        for nxt in adj[cur]:
             if nxt in path or (proper and nxt in x):
                 continue
             if len(path) == 1 and skip_first is not None and skip_first(cur, nxt):
                 continue
-            if len(path) >= 2 and not _triple_open(g, path[-2], cur, nxt, z, an_z):
+            if len(path) >= 2 and not _triple_open(adj, path[-2], cur, nxt, z, an_z):
                 continue
-            queue.append((path + (nxt,), non_causal or edge_mark(g, cur, nxt) is Mark.ARROW))
+            queue.append((path + (nxt,), non_causal or edge_mark(adj, cur, nxt) is Mark.ARROW))
     return None
 
 
@@ -299,17 +320,17 @@ def is_visible_dfs(g, e):
         return True
     x = e.tail_node()
     y = e.other(x)
+    adj = edge_table(g)
     pa_y = {tail for tail, head in directed_pairs(g) if head == y}
     for v in g.nodes:
-        if v == y or v == x or g.adjacent(v, y):
+        if v == y or v == x or v in adj[y]:
             continue
         stack = [(v, (v,))]
         while stack:
             cur, path = stack.pop()
-            for w in g.sort_nodes(g.neighbors(cur)):
+            for w, ew in adj[cur].items():
                 if w in path:
                     continue
-                ew = g.edge_between(cur, w)
                 if ew.mark_at(w) is not Mark.ARROW:
                     continue
                 if cur != v and ew.mark_at(cur) is not Mark.ARROW:
@@ -331,20 +352,23 @@ def _directed_edge(e, tail, head):
 
 
 def parents_loop(g, s):
-    return frozenset(w for v in s for w, e in g._adjacency[v].items() if _directed_edge(e, w, v))
+    adj = edge_table(g)
+    return frozenset(w for v in s for w, e in adj[v].items() if _directed_edge(e, w, v))
 
 
 def children_loop(g, s):
-    return frozenset(w for v in s for w, e in g._adjacency[v].items() if _directed_edge(e, v, w))
+    adj = edge_table(g)
+    return frozenset(w for v in s for w, e in adj[v].items() if _directed_edge(e, v, w))
 
 
 def directed_closure(g, s, reverse=False):
     """Reachability along directed edges, into `s` with `reverse`; includes `s`."""
+    adj = edge_table(g)
     seen = set(s)
     stack = list(s)
     while stack:
         v = stack.pop()
-        for w, e in g._adjacency[v].items():
+        for w, e in adj[v].items():
             if w in seen:
                 continue
             near, far = (w, v) if reverse else (v, w)
@@ -355,11 +379,12 @@ def directed_closure(g, s, reverse=False):
 
 
 def possible_descendants_loop(g, s):
+    adj = edge_table(g)
     seen = set(s)
     stack = list(s)
     while stack:
         v = stack.pop()
-        for w, e in g._adjacency[v].items():
+        for w, e in adj[v].items():
             if w not in seen and e.mark_at(v) is not Mark.ARROW:
                 seen.add(w)
                 stack.append(w)
@@ -367,11 +392,12 @@ def possible_descendants_loop(g, s):
 
 
 def possible_ancestors_loop(g, s):
+    adj = edge_table(g)
     seen = set(s)
     stack = list(s)
     while stack:
         v = stack.pop()
-        for w, e in g._adjacency[v].items():
+        for w, e in adj[v].items():
             if w not in seen and e.mark_at(w) is not Mark.ARROW:
                 seen.add(w)
                 stack.append(w)
@@ -380,17 +406,18 @@ def possible_ancestors_loop(g, s):
 
 def _reach_from(g, x, step):
     """Non-X nodes reached from `x` by proper paths whose edges pass `step`."""
+    adj = edge_table(g)
     reach = set()
     queue = deque()
     for s in x:
-        for u in g.neighbors(s):
-            if u not in x and u not in reach and step(g.edge_between(s, u), s, u):
+        for u, e in adj[s].items():
+            if u not in x and u not in reach and step(e, s, u):
                 reach.add(u)
                 queue.append(u)
     while queue:
         v = queue.popleft()
-        for w in g.neighbors(v):
-            if w not in reach and w not in x and step(g.edge_between(v, w), v, w):
+        for w, e in adj[v].items():
+            if w not in reach and w not in x and step(e, v, w):
                 reach.add(w)
                 queue.append(w)
     return frozenset(reach)
@@ -399,12 +426,13 @@ def _reach_from(g, x, step):
 def _reach_to(g, y, avoid, step):
     """Nodes outside `avoid` with a path into `y` outside `avoid` whose
     edges pass `step`."""
+    adj = edge_table(g)
     reach = set(y) - set(avoid)
     queue = deque(reach)
     while queue:
         w = queue.popleft()
-        for v in g.neighbors(w):
-            if v not in reach and v not in avoid and step(g.edge_between(v, w), v, w):
+        for v, e in adj[w].items():
+            if v not in reach and v not in avoid and step(e, v, w):
                 reach.add(v)
                 queue.append(v)
     return frozenset(reach)
@@ -436,9 +464,10 @@ def directed_reach_to(g, y, avoid):
 def require_maximal_subsets(g):
     """Raise NotMaximalError unless every non-adjacent pair is m-separated
     by some subset of the other nodes (all 2^(n-2) subsets tried)."""
+    adj = edge_table(g)
     for i, a in enumerate(g.nodes):
         for b in g.nodes[i + 1:]:
-            if g.adjacent(a, b):
+            if b in adj[a]:
                 continue
             rest = [n for n in g.nodes if n not in (a, b)]
             if not any(
@@ -480,7 +509,7 @@ def satisfies_ac(g, x, y, z):
     x, y, z = frozenset(x), frozenset(y), frozenset(z)
     to_y = directed_reach_to(g, y, x)
     for s in x:
-        for u, e in g._adjacency[s].items():
+        for u, e in edge_table(g)[s].items():
             if u in to_y and _directed_edge(e, s, u) and not is_visible_dfs(g, e):
                 return AdjustmentVerdict(False, "Cond0", amenability_violation(g, x, y))
     bad = z and z & directed_closure(g, directed_reach_from(g, x) & to_y)
@@ -492,6 +521,7 @@ def satisfies_ac(g, x, y, z):
 
 def shortest_directed_path(g, src, dst):
     """Shortest directed path from `src` to `dst`, ties by declaration order."""
+    adj = edge_table(g)
     prev = {src: None}
     queue = deque([src])
     while queue:
@@ -502,8 +532,8 @@ def shortest_directed_path(g, src, dst):
                 path.append(v)
                 v = prev[v]
             return tuple(path[::-1])
-        for w in g.sort_nodes(g.neighbors(v)):
-            if w not in prev and _directed_edge(g.edge_between(v, w), v, w):
+        for w, e in adj[v].items():
+            if w not in prev and _directed_edge(e, v, w):
                 prev[w] = v
                 queue.append(w)
     return None
@@ -514,14 +544,15 @@ def shortest_possibly_directed_path(g, x_node, first, y, avoid):
     entering no node of `avoid`."""
     if first in y:
         return (x_node, first)
+    adj = edge_table(g)
     prev = {first: None}
     queue = deque([first])
     while queue:
         v = queue.popleft()
-        for w in g.sort_nodes(g.neighbors(v)):
+        for w in adj[v]:
             if w in prev or w in avoid or w == x_node:
                 continue
-            if edge_mark(g, v, w) is not Mark.ARROW:
+            if edge_mark(adj, v, w) is not Mark.ARROW:
                 prev[w] = v
                 if w in y:
                     path = [w]
@@ -538,13 +569,14 @@ def amenability_violation(g, x, y):
     in declaration order, whose first edge is not a visible edge out of
     `x`; None if there is none."""
     suffix = possibly_directed_reach_to(g, y, x)
+    adj = edge_table(g)
     found = []
     for x_node in x:
-        for u in g.neighbors(x_node):
-            m = edge_mark(g, x_node, u)
+        for u, e in adj[x_node].items():
+            m = e.mark_at(x_node)
             if u in x or u not in suffix or m is Mark.ARROW:
                 continue
-            if m is Mark.TAIL and is_visible_dfs(g, g.edge_between(x_node, u)):
+            if m is Mark.TAIL and is_visible_dfs(g, e):
                 continue
             found.append(shortest_possibly_directed_path(g, x_node, u, y, x))
     return min(found, key=lambda p: (len(p), [g.node_index[n] for n in p]), default=None)
@@ -560,3 +592,165 @@ def almost_directed_cycle(g):
                 if path:
                     return path
     return None
+
+
+# ------------------------------------------------------- the .cg reference parser
+# The record-per-token tokenizer and the recursive-descent parser that
+# `covadjust.cgtext.parse_document` replaced, unchanged.
+
+_EDGE_OPS = {
+    "->": (Mark.TAIL, Mark.ARROW),
+    "<->": (Mark.ARROW, Mark.ARROW),
+    "o-o": (Mark.CIRCLE, Mark.CIRCLE),
+    "o->": (Mark.CIRCLE, Mark.ARROW),
+    "<-o": (Mark.ARROW, Mark.CIRCLE),
+    "--": (Mark.CIRCLE, Mark.CIRCLE),  # CPDAG alias of o-o
+}
+_RESERVED = {"graph", "query", "dag", "cpdag", "mag", "pag"}
+_TOKEN_RE = re.compile(
+    r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<op><->|o->|<-o|o-o|->|--)"
+    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[{}=,;])"
+)
+
+
+class _Token(_Record):
+    __slots__ = _fields = ("kind", "text", "line", "col")
+
+    def __init__(self, kind: str, text: str, line: int, col: int):
+        _set(self, "kind", kind)  # "op" | "name" | "punct" | "eof"
+        _set(self, "text", text)
+        _set(self, "line", line)
+        _set(self, "col", col)
+
+
+def _tokenize(text: str):
+    tokens = []
+    line, col, pos = 1, 1, 0
+    while pos < len(text):
+        m = _TOKEN_RE.match(text, pos)
+        if m is None:
+            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+        kind = m.lastgroup
+        chunk = m.group()
+        if kind not in ("ws", "comment"):
+            tokens.append(_Token(kind, chunk, line, col))
+        newlines = chunk.count("\n")
+        if newlines:
+            line += newlines
+            col = len(chunk) - chunk.rfind("\n")
+        else:
+            col += len(chunk)
+        pos = m.end()
+    tokens.append(_Token("eof", "", line, col))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.pos = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.pos]
+
+    def take(self, kind=None, text=None, expected=None) -> _Token:
+        tok = self.tokens[self.pos]
+        if (kind and tok.kind != kind) or (text and tok.text != text):
+            raise ParseError(
+                f"unexpected {tok.text!r}" if tok.text else "unexpected end of input",
+                tok.line,
+                tok.col,
+                expected=expected or text or kind,
+            )
+        self.pos += 1
+        return tok
+
+    def take_name(self, expected="a node name") -> _Token:
+        tok = self.take("name", expected=expected)
+        if tok.text in _RESERVED:
+            raise ParseError(f"{tok.text!r} is a reserved word", tok.line, tok.col, expected)
+        return tok
+
+    def parse_document(self) -> GraphDocument:
+        self.take("name", "graph", expected="'graph'")
+        cls_tok = self.take("name", expected="a graph class (dag|cpdag|mag|pag)")
+        try:
+            graph_class = GraphClass(cls_tok.text)
+        except ValueError:
+            raise ParseError(
+                f"unknown graph class {cls_tok.text!r}",
+                cls_tok.line,
+                cls_tok.col,
+                expected="dag|cpdag|mag|pag",
+            ) from None
+        self.take("punct", "{")
+        nodes: list = []
+        edges: list = []
+        seen = set()
+
+        def declare(name):
+            if name not in seen:
+                seen.add(name)
+                nodes.append(name)
+
+        while True:
+            tok = self.peek()
+            if tok.kind == "punct" and tok.text == "}":
+                self.take()
+                break
+            first = self.take_name()
+            declare(first.text)
+            nxt = self.peek()
+            if nxt.kind == "op":
+                op = self.take()
+                if op.text == "--" and graph_class is not GraphClass.CPDAG:
+                    raise MarkNotAllowedError(
+                        f"{op.line}:{op.col}: '--' is only allowed in CPDAG files"
+                    )
+                second = self.take_name()
+                if second.text == first.text:
+                    raise ParseError("self loop", second.line, second.col)
+                declare(second.text)
+                mark_first, mark_second = _EDGE_OPS[op.text]
+                edges.append(Edge(first.text, second.text, mark_first, mark_second))
+        graph = Graph(graph_class, tuple(nodes), frozenset(edges))
+
+        query = None
+        tok = self.peek()
+        if tok.kind == "name" and tok.text == "query":
+            query = self.parse_query()
+        self.take("eof", expected="end of input")
+        return GraphDocument(graph, query)
+
+    def parse_query(self) -> Query:
+        self.take("name", "query")
+        self.take("punct", "{")
+        parts: dict = {}
+        while True:
+            tok = self.peek()
+            if tok.kind == "punct" and tok.text == "}":
+                self.take()
+                break
+            if tok.kind == "punct" and tok.text == ";":
+                self.take()
+                continue
+            key = self.take("name", expected="X, Y or Z")
+            if key.text not in ("X", "Y", "Z"):
+                raise ParseError(
+                    f"unknown query key {key.text!r}", key.line, key.col, expected="X, Y or Z"
+                )
+            if key.text in parts:
+                raise ParseError(f"duplicate query key {key.text}", key.line, key.col)
+            self.take("punct", "=")
+            names = []
+            while self.peek().kind == "name" and self.peek().text not in _RESERVED:
+                names.append(self.take_name().text)
+                if self.peek().kind == "punct" and self.peek().text == ",":
+                    self.take()
+            parts[key.text] = tuple(names)
+        return Query(x=parts.get("X"), y=parts.get("Y"), z=parts.get("Z"))
+
+
+def parse_document_reference(text: str) -> GraphDocument:
+    """Parse a .cg document into a graph and its optional query block."""
+    return _Parser(text).parse_document()

@@ -1,11 +1,16 @@
+import collections
+import random
+
 import pytest
 
 import covadjust as ca
 from covadjust.cgtext import Query
-from covadjust.errors import DuplicateEdgeError, MarkNotAllowedError, ParseError
+from covadjust.errors import DuplicateEdgeError, GraphError, MarkNotAllowedError, ParseError
 from covadjust.graphs import Edge, GraphClass, Mark
 
-from conftest import CORPUS_NAMES
+import oracles
+from conftest import CORPUS_DIR, CORPUS_NAMES
+from oracles import class_graphs
 
 
 def test_parse_minimal_dag():
@@ -121,3 +126,146 @@ def test_serializer_never_emits_reversed_operators():
     g = ca.build_graph(GraphClass.PAG, ["B", "A"], [Edge.partial("B", "A")])
     text = ca.serialize_graph(g)
     assert "<-o" not in text and "B o-> A" in text
+
+
+# ------------------------------------------------- against the reference parser
+
+# Characters the mutations draw from: the format's operators, punctuation,
+# comment and whitespace, name characters, and a few it does not accept.
+MUTATION_ALPHABET = "XYZVAo_9-<>{}=,;# \n\t\rgqdpm~!é"
+
+
+def _outcome(parse, text):
+    """The parsed document, or the error's type, message and position."""
+    try:
+        return parse(text)
+    except GraphError as exc:
+        return (type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "col", None),
+                getattr(exc, "expected", None))
+
+
+def _mutate(rng, text):
+    """`text` with zero to three random single-character inserts, deletes
+    or replaces."""
+    chars = list(text)
+    for _ in range(rng.randint(0, 3)):
+        i = rng.randrange(len(chars) + 1)
+        op = rng.choice(("insert", "delete", "replace")) if i < len(chars) else "insert"
+        if op == "insert":
+            chars.insert(i, rng.choice(MUTATION_ALPHABET))
+        elif op == "delete":
+            del chars[i]
+        else:
+            chars[i] = rng.choice(MUTATION_ALPHABET)
+    return "".join(chars)
+
+
+# Texts that fail: a second edge between A and B, a circle mark in a MAG,
+# the CPDAG-only "--" in a PAG, and each reserved word as a node name.
+REJECTED = [
+    "graph pag { A -> B B <-> A C o-> A }\nquery { X = A; Y = B; Z = }",
+    "graph mag { A -> B\n  B o-> C }",
+    "graph pag { A -> B # comment\n B -- C }",
+    *(f"graph dag {{ A -> {word} }}" for word in ("graph", "query", "dag", "cpdag", "mag", "pag")),
+]
+
+
+def _seed_texts():
+    texts = [(CORPUS_DIR / f"{name}.cg").read_text(encoding="utf-8") for name in CORPUS_NAMES]
+    texts += REJECTED
+    for cls, count in (("dag", 30), ("cpdag", 20), ("mag", 25), ("pag", 12)):
+        for g in class_graphs(cls, 1, count):
+            names = g.nodes
+            query = Query(x=names[:1], y=names[1:2], z=names[2:3] if len(g.edges) % 2 else ())
+            texts.append(ca.serialize_graph(g, query if len(g.edges) % 3 else None))
+    return texts
+
+
+def test_parser_agrees_with_reference_on_mutated_texts():
+    rng = random.Random(2015)
+    texts = _seed_texts()
+    kinds = collections.Counter()
+    mismatches = []
+    for i in range(20_000):
+        text = _mutate(rng, texts[i % len(texts)])
+        got = _outcome(ca.parse_document, text)
+        want = _outcome(oracles.parse_document_reference, text)
+        if got != want:
+            mismatches.append((text, got, want))
+        kinds[want[0].__name__ if isinstance(want, tuple) else "parsed"] += 1
+    assert mismatches == []
+    # the mutations reach the documents and every kind of rejection
+    assert kinds["parsed"] >= 5_000 and kinds["ParseError"] >= 5_000
+    for error in ("MarkNotAllowedError", "DuplicateEdgeError"):
+        assert kinds[error] >= 50, kinds
+
+
+# ------------------------------------------------------------ round trip
+
+
+def _random_name(rng, taken):
+    first = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_"
+    rest = first + "0123456789"
+    while True:
+        name = rng.choice(first) + "".join(rng.choice(rest) for _ in range(rng.randint(0, 5)))
+        if name not in taken and name not in ("graph", "query", "dag", "cpdag", "mag", "pag"):
+            taken.add(name)
+            return name
+
+
+def _gap(rng):
+    """Whitespace, sometimes with a comment, between two tokens."""
+    return rng.choice([" ", "  ", "\n", "\t", " \n\t ", " # note -> X { }\n", "#\n"])
+
+
+def _statement(rng, e, cls):
+    """The edge as a statement, written from either end where an operator exists."""
+    a, b, ma, mb = e.a, e.b, e.mark_a, e.mark_b
+    if rng.random() < 0.5:
+        a, b, ma, mb = b, a, mb, ma
+    ops = {(Mark.TAIL, Mark.ARROW): ["->"], (Mark.ARROW, Mark.ARROW): ["<->"],
+           (Mark.CIRCLE, Mark.CIRCLE): ["o-o", "--"] if cls is GraphClass.CPDAG else ["o-o"],
+           (Mark.CIRCLE, Mark.ARROW): ["o->"], (Mark.ARROW, Mark.CIRCLE): ["<-o"]}
+    if (ma, mb) not in ops:  # only a -> b is written from its tail
+        a, b, ma, mb = b, a, mb, ma
+    return [a, rng.choice(ops[(ma, mb)]), b]
+
+
+@pytest.mark.parametrize("cls", ["dag", "cpdag", "mag", "pag"])
+def test_round_trip_on_random_texts(cls):
+    """Random names, statement order, whitespace, comments and query block:
+    the parse is the graph written, and serializing is a fixed point."""
+    rng = random.Random(f"round-trip-{cls}")
+    for source in class_graphs(cls, 1, 12):
+        taken = set()
+        rename = {v: _random_name(rng, taken) for v in source.nodes}
+        edges = [Edge(rename[e.a], rename[e.b], e.mark_a, e.mark_b) for e in source.edges]
+        statements = [[rename[v]] for v in source.nodes if rng.random() < 0.5]
+        statements += [_statement(rng, e, source.graph_class) for e in edges]
+        statements += [[rename[v]] for v in source.nodes]  # every node is mentioned
+        rng.shuffle(statements)
+        tokens = ["graph", cls, "{"] + [t for st in statements for t in st] + ["}"]
+        order = list(dict.fromkeys(t for st in statements for t in st[::2]))
+        query = None
+        if rng.random() < 0.7:
+            names = list(order)
+            rng.shuffle(names)
+            k = rng.randint(1, len(names) - 2)
+            query = Query(x=tuple(names[:k]), y=tuple(names[k:k + 1]),
+                          z=rng.choice([None, (), tuple(names[k + 1:])]))
+            # a ";" ends each part, except that the last may end at the "}"
+            parts = [[key, "=", *", ".join(value).split(), ";"]
+                     for key, value in (("X", query.x), ("Y", query.y), ("Z", query.z))
+                     if value is not None]
+            rng.shuffle(parts)
+            if rng.random() < 0.5:
+                parts[-1].pop()
+            tokens += ["query", "{", *(t for part in parts for t in part), "}"]
+        text = _gap(rng) + "".join(t + _gap(rng) for t in tokens)
+        doc = ca.parse_document(text)
+        assert doc.graph == ca.Graph(source.graph_class, tuple(order), frozenset(edges))
+        assert doc.query == query
+        canonical = ca.serialize_document(doc)
+        again = ca.parse_document(canonical)
+        assert again == doc
+        assert ca.serialize_document(again) == canonical

@@ -97,6 +97,15 @@ def test_missing_file_exit_code(capsys):
     assert code == 2
 
 
+def test_non_utf8_file_is_unreadable_input(tmp_path, capsys):
+    bad = tmp_path / "latin1.cg"
+    bad.write_bytes(b"\xff graph dag { X -> Y }")
+    code, payload, err = run(capsys, "check", "--graph", str(bad))
+    assert code == 2
+    assert payload["error"]["type"] == "UnicodeDecodeError"
+    assert "position 0" in payload["error"]["message"] and err
+
+
 def test_cap_exceeded_exit_code(capsys):
     code, payload, _ = run(
         capsys, "check", "--graph", corpus_path("fig1a"), "--max-nodes", "3"

@@ -8,11 +8,20 @@ from covadjust.errors import (
     EmptyXOrYError,
     NotDirectedEdgeError,
     SetsNotDisjointError,
+    UnknownNodeError,
 )
-from covadjust.graphs import Mark
+from covadjust.graphs import Edge, Graph, Mark
 
 import oracles
-from oracles import cpdag_of, enumerate_paths, pag_of, random_dag, small_queries
+from oracles import (
+    class_graphs,
+    cpdag_of,
+    directed_pairs,
+    enumerate_paths,
+    pag_of,
+    random_dag,
+    small_queries,
+)
 
 
 def gac(g, x, y, z=()):
@@ -29,8 +38,8 @@ def forbidden_reference(g, x, y):
 
 def amenable_reference(g, x, y):
     for p in enumerate_paths(g, x, y, proper=True, possibly_causal=True):
-        first = g.edge_between(p.nodes[0], p.nodes[1])
-        if g.mark_at(p.nodes[0], p.nodes[1]) is not Mark.TAIL or not ca.is_visible(g, first):
+        tail, head = p.nodes[:2]
+        if g.mark_at(tail, head) is not Mark.TAIL or not ca.is_visible(g, tail, head):
             return False
     return True
 
@@ -39,49 +48,52 @@ def amenable_reference(g, x, y):
 
 def test_visible_direct_configuration(corpus):
     g = corpus("fig2-left").graph
-    assert ca.is_visible(g, g.edge_between("X", "Y"))
+    assert ca.is_visible(g, "X", "Y")
 
 
 def test_visible_collider_path_configuration(corpus):
     g = corpus("fig2-right").graph
-    assert ca.is_visible(g, g.edge_between("X", "Y"))
+    assert ca.is_visible(g, "X", "Y")
 
 
 def test_invisible_edge_in_mag(corpus):
     g = corpus("fig3b").graph
-    assert not ca.is_visible(g, g.edge_between("X", "Y"))
+    assert not ca.is_visible(g, "X", "Y")
 
 
 def test_visible_edges_in_amenable_mag(corpus):
     g = corpus("fig3c").graph
-    assert ca.is_visible(g, g.edge_between("X", "Y"))
-    assert ca.is_visible(g, g.edge_between("X", "V2"))
+    assert ca.is_visible(g, "X", "Y")
+    assert ca.is_visible(g, "X", "V2")
 
 
 def test_dag_and_cpdag_edges_visible_by_fiat(corpus):
     g = corpus("fig1a").graph
-    assert ca.is_visible(g, g.edge_between("X", "Y"))
+    assert ca.is_visible(g, "X", "Y")
 
 
 def test_is_visible_requires_directed_edge():
-    g = ca.parse_graph("graph mag { X <-> Y }")
-    with pytest.raises(NotDirectedEdgeError):
-        ca.is_visible(g, g.edge_between("X", "Y"))
+    g = ca.parse_graph("graph mag { X <-> Y  Y -> Z }")
+    for x, y in (("X", "Y"), ("Y", "X"), ("Z", "Y"), ("X", "Z")):
+        with pytest.raises(NotDirectedEdgeError):
+            ca.is_visible(g, x, y)
+    for cls in ("dag", "cpdag"):  # no shortcut past the edge check
+        with pytest.raises(NotDirectedEdgeError):
+            ca.is_visible(ca.parse_graph(f"graph {cls} {{ X -> Y }}"), "Y", "X")
+    for x, y in (("X", "Q"), ("Q", "Y")):
+        with pytest.raises(UnknownNodeError):
+            ca.is_visible(g, x, y)
 
 
 def test_visible_edges_stay_visible_in_every_member(corpus):
     for name in ("fig2-left", "fig2-right", "fig4a", "fig4b"):
         p = corpus(name).graph
-        visible = [
-            e for e in p.edges if e.is_directed() and ca.is_visible(p, e)
-        ]
+        visible = [(t, h) for t, h in directed_pairs(p) if ca.is_visible(p, t, h)]
         assert visible
         for member in ca.enumerate_mags(p).members:
-            for e in visible:
-                tail = e.tail_node()
-                member_edge = member.edge_between(e.a, e.b)
-                assert member_edge.is_directed() and member_edge.tail_node() == tail
-                assert ca.is_visible(member, member_edge)
+            for tail, head in visible:
+                assert member.mark_at(tail, head) is Mark.TAIL
+                assert ca.is_visible(member, tail, head)
 
 
 # --------------------------------------------------------------- amenability
@@ -392,3 +404,40 @@ def test_possibly_directed_closure_computed_once_per_decision(corpus, monkeypatc
         calls.clear()
         ca.list_adjustment_sets(g, x, y)
         assert len(calls) == 1, name
+
+
+# ------------------------------------------------------ names and node order
+
+
+@pytest.mark.parametrize("cls,count", [("dag", 30), ("cpdag", 20), ("mag", 25), ("pag", 12)])
+def test_decisions_ignore_names_and_declaration_order(cls, count):
+    """Renaming the nodes and permuting their declaration order changes no
+    verdict, amenability, forbidden set or set of listed adjustment sets."""
+    rng = random.Random(f"rename-{cls}")
+    pool = [f"{a}{b}" for a in "PQRSTUVW_" for b in ("", "0", "x", "_9")]
+    outcomes = set()
+    for g in class_graphs(cls, 1, count):
+        rename = dict(zip(g.nodes, rng.sample(pool, len(g.nodes))))
+        order = list(g.nodes)
+        rng.shuffle(order)
+        h = Graph(g.graph_class, tuple(rename[v] for v in order),
+                  frozenset(Edge(rename[e.a], rename[e.b], e.mark_a, e.mark_b) for e in g.edges))
+
+        def moved(nodes):
+            return frozenset(rename[v] for v in nodes)
+
+        for _ in range(6):
+            names = list(g.nodes)
+            rng.shuffle(names)
+            k = 2 if len(names) > 3 and rng.random() < 0.3 else 1
+            x, y = frozenset(names[:k]), frozenset(names[k:k + 1])
+            z = frozenset(v for v in names[k + 1:] if rng.random() < 0.4)
+            v = gac(g, x, y, z)
+            w = gac(h, moved(x), moved(y), moved(z))
+            assert (v.passed, v.failed_condition) == (w.passed, w.failed_condition)
+            outcomes.add(v.failed_condition)
+            assert ca.is_amenable(g, x, y) == ca.is_amenable(h, moved(x), moved(y))
+            assert moved(ca.forbidden_set(g, x, y)) == ca.forbidden_set(h, moved(x), moved(y))
+            assert ({moved(s) for s in ca.list_adjustment_sets(g, x, y)}
+                    == set(ca.list_adjustment_sets(h, moved(x), moved(y))))
+    assert len(outcomes) >= 3

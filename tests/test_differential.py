@@ -68,9 +68,8 @@ def _check_witness(g, witness, x, z, *, gac):
 
 def _visible_first_edge(g):
     def exempt(start, first):
-        e = g.edge_between(start, first)
-        return (g.mark_at(start, first) is Mark.TAIL and e.mark_at(first) is Mark.ARROW
-                and criteria.is_visible(g, e))
+        return (g.mark_at(start, first) is Mark.TAIL and g.mark_at(first, start) is Mark.ARROW
+                and criteria.is_visible(g, start, first))
     return exempt
 
 
@@ -155,10 +154,9 @@ def test_list_agrees_with_simple_path_search(cls):
 def test_is_visible_agrees_with_collider_path_dfs():
     seen = []
     for g in GRAPHS["mag"] + GRAPHS["pag"]:
-        for e in g.edges:
-            if e.is_directed():
-                seen.append(criteria.is_visible(g, e))
-                assert seen[-1] == is_visible_dfs(g, e)
+        for tail, head in directed_pairs(g):
+            seen.append(criteria.is_visible(g, tail, head))
+            assert seen[-1] == is_visible_dfs(g, Edge.directed(tail, head))
     # visibility is a local definition, so any mixed graph will do
     rng = random.Random(7)
     makers = [Edge.directed, lambda a, b: Edge.directed(b, a), Edge.bidirected,
@@ -168,10 +166,9 @@ def test_is_visible_agrees_with_collider_path_dfs():
         edges = [rng.choice(makers)(a, b) for a, b in itertools.combinations(names, 2)
                  if rng.random() < 0.5]
         g = Graph(GraphClass.PAG, names, frozenset(edges))
-        for e in g.edges:
-            if e.is_directed():
-                seen.append(criteria.is_visible(g, e))
-                assert seen[-1] == is_visible_dfs(g, e)
+        for tail, head in directed_pairs(g):
+            seen.append(criteria.is_visible(g, tail, head))
+            assert seen[-1] == is_visible_dfs(g, Edge.directed(tail, head))
     assert seen.count(True) >= 100 and seen.count(False) >= 100
 
 
@@ -181,12 +178,11 @@ def test_is_visible_through_bidirected_chain_of_parents():
     g = ca.parse_graph(
         "graph mag { V -> W1 W1 <-> W2 W2 <-> X W1 -> Y W2 -> Y X -> Y }"
     )
-    e = g.edge_between("X", "Y")
-    assert criteria.is_visible(g, e) and is_visible_dfs(g, e)
+    e = Edge.directed("X", "Y")
+    assert criteria.is_visible(g, "X", "Y") and is_visible_dfs(g, e)
     # W2 <-> Y instead of W2 -> Y breaks the chain
     cut = ca.parse_graph("graph mag { V -> W1 W1 <-> W2 W2 <-> X W1 -> Y W2 <-> Y X -> Y }")
-    e = cut.edge_between("X", "Y")
-    assert not criteria.is_visible(cut, e) and not is_visible_dfs(cut, e)
+    assert not criteria.is_visible(cut, "X", "Y") and not is_visible_dfs(cut, e)
 
 
 @pytest.mark.parametrize("cls", sorted(GRAPHS))

@@ -15,7 +15,7 @@ import random
 import pytest
 
 import covadjust as ca
-from covadjust import criteria, graphs
+from covadjust import criteria, graphs, mec
 from covadjust.cli import run_command
 from covadjust.errors import (
     AlmostDirectedCycleError,
@@ -50,9 +50,12 @@ def test_mark_table_matches_edge_objects(cls):
         assert set(g._marks) == set(g.nodes)
         for e in g.edges:
             for v, w in ((e.a, e.b), (e.b, e.a)):
-                assert g._marks[v][w] is g.edge_between(v, w).mark_at(v)
+                assert g._marks[v][w] is e.mark_at(v)
                 assert g.mark_at(v, w) is e.mark_at(v)
+                assert g.edge_between(v, w) == e
         assert sum(len(row) for row in g._marks.values()) == 2 * len(g.edges)
+        for v, w in itertools.combinations(g.nodes, 2):
+            assert (g.edge_between(v, w) is None) == (w not in oracles.edge_table(g)[v])
 
 
 def test_non_edges_and_unknown_nodes_still_raise():
@@ -174,21 +177,35 @@ def test_latent_project_agrees_with_subset_search():
     assert bidirected >= 10
 
 
+def _chain(graph_class, make, n, *extra):
+    """Nodes N0..N(n-1) joined in a chain by `make(a, b)` edges, plus `extra`."""
+    names = tuple(f"N{i}" for i in range(n))
+    edges = [make(a, b) for a, b in zip(names, names[1:])]
+    return Graph(graph_class, names, frozenset([*edges, *extra]))
+
+
+# One over each fixed cap: 13 nodes, 21 undirected edges, and 8 o-o edges
+# closed into a cycle by one o-> edge (17 circle marks).
 CAP_CASES = [
     ("fingerprint_nodes", 12, 13,
      lambda: ca.separation_fingerprint(Graph(GraphClass.DAG, tuple(f"N{i}" for i in range(13)),
                                              frozenset()))),
-    ("undirected_edges", 1, 2,
-     lambda: ca.enumerate_dags(ca.parse_graph("graph cpdag { A -- B B -- C }"),
-                               max_undirected=1)),
-    ("circle_marks", 3, 4,
-     lambda: ca.enumerate_mags(ca.parse_graph("graph pag { A o-o B B o-o C }"),
-                               max_circle_marks=3)),
+    ("undirected_edges", 20, 21,
+     lambda: ca.enumerate_dags(_chain(GraphClass.CPDAG, Edge.undirected, 22))),
+    ("circle_marks", 16, 17,
+     lambda: ca.enumerate_mags(_chain(GraphClass.PAG, Edge.undirected, 9,
+                                      Edge.partial("N0", "N8")))),
 ]
 
 
 @pytest.mark.parametrize("cap,limit,required,call", CAP_CASES, ids=[c[0] for c in CAP_CASES])
-def test_cap_errors_carry_the_cap(cap, limit, required, call):
+def test_cap_errors_carry_the_cap(cap, limit, required, call, monkeypatch):
+    def enumerating(*args):
+        raise AssertionError("enumeration started before the cap was checked")
+
+    # every candidate member is a `mec.Graph`, every fingerprint entry an `_open_walk`
+    monkeypatch.setattr(mec, "Graph", enumerating)
+    monkeypatch.setattr(mec, "_open_walk", enumerating)
     with pytest.raises(SizeCapExceededError) as info:
         call()
     assert (info.value.cap, info.value.limit, info.value.required) == (cap, limit, required)
@@ -227,7 +244,7 @@ def _guard_graph(cls):
 
 def test_decisions_read_the_mark_table_only(monkeypatch):
     cases = [(cls, *_guard_graph(cls)) for cls in CLASSES]
-    counts = {"mark_at": 0, "neighbors": 0, "sort_nodes": 0}
+    counts = {"mark_at": 0, "neighbors": 0, "sort_nodes": 0, "edge_between": 0, "Edge": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -238,6 +255,9 @@ def test_decisions_read_the_mark_table_only(monkeypatch):
     monkeypatch.setattr(graphs.Edge, "mark_at", counted("mark_at", graphs.Edge.mark_at))
     monkeypatch.setattr(graphs.Graph, "neighbors", counted("neighbors", graphs.Graph.neighbors))
     monkeypatch.setattr(graphs.Graph, "sort_nodes", counted("sort_nodes", graphs.Graph.sort_nodes))
+    monkeypatch.setattr(graphs.Graph, "edge_between",
+                        counted("edge_between", graphs.Graph.edge_between))
+    monkeypatch.setattr(graphs.Edge, "__init__", counted("Edge", graphs.Edge.__init__))
     rng = random.Random(25)
     decisions = 0
     failed = set()
@@ -260,5 +280,7 @@ def test_decisions_read_the_mark_table_only(monkeypatch):
                 closure(g, y)
     assert counts["mark_at"] == 0
     assert counts["neighbors"] == 0
+    assert counts["edge_between"] == 0
+    assert counts["Edge"] == 0
     assert counts["sort_nodes"] <= 2 * decisions
     assert all((cls, "Cond2") in failed for cls in CLASSES)

@@ -233,7 +233,7 @@ def test_confounded_direct_edge_projects_to_invisible_directed_edge():
     )
     m = ca.latent_project(d, {"X", "Y"})
     assert edge_set(m) == frozenset({Edge.directed("X", "Y")})
-    assert not ca.is_visible(m, m.edge_between("X", "Y"))
+    assert not ca.is_visible(m, "X", "Y")
 
 
 def test_projection_preserves_observed_separations():

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import covadjust as ca
-from covadjust.cgtext import GraphDocument, Query, _Token, _tokenize
+from covadjust.cgtext import GraphDocument, Query
 from covadjust.criteria import AdjustmentQuery, AdjustmentVerdict
 from covadjust.errors import (
     ClassMismatchError,
@@ -49,8 +49,6 @@ def _records():
         (Query(x=("X",), z=()), Query(("X",), None, ()), "Query(x=('X',), y=None, z=())"),
         (ca.parse_document(doc), ca.parse_document(doc),
          f"GraphDocument(graph={GRAPH_AB}, query=Query(x=('A',), y=('B',), z=None))"),
-        (_tokenize("A -> B")[1], _Token("op", "->", 1, 3),
-         "_Token(kind='op', text='->', line=1, col=3)"),
         (AdjustmentQuery(g, {"A"}, {"B"}), AdjustmentQuery(_graph(), "A", ["B"], ()),
          f"AdjustmentQuery(graph={GRAPH_AB}, x=frozenset({{'A'}}), y=frozenset({{'B'}}), "
          "z=frozenset())"),
@@ -79,7 +77,6 @@ FIELDS = {
     "Graph": ("graph_class", "nodes", "edges"),
     "Query": ("x", "y", "z"),
     "GraphDocument": ("graph", "query"),
-    "_Token": ("kind", "text", "line", "col"),
     "AdjustmentQuery": ("graph", "x", "y", "z"),
     "AdjustmentVerdict": ("passed", "failed_condition", "witness"),
     "Path": ("graph", "nodes"),

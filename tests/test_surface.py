@@ -4,6 +4,7 @@ library, so it is loaded here by path."""
 
 import importlib
 import importlib.util
+import inspect
 
 import covadjust as ca
 
@@ -34,9 +35,18 @@ def test_exported_names_resolve():
 
 
 def test_removed_names_stay_removed():
-    from covadjust import criteria, paths
+    from covadjust import cgtext, criteria, paths
 
     for name, module in (("enumerate_paths", paths), ("separating_sets", paths),
-                         ("satisfies_ac", criteria)):
+                         ("satisfies_ac", criteria), ("_Token", cgtext), ("_tokenize", cgtext),
+                         ("_Parser", cgtext), ("_NAME_RE", cgtext)):
         assert name not in ca.__all__
         assert not hasattr(ca, name) and not hasattr(module, name)
+    assert not hasattr(ca.Graph, "_adjacency")
+
+
+def test_enumeration_caps_are_fixed():
+    for fn in (ca.enumerate_dags, ca.enumerate_mags, ca.separation_fingerprint,
+               ca.markov_equivalent, ca.validate_graph, ca.build_graph):
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params), fn.__name__
