@@ -215,19 +215,13 @@ class Graph(_Record):
         if len(marks) != len(nodes):
             dup = sorted({n for n in nodes if nodes.count(n) > 1})
             raise DuplicateEdgeError(f"duplicate node declaration: {', '.join(dup)}")
-        allowed = _ALLOWED_MARKS[graph_class]
-        for e in edges:
-            a, b = e.a, e.b
-            if a not in marks or b not in marks:
-                raise UnknownNodeError(f"edge endpoint not declared: {a}-{b}")
-            if b in marks[a]:
-                raise DuplicateEdgeError(f"more than one edge between {a} and {b}")
-            if (e.mark_a, e.mark_b) not in allowed:
-                raise MarkNotAllowedError(
-                    f"edge {a} {_edge_glyph(e)} {b} not allowed in a {graph_class.value}"
-                )
-            marks[a][b] = e.mark_a
-            marks[b][a] = e.mark_b
+        try:
+            _fill_marks(marks, edges, graph_class)
+        except (UnknownNodeError, DuplicateEdgeError, MarkNotAllowedError):
+            # set order follows the string hashes: report the first fault in name order
+            by_name = sorted(edges, key=lambda e: (e.a, e.b, e.mark_a.value, e.mark_b.value))
+            _fill_marks({n: {} for n in nodes}, by_name, graph_class)
+            raise
         _set(self, "_marks", marks)
 
     @cached_property
@@ -267,6 +261,23 @@ class Graph(_Record):
         for n in nodes:
             if n not in self.node_index:
                 raise UnknownNodeError(f"unknown node: {n}")
+
+
+def _fill_marks(marks: dict, edges, graph_class: GraphClass) -> None:
+    """Enter each edge's marks in `marks`; raise on the first faulty edge."""
+    allowed = _ALLOWED_MARKS[graph_class]
+    for e in edges:
+        a, b = e.a, e.b
+        if a not in marks or b not in marks:
+            raise UnknownNodeError(f"edge endpoint not declared: {a}-{b}")
+        if b in marks[a]:
+            raise DuplicateEdgeError(f"more than one edge between {a} and {b}")
+        if (e.mark_a, e.mark_b) not in allowed:
+            raise MarkNotAllowedError(
+                f"edge {a} {_edge_glyph(e)} {b} not allowed in a {graph_class.value}"
+            )
+        marks[a][b] = e.mark_a
+        marks[b][a] = e.mark_b
 
 
 def _edge_glyph(e: Edge) -> str:
@@ -462,8 +473,9 @@ def validate_graph(g: Graph) -> None:
 
     DAG: no directed cycles.  MAG: ancestral and maximal.  CPDAG and PAG:
     validated by the equivalence-class round trip (enumerate members and
-    require their mark union to reproduce the input).  Raises the specific
-    error naming the violated invariant, with a witness where one exists.
+    require their mark union to reproduce the input; a CPDAG's directed
+    edges must also be covered in no member).  Raises the specific error
+    naming the violated invariant, with a witness where one exists.
     """
     if g.graph_class is GraphClass.DAG:
         cycle = _find_directed_cycle(g)

@@ -1,14 +1,13 @@
 """Markov equivalence classes: enumeration, union representatives,
 equivalence testing and latent projection.
 
-A CPDAG describes the class of DAGs sharing its skeleton and unshielded
-colliders; a PAG describes a class of Markov equivalent MAGs.  Members
-are recovered by orienting the circle marks of the representative and
-keeping the assignments that reproduce the class; the representative is
-recovered from members as the per-endpoint mark union (circle wherever
-members disagree).  Class enumeration is exact brute force at desk
-scale: equivalence is decided by comparing complete m-separation
-fingerprints.  Latent projection takes one d-separation search per pair.
+A CPDAG represents a class of DAGs, a PAG a class of MAGs.  One brute-force
+search, `_class_members`, orients the circle marks of either and keeps
+the class; the representative is the members' per-endpoint mark union
+(circle wherever members disagree).  Two DAGs are equivalent iff they
+share skeleton and unshielded colliders (Verma & Pearl 1990); two MAGs
+iff their m-separation fingerprints agree.  Latent projection takes one
+d-separation search per pair.
 """
 
 from __future__ import annotations
@@ -33,6 +32,7 @@ from .graphs import (
     Graph,
     GraphClass,
     Mark,
+    _ALLOWED_MARKS,
     _find_directed_cycle,
     _reach,
     _Record,
@@ -44,6 +44,14 @@ from .paths import _open_walk, require_maximal
 DEFAULT_ORIENTATION_CAP = 20  # undirected edges in a CPDAG -> DAG search
 DEFAULT_MARK_SLOT_CAP = 16  # circle marks in a PAG -> MAG search
 DEFAULT_FINGERPRINT_NODE_CAP = 12
+
+# member class -> (representative class, its error, cap name, cap limit,
+# circle marks per unit the cap counts: two per CPDAG undirected edge)
+_SEARCHES = {
+    GraphClass.DAG: (GraphClass.CPDAG, InvalidCpdagError, "undirected_edges",
+                     DEFAULT_ORIENTATION_CAP, 2),
+    GraphClass.MAG: (GraphClass.PAG, InvalidPagError, "circle_marks", DEFAULT_MARK_SLOT_CAP, 1),
+}
 
 
 class EquivalenceClass(_Record):
@@ -64,14 +72,11 @@ class EquivalenceClass(_Record):
 
 def unshielded_colliders(g: Graph) -> frozenset:
     """Triples (a, m, b), a < b, with arrowheads at m from both non-adjacent sides."""
+    marks = g._marks
     out = set()
-    for m in g.nodes:
-        nbrs = sorted(g.neighbors(m))
-        for a, b in itertools.combinations(nbrs, 2):
-            if g.adjacent(a, b):
-                continue
-            if g.mark_at(m, a) is Mark.ARROW and g.mark_at(m, b) is Mark.ARROW:
-                out.add((a, m, b))
+    for m, row in marks.items():
+        into = sorted(w for w, mark in row.items() if mark is Mark.ARROW)
+        out.update((a, m, b) for a, b in itertools.combinations(into, 2) if b not in marks[a])
     return frozenset(out)
 
 
@@ -86,6 +91,8 @@ def separation_fingerprint(g: Graph) -> frozenset:
     out = set()
     names = sorted(g.nodes)
     for a, b in itertools.combinations(names, 2):
+        if g.adjacent(a, b):
+            continue  # no set separates an edge's endpoints
         rest = [n for n in names if n not in (a, b)]
         for r in range(len(rest) + 1):
             for z in itertools.combinations(rest, r):
@@ -94,20 +101,25 @@ def separation_fingerprint(g: Graph) -> frozenset:
     return frozenset(out)
 
 
+def _skeleton(g: Graph) -> frozenset:
+    return frozenset((e.a, e.b) for e in g.edges)
+
+
+def _equivalence_key(g: Graph):
+    """Equal for two DAGs, or two MAGs, iff they are Markov equivalent: skeleton
+    and unshielded colliders for DAGs, the separation fingerprint for MAGs."""
+    if g.graph_class is GraphClass.DAG:
+        return _skeleton(g), unshielded_colliders(g)
+    return separation_fingerprint(g)
+
+
 def markov_equivalent(g1: Graph, g2: Graph) -> bool:
     """Whether two DAGs (or two MAGs) encode identical m-separations."""
     if set(g1.nodes) != set(g2.nodes):
         raise NodeSetMismatchError("graphs are over different node sets")
-    if g1.graph_class is not g2.graph_class or g1.graph_class not in (
-        GraphClass.DAG,
-        GraphClass.MAG,
-    ):
+    if g1.graph_class is not g2.graph_class or g1.graph_class not in _SEARCHES:
         raise ClassMismatchError("markov_equivalent compares two DAGs or two MAGs")
-    return separation_fingerprint(g1) == separation_fingerprint(g2)
-
-
-def _skeleton(g: Graph) -> frozenset:
-    return frozenset((e.a, e.b) for e in g.edges)
+    return _equivalence_key(g1) == _equivalence_key(g2)
 
 
 def _mark_union(members, graph_class: GraphClass, nodes) -> Graph:
@@ -131,11 +143,7 @@ def union_representative(members) -> Graph:
     if not members:
         raise NotEquivalentError("no members given")
     classes = {m.graph_class for m in members}
-    if classes == {GraphClass.DAG}:
-        out_class = GraphClass.CPDAG
-    elif classes == {GraphClass.MAG}:
-        out_class = GraphClass.PAG
-    else:
+    if len(classes) > 1 or not classes <= _SEARCHES.keys():
         raise ClassMismatchError("members must be all DAGs or all MAGs")
     skel = _skeleton(members[0])
     for m in members[1:]:
@@ -143,120 +151,88 @@ def union_representative(members) -> Graph:
             raise NodeSetMismatchError("members are over different node sets")
         if _skeleton(m) != skel:
             raise SkeletonMismatchError("members differ in skeleton")
-    fingerprints = {separation_fingerprint(m) for m in members}
-    if len(fingerprints) > 1:
+    if len({_equivalence_key(m) for m in members}) > 1:
         raise NotEquivalentError("members are not Markov equivalent")
-    return _mark_union(members, out_class, members[0].nodes)
+    return _mark_union(members, _SEARCHES[classes.pop()][0], members[0].nodes)
 
 
-def enumerate_dags(c: Graph) -> EquivalenceClass:
-    """All DAGs in the class of a CPDAG.
+def _class_members(rep: Graph, member_class: GraphClass) -> tuple:
+    """The members of the class `rep` represents, in candidate order.
 
-    Orients every undirected edge both ways and keeps the acyclic results
-    with unchanged unshielded colliders; the mark union of the survivors
-    must reproduce the input, otherwise the input is not a valid CPDAG.
+    Every circle mark becomes a tail or an arrowhead, edges taken in
+    declaration order, and an edge is kept when the member class allows
+    its marks.  Candidates that keep the unshielded colliders of `rep`
+    (invariant in a class, and arrowheaded in its union) and are ancestral
+    are grouped by `_equivalence_key`.  The one group whose mark union is
+    `rep` is the class; none, several, or a non-maximal group rejects `rep`.
     """
-    if c.graph_class is GraphClass.DAG:
-        return EquivalenceClass(c, (c,))
-    if c.graph_class is not GraphClass.CPDAG:
-        raise ClassMismatchError("enumerate_dags expects a CPDAG")
-    cap = DEFAULT_ORIENTATION_CAP
-    undirected = sorted(
-        (e for e in c.edges if not e.is_directed()),
-        key=lambda e: (c.node_index[e.a], c.node_index[e.b]),
-    )
-    if len(undirected) > cap:
+    rep_class, error, cap, limit, per_unit = _SEARCHES[member_class]
+    edges = sorted(rep.edges, key=lambda e: (rep.node_index[e.a], rep.node_index[e.b]))
+    required = sum((e.mark_a is Mark.CIRCLE) + (e.mark_b is Mark.CIRCLE) for e in edges) // per_unit
+    if required > limit:
         raise SizeCapExceededError(
-            f"{len(undirected)} undirected edges exceeds the cap of {cap}",
-            cap="undirected_edges", limit=cap, required=len(undirected),
+            f"{required} {cap.replace('_', ' ')} exceeds the cap of {limit}",
+            cap=cap, limit=limit, required=required,
         )
-    base = [e for e in c.edges if e.is_directed()]
-    target_colliders = unshielded_colliders(c)
-    members = []
-    for bits in itertools.product((0, 1), repeat=len(undirected)):
-        edges = list(base)
-        for bit, e in zip(bits, undirected):
-            edges.append(Edge.directed(e.a, e.b) if bit == 0 else Edge.directed(e.b, e.a))
-        candidate = Graph(GraphClass.DAG, c.nodes, frozenset(edges))
-        if _find_directed_cycle(candidate) is not None:
-            continue
-        if unshielded_colliders(candidate) != target_colliders:
-            continue
-        members.append(candidate)
-    if not members:
-        raise InvalidCpdagError("no acyclic orientation preserves the unshielded colliders")
-    if _mark_union(members, GraphClass.CPDAG, c.nodes) != c:
-        raise InvalidCpdagError("mark union of the oriented class differs from the input")
-    return EquivalenceClass(c, tuple(members))
+    allowed = _ALLOWED_MARKS[member_class]
 
+    def choices(e):
+        ends = [(Mark.TAIL, Mark.ARROW) if m is Mark.CIRCLE else (m,) for m in (e.mark_a, e.mark_b)]
+        return [Edge(e.a, e.b, *marks) for marks in itertools.product(*ends) if marks in allowed]
 
-def enumerate_mags(p: Graph) -> EquivalenceClass:
-    """All MAGs in the class of a PAG.
-
-    Every circle mark is assigned a tail or an arrowhead (tail-tail edges
-    are excluded: no selection variables).  Ancestral candidates are
-    grouped by separation fingerprint; the group whose mark union equals
-    the input is the class.  No such group, an ambiguous union, or a
-    non-maximal result rejects the input as an invalid PAG.
-    """
-    if p.graph_class is GraphClass.MAG:
-        return EquivalenceClass(p, (p,))
-    if p.graph_class is not GraphClass.PAG:
-        raise ClassMismatchError("enumerate_mags expects a PAG or MAG")
-    cap = DEFAULT_MARK_SLOT_CAP
-    slots = []
-    fixed = []
-    for e in sorted(p.edges, key=lambda e: (p.node_index[e.a], p.node_index[e.b])):
-        if e.mark_a is Mark.CIRCLE or e.mark_b is Mark.CIRCLE:
-            slots.append(e)
-        else:
-            fixed.append(e)
-    n_marks = sum((e.mark_a is Mark.CIRCLE) + (e.mark_b is Mark.CIRCLE) for e in slots)
-    if n_marks > cap:
-        raise SizeCapExceededError(
-            f"{n_marks} circle marks exceeds the cap of {cap}",
-            cap="circle_marks", limit=cap, required=n_marks,
-        )
-
-    def assignments(edge):
-        choices_a = (Mark.TAIL, Mark.ARROW) if edge.mark_a is Mark.CIRCLE else (edge.mark_a,)
-        choices_b = (Mark.TAIL, Mark.ARROW) if edge.mark_b is Mark.CIRCLE else (edge.mark_b,)
-        for ma, mb in itertools.product(choices_a, choices_b):
-            if ma is Mark.TAIL and mb is Mark.TAIL:
-                continue  # selection variables are out of scope
-            yield Edge(edge.a, edge.b, ma, mb)
-
-    # unshielded colliders are invariant across a class and fully arrowheaded
-    # in its union, so candidates that change them cannot be members
-    target_colliders = unshielded_colliders(p)
-    groups = {}  # fingerprint -> list of candidates, insertion ordered
-    for combo in itertools.product(*(tuple(assignments(e)) for e in slots)):
-        candidate = Graph(GraphClass.MAG, p.nodes, frozenset(fixed) | frozenset(combo))
+    target_colliders = unshielded_colliders(rep)
+    groups = {}  # equivalence key -> candidates, insertion ordered
+    for combo in itertools.product(*map(choices, edges)):
+        candidate = Graph(member_class, rep.nodes, frozenset(combo))
         if unshielded_colliders(candidate) != target_colliders:
             continue
         try:
             validate_ancestral(candidate)
         except (DirectedCycleError, AlmostDirectedCycleError):
             continue
-        fp = separation_fingerprint(candidate)
-        groups.setdefault(fp, []).append(candidate)
-
-    matching = [
-        members
-        for members in groups.values()
-        if _mark_union(members, GraphClass.PAG, p.nodes) == p
-    ]
+        groups.setdefault(_equivalence_key(candidate), []).append(candidate)
+    matching = [m for m in groups.values() if _mark_union(m, rep_class, rep.nodes) == rep]
     if not matching:
-        raise InvalidPagError("no Markov equivalence class of MAGs has this mark union")
+        raise error(f"no Markov equivalence class of {member_class.name}s has this mark union")
     if len(matching) > 1:
-        raise InvalidPagError("mark union is ambiguous between fingerprint groups")
+        raise error("mark union is ambiguous between fingerprint groups")
     members = matching[0]
-    # maximality is fingerprint-determined on a shared skeleton, so one check covers the group
+    # equivalent graphs on one skeleton are all maximal or none, so one check covers the group
     try:
         require_maximal(members[0])
     except NotMaximalError as exc:
-        raise InvalidPagError(f"class members are not maximal: {exc}") from exc
-    return EquivalenceClass(p, tuple(members))
+        raise error(f"class members are not maximal: {exc}") from exc
+    return tuple(members)
+
+
+def enumerate_dags(c: Graph) -> EquivalenceClass:
+    """All DAGs in the class of a CPDAG.
+
+    Beyond the member search, every directed edge of a CPDAG is compelled,
+    so it is covered (Pa(h) = Pa(t) + t) in no member: a covered edge can
+    be reversed within the class (Chickering 1995).
+    """
+    if c.graph_class is GraphClass.DAG:
+        return EquivalenceClass(c, (c,))
+    if c.graph_class is not GraphClass.CPDAG:
+        raise ClassMismatchError("enumerate_dags expects a CPDAG")
+    members = _class_members(c, GraphClass.DAG)
+    for m in members:
+        pa = {v: {w for w, k in row.items() if k is Mark.ARROW} for v, row in m._marks.items()}
+        for t in c.nodes:
+            for h in c._ordered_neighbors[t]:
+                if c._marks[t][h] is Mark.TAIL and pa[h] == pa[t] | {t}:
+                    raise InvalidCpdagError(f"edge {t} -> {h} is reversible: covered in a member")
+    return EquivalenceClass(c, members)
+
+
+def enumerate_mags(p: Graph) -> EquivalenceClass:
+    """All MAGs in the class of a PAG (no selection variables: no tail-tail edges)."""
+    if p.graph_class is GraphClass.MAG:
+        return EquivalenceClass(p, (p,))
+    if p.graph_class is not GraphClass.PAG:
+        raise ClassMismatchError("enumerate_mags expects a PAG or MAG")
+    return EquivalenceClass(p, _class_members(p, GraphClass.MAG))
 
 
 def latent_project(d: Graph, observed) -> Graph:

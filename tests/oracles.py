@@ -208,6 +208,41 @@ def pag_of(mag):
     return _mark_union(mag_class_of(mag), GraphClass.PAG, mag.nodes)
 
 
+def dag_classes_on_skeleton(nodes, pairs):
+    """Every Markov equivalence class of DAGs on the skeleton `pairs`, by
+    exhaustive orientation sweep: its CPDAG (the mark union of its
+    members) mapped to the set of its members' edge sets.  Acyclic
+    orientations are grouped by unshielded colliders, as in `cpdag_of`."""
+    groups = {}
+    for bits in itertools.product((0, 1), repeat=len(pairs)):
+        edges = frozenset(
+            Edge.directed(a, b) if bit == 0 else Edge.directed(b, a)
+            for bit, (a, b) in zip(bits, pairs)
+        )
+        g = Graph(GraphClass.DAG, nodes, edges)
+        if _find_directed_cycle(g) is None:
+            groups.setdefault(unshielded_colliders(g), []).append(g)
+    return {
+        _mark_union(members, GraphClass.CPDAG, nodes): {m.edges for m in members}
+        for members in groups.values()
+    }
+
+
+def all_pairs_fingerprint(g):
+    """All m-separated triples (a, b, conditioning set), a < b by name: every
+    pair of nodes, adjacent or not, against every set of the other nodes,
+    decided by `m_connected_enumeration`."""
+    out = set()
+    names = sorted(g.nodes)
+    for a, b in itertools.combinations(names, 2):
+        rest = [n for n in names if n not in (a, b)]
+        for r in range(len(rest) + 1):
+            for z in itertools.combinations(rest, r):
+                if not m_connected_enumeration(g, {a}, {b}, frozenset(z)):
+                    out.add((a, b, frozenset(z)))
+    return frozenset(out)
+
+
 def small_queries(nodes, max_xy=2, max_z=None):
     """All disjoint (X, Y, Z) over `nodes` with |X|, |Y| bounded."""
     nodes = list(nodes)

@@ -1,12 +1,16 @@
 import json
+import os
 import random
+import re
+import subprocess
+import sys
 
 import pytest
 
 from covadjust.cgtext import parse_document, serialize_graph
 from covadjust.cli import run_command
 
-from conftest import CORPUS_DIR, run_with_src
+from conftest import CORPUS_DIR, REPO_ROOT, run_with_src
 from oracles import random_dag
 
 
@@ -215,6 +219,33 @@ def test_validate_valid_and_invalid(tmp_path, capsys):
     assert code == 1
     assert payload["result"]["valid"] is False
     assert payload["result"]["reason"] == "DirectedCycleError"
+
+
+@pytest.mark.parametrize("text,edge", [("graph cpdag { A -> B }", "A -> B"),
+                                       ("graph cpdag { X -> Y Y -> Z }", "X -> Y")])
+def test_validate_rejects_reversible_cpdag_edge(tmp_path, capsys, text, edge):
+    f = tmp_path / "not-a-cpdag.cg"
+    f.write_text(text)
+    code, payload, _ = run(capsys, "validate", "--graph", str(f))
+    assert code == 1
+    assert payload["result"]["valid"] is False
+    assert payload["result"]["reason"] == "InvalidCpdagError"
+    assert f"edge {edge} is reversible" in payload["result"]["detail"]
+
+
+@pytest.mark.parametrize("text", ["graph mag { A o-> B  C -> D  D <-> C }",
+                                  "graph dag { B -> C  C <-> D  A o-o B }"])
+def test_reported_fault_does_not_depend_on_the_hash_seed(tmp_path, text):
+    f = tmp_path / "faults.cg"
+    f.write_text(text)
+    outputs = set()
+    for seed in range(8):
+        env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), PYTHONHASHSEED=str(seed))
+        proc = subprocess.run([sys.executable, "-m", "covadjust", "validate", "--graph", str(f)],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 2, proc.stderr
+        outputs.add(re.sub(r'"elapsed_ms": [^,}\n]*', "", proc.stdout))
+    assert len(outputs) == 1, outputs
 
 
 def test_amenable_exit_codes(capsys):

@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 
 import pytest
 
 import covadjust as ca
+from covadjust import mec
 from covadjust.errors import (
     ClassMismatchError,
     InvalidCpdagError,
@@ -12,9 +14,19 @@ from covadjust.errors import (
     SizeCapExceededError,
     SkeletonMismatchError,
 )
-from covadjust.graphs import Edge, Graph, GraphClass
+from covadjust.graphs import Edge, Graph, GraphClass, _find_directed_cycle
 
-from oracles import mag_class_of, moral_d_separated, pag_of, random_dag, small_queries
+from oracles import (
+    all_pairs_fingerprint,
+    class_graphs,
+    cpdag_of,
+    dag_classes_on_skeleton,
+    mag_class_of,
+    moral_d_separated,
+    pag_of,
+    random_dag,
+    small_queries,
+)
 
 
 def edge_set(g):
@@ -46,7 +58,8 @@ def test_members_share_skeleton_and_colliders(corpus):
 
 
 def test_cpdag_that_is_a_dag_has_class_of_one():
-    c = ca.parse_graph("graph cpdag { X -> Y Y -> Z }")
+    # every edge of a collider is compelled (a chain X -> Y -> Z is not a CPDAG)
+    c = ca.parse_graph("graph cpdag { X -> Y Z -> Y }")
     klass = ca.enumerate_dags(c)
     assert len(klass.members) == 1
     assert edge_set(klass.members[0]) == edge_set(c)
@@ -70,9 +83,50 @@ def test_invalid_cpdag_rejected():
         ca.enumerate_dags(ca.parse_graph("graph cpdag { A -- B B -- C C -- D D -- A }"))
 
 
-def test_enumerate_dags_round_trip_on_random_cpdags():
-    from oracles import cpdag_of
+def test_reversible_directed_edge_rejected():
+    # each directed edge here is covered in the one member, so it is not compelled
+    for text in ("graph cpdag { A -> B }", "graph cpdag { X -> Y Y -> Z }",
+                 "graph cpdag { A -> B B -- C A -- C }"):
+        with pytest.raises(InvalidCpdagError, match="reversible"):
+            ca.enumerate_dags(ca.parse_graph(text))
 
+
+def _edge_changes(c):
+    """`c` with one edge replaced by each other CPDAG edge on its pair."""
+    for e in c.edges:
+        for other in (Edge.directed(e.a, e.b), Edge.directed(e.b, e.a), Edge.undirected(e.a, e.b)):
+            if other != e:
+                yield Graph(GraphClass.CPDAG, c.nodes, (c.edges - {e}) | {other})
+
+
+def test_enumerate_dags_accepts_exactly_the_cpdags():
+    """On seeded skeletons, each CPDAG and each single-edge change of one is
+    accepted iff it is the CPDAG of some DAG, with that DAG's class."""
+    rng = random.Random(67)
+    seen = Counter()
+    for _ in range(40):
+        d = random_dag(rng, rng.randint(3, 6), rng.uniform(0.3, 0.6))
+        pairs = sorted((e.a, e.b) for e in d.edges)
+        if not 2 <= len(pairs) <= 8:
+            continue
+        classes = dag_classes_on_skeleton(d.nodes, pairs)
+        inputs = set(classes).union(*(_edge_changes(c) for c in classes))
+        for c in sorted(inputs, key=ca.serialize_graph):
+            try:
+                members = ca.enumerate_dags(c).members
+            except InvalidCpdagError as exc:
+                assert c not in classes, ca.serialize_graph(c)
+                seen["reversible" if "reversible" in str(exc) else "rejected"] += 1
+                continue
+            assert c in classes, ca.serialize_graph(c)
+            assert cpdag_of(members[0]) == c
+            assert len(members) == len(classes[c])
+            assert {m.edges for m in members} == classes[c]
+            seen["accepted"] += 1
+    assert seen["accepted"] >= 200 and seen["rejected"] >= 1000 and seen["reversible"] >= 500, seen
+
+
+def test_enumerate_dags_round_trip_on_random_cpdags():
     rng = random.Random(51)
     for _ in range(15):
         c = cpdag_of(random_dag(rng, rng.randint(3, 6), 0.45))
@@ -206,6 +260,46 @@ def test_markov_equivalent_validates_inputs():
     big = Graph(GraphClass.DAG, tuple(f"N{i}" for i in range(13)), frozenset())
     with pytest.raises(SizeCapExceededError):
         ca.separation_fingerprint(big)
+
+
+@pytest.mark.parametrize("cls", ["dag", "cpdag", "mag", "pag"])
+def test_fingerprint_agrees_with_all_pairs_reference(cls):
+    for g in class_graphs(cls, 3, 20):
+        assert ca.separation_fingerprint(g) == all_pairs_fingerprint(g), ca.serialize_graph(g)
+
+
+def _partners(d, rng):
+    """DAGs over the nodes of `d`: each acyclic single-edge reversal of it,
+    and one independent random DAG."""
+    for e in sorted(d.edges, key=lambda e: (e.a, e.b)):
+        t = e.tail_node()
+        flipped = Graph(GraphClass.DAG, d.nodes, (d.edges - {e}) | {Edge.directed(e.other(t), t)})
+        if _find_directed_cycle(flipped) is None:
+            yield flipped
+    yield random_dag(rng, len(d.nodes), rng.uniform(0.3, 0.6))
+
+
+def test_dag_equivalence_key_agrees_with_fingerprints():
+    rng = random.Random(71)
+    seen = Counter()
+    for _ in range(150):
+        d = random_dag(rng, rng.randint(3, 7), rng.uniform(0.3, 0.6))
+        for other in _partners(d, rng):
+            same = ca.separation_fingerprint(d) == ca.separation_fingerprint(other)
+            assert (mec._equivalence_key(d) == mec._equivalence_key(other)) is same
+            assert ca.markov_equivalent(d, other) is same
+            seen[same] += 1
+    assert seen[True] >= 200 and seen[False] >= 200, seen
+
+
+def test_dag_equivalence_has_no_node_cap():
+    names = tuple(f"N{i}" for i in range(40))
+    chain = frozenset(Edge.directed(a, b) for a, b in zip(names, names[1:]))
+    flipped = (chain - {Edge.directed("N0", "N1")}) | {Edge.directed("N1", "N0")}
+    a = Graph(GraphClass.DAG, names, chain)
+    assert ca.markov_equivalent(a, Graph(GraphClass.DAG, names, flipped))
+    collider = (chain - {Edge.directed("N1", "N2")}) | {Edge.directed("N2", "N1")}
+    assert not ca.markov_equivalent(a, Graph(GraphClass.DAG, names, collider))
 
 
 # ------------------------------------------------------------- latent_project

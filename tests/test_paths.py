@@ -16,6 +16,7 @@ from covadjust.paths import NodePathStatus, Path
 
 from oracles import (
     cpdag_of,
+    directed_pairs,
     enumerate_paths,
     is_subsequence,
     m_connected_enumeration,
@@ -175,6 +176,27 @@ def test_m_connected_methods_and_oracle_agree_on_random_dags():
             enum = m_connected_enumeration(g, x, y, z)
             moral = not moral_d_separated(g, x, y, z)
             assert reach == enum == moral
+
+
+def test_m_connected_agrees_with_networkx_on_random_dags():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(13)
+    seen = {True: 0, False: 0}
+    for _ in range(60):
+        g = random_dag(rng, rng.randint(3, 9), rng.uniform(0.15, 0.5))
+        dag = nx.DiGraph(directed_pairs(g))
+        dag.add_nodes_from(g.nodes)
+        for _ in range(40):
+            names = list(g.nodes)
+            rng.shuffle(names)
+            kx, ky = rng.randint(1, 2), rng.randint(1, 2)
+            x, y = set(names[:kx]), set(names[kx:kx + ky])
+            rest = names[kx + ky:]
+            z = set(rng.sample(rest, rng.randint(0, len(rest))))
+            connected = ca.m_connected(g, x, y, z)
+            assert connected is not nx.is_d_separator(dag, x, y, z), (ca.serialize_graph(g), x, y, z)
+            seen[connected] += 1
+    assert min(seen.values()) >= 200, seen
 
 
 def test_m_connected_methods_agree_exhaustively_on_three_node_classes():
