@@ -13,17 +13,21 @@ query, dag, cpdag, mag and pag are reserved.  Whitespace and newlines are
 interchangeable.  Parsing checks structure and mark vocabulary; the
 class-level graph invariants are checked by `covadjust.validate_graph`.
 
-`parse_document` makes one pass: one regular expression yields
-`(kind, text, offset)` token tuples, and the statements go straight into
-the `Graph`.  Errors report the line and column of their token, and a
-character that starts no token is reported before any syntax error.
+`parse_document` makes one pass.  One regular expression splits the text
+into token texts, each token is classified by its text, and the edge
+statements go straight into the graph's mark table: no `Edge` object is
+built.  Positions are computed only for an error, by scanning the text
+again up to the failing token.  Errors report the line and column of
+their token, and a character that starts no token is reported before any
+syntax error.
 """
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 
-from .errors import MarkNotAllowedError, ParseError
+from .errors import GraphError, MarkNotAllowedError, ParseError
 from .graphs import Edge, Graph, GraphClass, Mark, _Record, _set
 
 _EDGE_OPS = {
@@ -34,17 +38,24 @@ _EDGE_OPS = {
     "<-o": (Mark.ARROW, Mark.CIRCLE),
     "--": (Mark.CIRCLE, Mark.CIRCLE),  # CPDAG alias of o-o
 }
-_RESERVED = {"graph", "query", "dag", "cpdag", "mag", "pag"}
+_RESERVED = frozenset({"graph", "query", "dag", "cpdag", "mag", "pag"})
+_CLASSES = {c.value: c for c in GraphClass}
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+# A token is a node name iff it is none of these and its first character
+# is in `_NAME_START`.  Test these first: the operators o-o and o-> start
+# with a name letter, and the end of the text has no first character.
+_NOT_NODES = frozenset({*_RESERVED, *_EDGE_OPS, ""})
 # Whitespace and comments, then one token: an operator, a name, a
 # punctuation mark, the end of the text or, failing all of those, one
-# bad character.  The match always succeeds, so `finditer` walks the
-# whole text without gaps and its last match is the end.
+# bad character.  The match always succeeds, so `findall` walks the whole
+# text without gaps and returns each token's text; the end of the text
+# is the empty text, and every other text names its kind.
 _TOKEN_RE = re.compile(
-    r"(?:\s+|#[^\n]*)*"
-    r"(?:(?P<op><->|o->|<-o|o-o|->|--)|(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<punct>[{}=,;])"
-    r"|(?P<eof>\Z)|(?P<bad>.))",
+    r"\s*(?:#[^\n]*\s*)*(<->|o->|<-o|o-o|->|--|[A-Za-z_][A-Za-z0-9_]*|[{}=,;]|\Z|.)",
     re.DOTALL,
 )
+# The one-character texts of valid tokens; any other one is a bad character.
+_ONE_CHAR_TOKENS = _NAME_START | frozenset("{}=,;")
 
 
 class Query(_Record):
@@ -69,110 +80,142 @@ class GraphDocument(_Record):
         _set(self, "query", query)
 
 
-def _position(text: str, offset: int) -> tuple:
-    """1-based (line, column) of `offset` in `text`."""
-    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+class _Fault(Exception):
+    """A syntax error at token `index`, not yet located in the text."""
+
+    def __init__(self, index: int, message: str, expected: str | None = None, error=ParseError):
+        self.index, self.message, self.expected, self.error = index, message, expected, error
 
 
-def _unexpected(text: str, token: tuple, expected: str) -> ParseError:
-    word = token[1]
-    message = f"unexpected {word!r}" if word else "unexpected end of input"
-    return ParseError(message, *_position(text, token[2]), expected)
+def _located(text: str, tokens: list, fault: _Fault | None) -> GraphError | None:
+    """The error to raise for `fault`, with its line and column: the first
+    bad character of the text if it has one, else the fault itself."""
+    for i, word in enumerate(tokens):
+        if len(word) == 1 and word not in _ONE_CHAR_TOKENS:
+            fault = _Fault(i, f"unexpected character {word!r}")
+            break
+    if fault is None:
+        return None
+    offset = next(islice(_TOKEN_RE.finditer(text), fault.index, None)).start(1)
+    line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    if fault.error is ParseError:
+        return ParseError(fault.message, line, col, fault.expected)
+    return fault.error(f"{line}:{col}: {fault.message}")
 
 
-def _expect(text: str, token: tuple, word: str, expected: str | None = None) -> None:
-    if token[1] != word:
-        raise _unexpected(text, token, expected or word)
+def _is_name(word: str) -> bool:
+    return word[:1] in _NAME_START and word not in _EDGE_OPS
 
 
-def _node_name(text: str, token: tuple) -> str:
-    kind, word, offset = token
-    if kind != "name":
-        raise _unexpected(text, token, "a node name")
+def _unexpected(tokens: list, i: int, expected: str) -> _Fault:
+    word = tokens[i]
+    return _Fault(i, f"unexpected {word!r}" if word else "unexpected end of input", expected)
+
+
+def _not_a_node(tokens: list, i: int) -> _Fault:
+    word = tokens[i]
     if word in _RESERVED:
-        raise ParseError(f"{word!r} is a reserved word", *_position(text, offset), "a node name")
-    return word
+        return _Fault(i, f"{word!r} is a reserved word", "a node name")
+    return _unexpected(tokens, i, "a node name")
 
 
 def parse_document(text: str) -> GraphDocument:
     """Parse a .cg document into a graph and its optional query block."""
-    tokens = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}",
-                             *_position(text, m.start(kind)))
-        tokens.append((kind, m[kind], m.start(kind)))
-
-    # Token texts of different kinds never coincide, so comparing the text
-    # alone also checks the kind; the end of the text has the empty text.
-    _expect(text, tokens[0], "graph", "'graph'")
-    kind, word, offset = tokens[1]
-    if kind != "name":
-        raise _unexpected(text, tokens[1], "a graph class (dag|cpdag|mag|pag)")
+    tokens = _TOKEN_RE.findall(text)
     try:
-        graph_class = GraphClass(word)
-    except ValueError:
-        raise ParseError(f"unknown graph class {word!r}", *_position(text, offset),
-                         "dag|cpdag|mag|pag") from None
-    _expect(text, tokens[2], "{")
+        return _parse_tokens(tokens)
+    except _Fault as fault:
+        raise _located(text, tokens, fault) from None
+    except GraphError:  # a fault of the edges, found at the closing '}'
+        error = _located(text, tokens, None)
+        if error is None:
+            raise
+        raise error from None
+
+
+def _parse_tokens(tokens: list) -> GraphDocument:
+    if tokens[0] != "graph":
+        raise _unexpected(tokens, 0, "'graph'")
+    word = tokens[1]
+    graph_class = _CLASSES.get(word)
+    if graph_class is None:
+        if _is_name(word):
+            raise _Fault(1, f"unknown graph class {word!r}", "dag|cpdag|mag|pag")
+        raise _unexpected(tokens, 1, "a graph class (dag|cpdag|mag|pag)")
+    if tokens[2] != "{":
+        raise _unexpected(tokens, 2, "{")
+    alias_ok = graph_class is GraphClass.CPDAG
     nodes = {}  # insertion-ordered set: the first mention fixes the order
-    edges = []
+    rows = []
     i = 3
-    while tokens[i][1] != "}":
-        first = _node_name(text, tokens[i])
+    first = tokens[3]
+    while first != "}":
+        if first in _NOT_NODES or first[0] not in _NAME_START:
+            raise _not_a_node(tokens, i)
         nodes[first] = None
-        op = tokens[i + 1][1]
-        if op not in _EDGE_OPS:
+        op = tokens[i + 1]
+        marks = _EDGE_OPS.get(op)
+        if marks is None:
             i += 1
-            continue
-        if op == "--" and graph_class is not GraphClass.CPDAG:
-            line, col = _position(text, tokens[i + 1][2])
-            raise MarkNotAllowedError(f"{line}:{col}: '--' is only allowed in CPDAG files")
-        second = _node_name(text, tokens[i + 2])
-        if second == first:
-            raise ParseError("self loop", *_position(text, tokens[i + 2][2]))
-        nodes[second] = None
-        edges.append(Edge(first, second, *_EDGE_OPS[op]))
-        i += 3
-    graph = Graph(graph_class, tuple(nodes), frozenset(edges))
+        else:
+            if op == "--" and not alias_ok:
+                raise _Fault(i + 1, "'--' is only allowed in CPDAG files",
+                             error=MarkNotAllowedError)
+            second = tokens[i + 2]
+            if second in _NOT_NODES or second[0] not in _NAME_START:
+                raise _not_a_node(tokens, i + 2)
+            if second == first:
+                raise _Fault(i + 2, "self loop")
+            nodes[second] = None
+            rows.append((first, second, *marks))
+            i += 3
+        first = tokens[i]
+    graph = Graph._from_rows(graph_class, tuple(nodes), rows)
 
     query = None
     i += 1
-    if tokens[i][1] == "query":
-        query, i = _parse_query(text, tokens, i + 1)
-    if tokens[i][1]:
-        raise _unexpected(text, tokens[i], "end of input")
+    if tokens[i] == "query":
+        query, i = _parse_query(tokens, i + 1)
+    if tokens[i]:
+        raise _unexpected(tokens, i, "end of input")
     return GraphDocument(graph, query)
 
 
-def _parse_query(text: str, tokens: list, i: int) -> tuple:
+def _parse_query(tokens: list, i: int) -> tuple:
     """The query block whose '{' is expected at `tokens[i]`, and the index
-    of the token after its '}'."""
-    _expect(text, tokens[i], "{")
+    of the token after its '}'.  A part is a key, '=' and node names
+    separated by ','; it ends at ';' or '}'."""
+    if tokens[i] != "{":
+        raise _unexpected(tokens, i, "{")
     i += 1
     parts: dict = {}
     while True:
-        kind, key, offset = tokens[i]
+        key = tokens[i]
         if key == "}":
             return Query(x=parts.get("X"), y=parts.get("Y"), z=parts.get("Z")), i + 1
         if key == ";":
             i += 1
             continue
-        if kind != "name":
-            raise _unexpected(text, tokens[i], "X, Y or Z")
+        if not _is_name(key):
+            raise _unexpected(tokens, i, "X, Y or Z")
         if key not in ("X", "Y", "Z"):
-            raise ParseError(f"unknown query key {key!r}", *_position(text, offset), "X, Y or Z")
+            raise _Fault(i, f"unknown query key {key!r}", "X, Y or Z")
         if key in parts:
-            raise ParseError(f"duplicate query key {key}", *_position(text, offset))
-        _expect(text, tokens[i + 1], "=")
+            raise _Fault(i, f"duplicate query key {key}")
+        if tokens[i + 1] != "=":
+            raise _unexpected(tokens, i + 1, "=")
         i += 2
         names = []
-        while tokens[i][0] == "name" and tokens[i][1] not in _RESERVED:
-            names.append(tokens[i][1])
+        word = tokens[i]
+        while word not in _NOT_NODES and word[0] in _NAME_START:
+            names.append(word)
             i += 1
-            if tokens[i][1] == ",":
+            word = tokens[i]
+            if word == ",":
                 i += 1
+                word = tokens[i]
+            elif word != ";" and word != "}":
+                raise _unexpected(tokens, i, "',', ';' or '}'")
         parts[key] = tuple(names)
 
 

@@ -42,12 +42,18 @@ class Mark(Enum):
     ARROW = ">"
     CIRCLE = "o"
 
+    # Members are singletons compared by identity, so the identity hash is
+    # consistent with equality and avoids the Python-level `Enum.__hash__`.
+    __hash__ = object.__hash__
+
 
 class GraphClass(Enum):
     DAG = "dag"
     CPDAG = "cpdag"
     MAG = "mag"
     PAG = "pag"
+
+    __hash__ = object.__hash__
 
 
 # Mark pairs allowed per class, as unordered {frozenset of (mark_a, mark_b)}.
@@ -195,20 +201,34 @@ class Graph(_Record):
     by :func:`build_graph`.
 
     Node order is the declaration order and is used to sort every
-    set-valued output deterministically.
+    set-valued output deterministically.  Every search reads the mark
+    table `_marks`.  A graph built by ``Graph(graph_class, nodes, edges)``
+    keeps the edge set it was given; one parsed from text holds only the
+    mark table, and its `edges` are derived from it on first use.
     """
 
     _fields = ("graph_class", "nodes", "edges")
-    __slots__ = (*_fields, "__dict__")  # the dict holds the mark table and cached tables
+    # the dict holds `edges`, the mark table and the cached tables
+    __slots__ = ("graph_class", "nodes", "__dict__")
 
     def __init__(self, graph_class: GraphClass, nodes: tuple, edges: frozenset):
-        nodes = tuple(nodes)
         edges = frozenset(edges)
-        _set(self, "graph_class", graph_class)
-        _set(self, "nodes", nodes)
+        rows = [*map(Edge._values, edges)]  # (a, b, mark_a, mark_b) of each edge
+        self._enter(graph_class, tuple(nodes), rows)
         _set(self, "edges", edges)
-        # `_marks[v][w]` is the mark at `v` of the edge v-w.  Every search
-        # reads marks here instead of through the edge objects.  Since
+
+    @classmethod
+    def _from_rows(cls, graph_class: GraphClass, nodes: tuple, rows: list) -> "Graph":
+        """The graph of ``(a, b, mark_a, mark_b)`` edge rows, checked as
+        ``Graph(...)`` checks its edges; an identical repeated row counts
+        once.  No `Edge` is built until `edges` is read."""
+        g = cls.__new__(cls)
+        g._enter(graph_class, nodes, rows)
+        return g
+
+    def _enter(self, graph_class: GraphClass, nodes: tuple, rows: list) -> None:
+        """Check the rows and store the class, the nodes and the mark table."""
+        # `_marks[v][w]` is the mark at `v` of the edge v-w.  Since
         # tail-tail and tail-circle edges are rejected, a tail at `v` means
         # the edge is v -> w.
         marks = {n: {} for n in nodes}
@@ -216,13 +236,22 @@ class Graph(_Record):
             dup = sorted({n for n in nodes if nodes.count(n) > 1})
             raise DuplicateEdgeError(f"duplicate node declaration: {', '.join(dup)}")
         try:
-            _fill_marks(marks, edges, graph_class)
+            _fill_marks(marks, rows, graph_class)
         except (UnknownNodeError, DuplicateEdgeError, MarkNotAllowedError):
-            # set order follows the string hashes: report the first fault in name order
-            by_name = sorted(edges, key=lambda e: (e.a, e.b, e.mark_a.value, e.mark_b.value))
+            # the rows come in set or text order: report the first fault in name order
+            by_name = sorted(((a, b, ma, mb) if a < b else (b, a, mb, ma) for a, b, ma, mb in rows),
+                             key=lambda r: (r[0], r[1], r[2].value, r[3].value))
             _fill_marks({n: {} for n in nodes}, by_name, graph_class)
             raise
+        _set(self, "graph_class", graph_class)
+        _set(self, "nodes", nodes)
         _set(self, "_marks", marks)
+
+    @cached_property
+    def edges(self) -> frozenset:
+        marks = self._marks
+        return frozenset(Edge(a, b, m, marks[b][a])
+                         for a, row in marks.items() for b, m in row.items() if a < b)
 
     @cached_property
     def node_index(self) -> dict:
@@ -263,26 +292,31 @@ class Graph(_Record):
                 raise UnknownNodeError(f"unknown node: {n}")
 
 
-def _fill_marks(marks: dict, edges, graph_class: GraphClass) -> None:
-    """Enter each edge's marks in `marks`; raise on the first faulty edge."""
+def _fill_marks(marks: dict, rows, graph_class: GraphClass) -> None:
+    """Enter each ``(a, b, mark_a, mark_b)`` row in `marks`; a row the
+    table already holds is skipped.  Raises on the first faulty row."""
     allowed = _ALLOWED_MARKS[graph_class]
-    for e in edges:
-        a, b = e.a, e.b
-        if a not in marks or b not in marks:
+    for a, b, ma, mb in rows:
+        row_a = marks.get(a)
+        row_b = marks.get(b)
+        if row_a is None or row_b is None:
             raise UnknownNodeError(f"edge endpoint not declared: {a}-{b}")
-        if b in marks[a]:
+        held = row_a.get(b)
+        if held is not None:
+            if held is ma and row_b[a] is mb:
+                continue
             raise DuplicateEdgeError(f"more than one edge between {a} and {b}")
-        if (e.mark_a, e.mark_b) not in allowed:
+        if (ma, mb) not in allowed:
             raise MarkNotAllowedError(
-                f"edge {a} {_edge_glyph(e)} {b} not allowed in a {graph_class.value}"
+                f"edge {a} {_edge_glyph(ma, mb)} {b} not allowed in a {graph_class.value}"
             )
-        marks[a][b] = e.mark_a
-        marks[b][a] = e.mark_b
+        row_a[b] = ma
+        row_b[a] = mb
 
 
-def _edge_glyph(e: Edge) -> str:
-    left = {Mark.TAIL: "-", Mark.ARROW: "<", Mark.CIRCLE: "o"}[e.mark_a]
-    right = {Mark.TAIL: "-", Mark.ARROW: ">", Mark.CIRCLE: "o"}[e.mark_b]
+def _edge_glyph(mark_a: Mark, mark_b: Mark) -> str:
+    left = {Mark.TAIL: "-", Mark.ARROW: "<", Mark.CIRCLE: "o"}[mark_a]
+    right = {Mark.TAIL: "-", Mark.ARROW: ">", Mark.CIRCLE: "o"}[mark_b]
     return f"{left}-{right}"
 
 

@@ -631,7 +631,9 @@ def almost_directed_cycle(g):
 
 # ------------------------------------------------------- the .cg reference parser
 # The record-per-token tokenizer and the recursive-descent parser that
-# `covadjust.cgtext.parse_document` replaced, unchanged.
+# `covadjust.cgtext.parse_document` replaced, with the query grammar
+# changed as in the library: after a name, a part goes on at "," or ends
+# at ";" or "}".
 
 _EDGE_OPS = {
     "->": (Mark.TAIL, Mark.ARROW),
@@ -780,8 +782,16 @@ class _Parser:
             names = []
             while self.peek().kind == "name" and self.peek().text not in _RESERVED:
                 names.append(self.take_name().text)
-                if self.peek().kind == "punct" and self.peek().text == ",":
+                nxt = self.peek()
+                if nxt.kind == "punct" and nxt.text == ",":
                     self.take()
+                elif not (nxt.kind == "punct" and nxt.text in (";", "}")):
+                    raise ParseError(
+                        f"unexpected {nxt.text!r}" if nxt.text else "unexpected end of input",
+                        nxt.line,
+                        nxt.col,
+                        expected="',', ';' or '}'",
+                    )
             parts[key.text] = tuple(names)
         return Query(x=parts.get("X"), y=parts.get("Y"), z=parts.get("Z"))
 

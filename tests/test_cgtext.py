@@ -1,4 +1,6 @@
 import collections
+import copy
+import pickle
 import random
 
 import pytest
@@ -6,7 +8,7 @@ import pytest
 import covadjust as ca
 from covadjust.cgtext import Query
 from covadjust.errors import DuplicateEdgeError, GraphError, MarkNotAllowedError, ParseError
-from covadjust.graphs import Edge, GraphClass, Mark
+from covadjust.graphs import _ALLOWED_MARKS, Edge, Graph, GraphClass, Mark
 
 import oracles
 from conftest import CORPUS_DIR, CORPUS_NAMES
@@ -96,6 +98,23 @@ def test_query_block_parsing():
         ca.parse_document("graph dag { X -> Y } query { W = X }")
 
 
+@pytest.mark.parametrize("text, col", [
+    ("graph dag { X -> Y } query { X = X Y }", 36),
+    ("graph dag { X -> Y } query { X = X Y = Y }", 36),
+    ("graph dag { X -> Y } query { X = X Y; }", 36),
+])
+def test_query_part_ends_at_a_separator(text, col):
+    """After a name, a query part goes on at ',' or ends at ';' or '}':
+    a second name is an error, not one more member of the set."""
+    with pytest.raises(ParseError) as exc:
+        ca.parse_document(text)
+    assert (exc.value.line, exc.value.col) == (1, col)
+    assert str(exc.value) == f"1:{col}: unexpected 'Y' (expected ',', ';' or '}}')"
+    # the separators themselves still work, trailing ones included
+    doc = ca.parse_document("graph dag { X -> Y } query { X = X, Y, ; Z = }")
+    assert doc.query == Query(x=("X", "Y"), z=())
+
+
 def test_isolated_nodes_and_declaration_order():
     g = ca.parse_graph("graph dag { B A A -> B }")
     assert g.nodes == ("B", "A")
@@ -126,6 +145,85 @@ def test_serializer_never_emits_reversed_operators():
     g = ca.build_graph(GraphClass.PAG, ["B", "A"], [Edge.partial("B", "A")])
     text = ca.serialize_graph(g)
     assert "<-o" not in text and "B o-> A" in text
+
+
+# ------------------------------------------------- straight into the mark table
+
+
+@pytest.mark.parametrize("cls", ["dag", "cpdag", "mag", "pag"])
+def test_parsed_graph_equals_the_constructed_one(cls):
+    """The graph parsed from a serialized graph is the one `Graph(...)`
+    builds from its edges, in equality, hash, mark table, edges and copies."""
+    for g in class_graphs(cls, 3, 30):
+        built = Graph(g.graph_class, g.nodes, g.edges)
+        parsed = ca.parse_graph(ca.serialize_graph(g))
+        assert "edges" not in vars(parsed)  # derived on first use
+        assert parsed._marks == built._marks
+        assert parsed.edges == built.edges == g.edges
+        assert parsed == built and hash(parsed) == hash(built)
+        for twin in (copy.copy(parsed), copy.deepcopy(parsed), pickle.loads(pickle.dumps(parsed))):
+            assert twin == built and hash(twin) == hash(built)
+            assert twin._marks == built._marks
+
+
+def test_constructed_graph_keeps_its_edge_set():
+    edges = frozenset({Edge.directed("A", "B")})
+    assert Graph(GraphClass.DAG, ("A", "B"), edges).edges is edges
+
+
+def test_repeated_identical_edge_parses():
+    for text in ("graph dag { A -> B A -> B }", "graph pag { A o-> B B <-o A }"):
+        g = ca.parse_graph(text)
+        assert len(g.edges) == 1
+        assert g == Graph(g.graph_class, ("A", "B"), g.edges)
+
+
+@pytest.mark.parametrize("text, error, message", [
+    ("graph pag { X -> Y Y <-> X }", DuplicateEdgeError, "more than one edge between X and Y"),
+    ("graph mag { Y o-> X }", MarkNotAllowedError, "edge X <-o Y not allowed in a mag"),
+    # several faults: the first in name order, whatever the text order
+    ("graph dag { C <-> D B -> A A -> B }", DuplicateEdgeError,
+     "more than one edge between A and B"),
+    ("graph dag { D -> C C -> D A <-> B }", MarkNotAllowedError,
+     "edge A <-> B not allowed in a dag"),
+])
+def test_edge_faults_keep_their_messages(text, error, message):
+    with pytest.raises(error) as exc:
+        ca.parse_graph(text)
+    assert type(exc.value) is error and str(exc.value) == message
+    # a bad character anywhere is still reported first
+    with pytest.raises(ParseError, match="unexpected character '@'"):
+        ca.parse_document(text + " query { X = @ }")
+
+
+def _wide_text(n, seed):
+    """A seeded text of `n` nodes with about 1.2n edges of every PAG operator."""
+    rng = random.Random(seed)
+    nodes = [f"V{i}" for i in range(n)]
+    pairs = sorted(_ALLOWED_MARKS[GraphClass.PAG], key=lambda p: (p[0].value, p[1].value))
+    edges = {}
+    while len(edges) < int(1.2 * n):
+        a, b = rng.sample(nodes, 2)
+        edges[frozenset((a, b))] = Edge(a, b, *rng.choice(pairs))
+    return ca.serialize_graph(Graph(GraphClass.PAG, nodes, frozenset(edges.values())))
+
+
+def test_parsing_builds_no_edge_objects(monkeypatch):
+    """A work count, not a timing: parsing fills the mark table without
+    one `Edge`; reading `edges` afterwards builds them."""
+    texts = [(CORPUS_DIR / f"{name}.cg").read_text(encoding="utf-8") for name in CORPUS_NAMES]
+    texts.append(_wide_text(100, "no-edge-objects"))
+    built = collections.Counter()
+    init = Edge.__init__
+
+    def counting_init(self, *args):
+        built["edges"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Edge, "__init__", counting_init)
+    docs = [ca.parse_document(text) for text in texts]
+    assert built["edges"] == 0
+    assert sum(len(doc.graph.edges) for doc in docs) == built["edges"] > 120
 
 
 # ------------------------------------------------- against the reference parser

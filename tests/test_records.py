@@ -145,6 +145,21 @@ def test_graph_keeps_its_cached_tables():
     assert Graph(graph_class=GraphClass.DAG, nodes=["A", "B"], edges=g.edges) == g
 
 
+def test_marks_and_classes_hash_by_identity():
+    """Members hash by identity; lookups, value lookup and pickling work."""
+    for enum in (Mark, GraphClass):
+        assert enum.__hash__ is object.__hash__
+        members = list(enum)
+        table = {m: i for i, m in enumerate(members)}
+        for i, m in enumerate(members):
+            assert hash(m) == object.__hash__(m)
+            assert enum(m.value) is m and table[enum(m.value)] == i
+            assert m in set(members) and m in frozenset(table)
+            assert pickle.loads(pickle.dumps(m)) is m
+            assert copy.deepcopy(m) is m
+    assert Mark("-") is Mark.TAIL and {(Mark.TAIL, Mark.ARROW): 1}[(Mark("-"), Mark(">"))] == 1
+
+
 def test_edge_endpoints_are_normalised():
     e = Edge("B", "A", Mark.TAIL, Mark.ARROW)
     assert (e.a, e.b, e.mark_a, e.mark_b) == ("A", "B", Mark.ARROW, Mark.TAIL)
