@@ -145,14 +145,21 @@ def _parse_tokens(tokens: list) -> GraphDocument:
     if tokens[2] != "{":
         raise _unexpected(tokens, 2, "{")
     alias_ok = graph_class is GraphClass.CPDAG
-    nodes = {}  # insertion-ordered set: the first mention fixes the order
+    # name -> its first mention: that fixes the order, and every later
+    # mention is replaced by it, so the graph holds one string per node.
+    # A token found here was checked as a name when it was entered.
+    nodes = {}
     rows = []
     i = 3
     first = tokens[3]
     while first != "}":
-        if first in _NOT_NODES or first[0] not in _NAME_START:
-            raise _not_a_node(tokens, i)
-        nodes[first] = None
+        held = nodes.get(first)
+        if held is None:
+            if first in _NOT_NODES or first[0] not in _NAME_START:
+                raise _not_a_node(tokens, i)
+            nodes[first] = first
+        else:
+            first = held
         op = tokens[i + 1]
         marks = _EDGE_OPS.get(op)
         if marks is None:
@@ -162,11 +169,15 @@ def _parse_tokens(tokens: list) -> GraphDocument:
                 raise _Fault(i + 1, "'--' is only allowed in CPDAG files",
                              error=MarkNotAllowedError)
             second = tokens[i + 2]
-            if second in _NOT_NODES or second[0] not in _NAME_START:
-                raise _not_a_node(tokens, i + 2)
-            if second == first:
+            held = nodes.get(second)
+            if held is None:
+                if second in _NOT_NODES or second[0] not in _NAME_START:
+                    raise _not_a_node(tokens, i + 2)
+                nodes[second] = second
+            elif held is first:
                 raise _Fault(i + 2, "self loop")
-            nodes[second] = None
+            else:
+                second = held
             rows.append((first, second, *marks))
             i += 3
         first = tokens[i]

@@ -23,8 +23,10 @@ from .graphs import (
     Graph,
     GraphClass,
     Mark,
+    _bits,
     _disjoint_sets,
-    _reach,
+    _nodes,
+    _reach_bits,
     _Record,
     _set,
     _shortest_path,
@@ -102,10 +104,11 @@ def is_visible(g: Graph, x, y) -> bool:
     )
 
 
-def _possibly_directed_reach_to(g: Graph, y: frozenset, avoid: frozenset) -> frozenset:
-    """Nodes outside `avoid` with a possibly directed path to `y` that stays
-    outside `avoid` (zero-length paths included)."""
-    return _reach(g, y - avoid, directed=False, reverse=True, avoid=avoid)
+def _possibly_directed_reach_to(g: Graph, y: frozenset, avoid: frozenset) -> int:
+    """The mask of the nodes outside `avoid` with a possibly directed path
+    to `y` that stays outside `avoid` (zero-length paths included)."""
+    return _reach_bits(g, _bits(g, y - avoid), directed=False, reverse=True,
+                       avoid=_bits(g, avoid))
 
 
 def find_amenability_violation(g: Graph, x, y):
@@ -115,10 +118,11 @@ def find_amenability_violation(g: Graph, x, y):
     return _amenability_violation(g, x, y, _possibly_directed_reach_to(g, y, avoid=x))
 
 
-def _amenability_violation(g: Graph, x: frozenset, y: frozenset, suffix: frozenset):
+def _amenability_violation(g: Graph, x: frozenset, y: frozenset, suffix: int):
     """`find_amenability_violation` given `suffix`, the possibly directed
     closure `_possibly_directed_reach_to(g, y, avoid=x)`."""
     marks = g._marks
+    index = g.node_index
     violations = []
     for x_node in g.sort_nodes(x):
         at_x = marks[x_node]
@@ -126,7 +130,7 @@ def _amenability_violation(g: Graph, x: frozenset, y: frozenset, suffix: frozens
             m = at_x[u]
             if u in x or m is Mark.ARROW:
                 continue
-            if u not in suffix:
+            if not suffix >> index[u] & 1:
                 continue  # no proper possibly directed continuation to y
             if m is Mark.TAIL and is_visible(g, x_node, u):
                 continue
@@ -148,17 +152,23 @@ def forbidden_set(g: Graph, x, y) -> frozenset:
     """Possible descendants of non-X nodes on proper possibly causal paths
     from `x` to `y`: the nodes that no adjustment set may contain."""
     x, y, _ = _disjoint_sets(g, x, y)
-    return _forbidden_set(g, x, _possibly_directed_reach_to(g, y, avoid=x))
+    return _nodes(g, _forbidden_set(g, x, _possibly_directed_reach_to(g, y, avoid=x)))
 
 
-def _forbidden_set(g: Graph, x: frozenset, reach: frozenset) -> frozenset:
-    """`forbidden_set` given `reach`, the possibly directed closure
-    `_possibly_directed_reach_to(g, y, avoid=x)`."""
-    on_paths = _reach(g, x, directed=False, avoid=x) & reach
-    return _reach(g, on_paths, directed=False)
+def _forbidden_set(g: Graph, x: frozenset, reach: int) -> int:
+    """The mask of `forbidden_set` given `reach`, the possibly directed
+    closure `_possibly_directed_reach_to(g, y, avoid=x)`."""
+    x = _bits(g, x)
+    on_paths = _reach_bits(g, x, directed=False, avoid=x) & reach
+    return _reach_bits(g, on_paths, directed=False)
 
 
-def _proper_backdoor_exemption(g: Graph, reach: frozenset):
+def _first(g: Graph, mask: int):
+    """The first node of a non-empty mask in declaration order."""
+    return g.nodes[(mask & -mask).bit_length() - 1]
+
+
+def _proper_backdoor_exemption(g: Graph, reach: int):
     """`skip_first` for Cond2: exempts the first edges of proper possibly
     causal paths from X to Y, leaving the proper back-door graph.  `reach`
     is the possibly directed closure `_possibly_directed_reach_to(g, Y,
@@ -169,7 +179,9 @@ def _proper_backdoor_exemption(g: Graph, reach: frozenset):
     definite status path in that graph (Perković et al., JMLR 2018).
     """
     marks = g._marks
-    return lambda start, first: first in reach and marks[start][first] is not Mark.ARROW
+    index = g.node_index
+    return lambda start, first: (reach >> index[first] & 1
+                                 and marks[start][first] is not Mark.ARROW)
 
 
 def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
@@ -185,9 +197,9 @@ def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
     violation = _amenability_violation(g, x, y, reach)
     if violation is not None:
         return AdjustmentVerdict(False, "Cond0", violation)
-    bad = z & _forbidden_set(g, x, reach)
+    bad = _bits(g, z) & _forbidden_set(g, x, reach)
     if bad:
-        return AdjustmentVerdict(False, "Cond1", g.sort_nodes(bad)[0])
+        return AdjustmentVerdict(False, "Cond1", _first(g, bad))
     open_path = find_open_definite_path(
         g, x, y, z, skip_first=_proper_backdoor_exemption(g, reach)
     )
@@ -206,9 +218,9 @@ def satisfies_generalized_backdoor(g: Graph, x, y, z) -> AdjustmentVerdict:
     with `satisfies_gac`.
     """
     x, y, z = _disjoint_sets(g, x, y, z)
-    bad = z & _reach(g, x, directed=False)
+    bad = _bits(g, z) & _reach_bits(g, _bits(g, x), directed=False)
     if bad:
-        return AdjustmentVerdict(False, "Cond1", g.sort_nodes(bad)[0])
+        return AdjustmentVerdict(False, "Cond1", _first(g, bad))
     marks = g._marks
 
     def first_edge_exempt(start, first):
@@ -237,8 +249,8 @@ def list_adjustment_sets(g: Graph, x, y, *, minimal_only=False, max_size=None):
     reach = _possibly_directed_reach_to(g, y, avoid=x)
     if _amenability_violation(g, x, y, reach) is not None:
         return []
-    forb = _forbidden_set(g, x, reach)
-    candidates = [n for n in g.nodes if n not in x and n not in y and n not in forb]
+    excluded = _forbidden_set(g, x, reach) | _bits(g, x) | _bits(g, y)
+    candidates = [n for i, n in enumerate(g.nodes) if not excluded >> i & 1]
     limit = len(candidates) if max_size is None else min(max_size, len(candidates))
     exempt = _proper_backdoor_exemption(g, reach)
     passing = []

@@ -10,6 +10,13 @@ rejected everywhere because selection variables are out of scope.
 
 Graphs are immutable after construction and all operations are pure
 functions, so everything in this package is safe for concurrent reads.
+
+Every search reads the mark table `Graph._marks`.  The closures (the
+ancestors, descendants and their possible forms) run on one more table,
+built from it on first use: for each kind of step `_reach` takes, one
+bit mask per node of the nodes one step away, where bit i stands for
+the node at position i of `Graph.nodes`.  A closure is then a fixpoint
+over integers, and the criteria keep their closures as masks.
 """
 
 from __future__ import annotations
@@ -263,6 +270,35 @@ class Graph(_Record):
         key = self.node_index.__getitem__
         return {n: tuple(sorted(row, key=key)) for n, row in self._marks.items()}
 
+    @cached_property
+    def _steps(self) -> dict:
+        """The one-step masks of `_reach`: ``_steps[directed, reverse][i]``
+        has bit j set when one step of that kind leads from the node at
+        position i to the node at position j."""
+        index = self.node_index
+        n = len(self.nodes)
+        forward, backward = [0] * n, [0] * n  # directed steps
+        possible, possible_back = [0] * n, [0] * n
+        circles = False
+        for v, row in self._marks.items():
+            i = index[v]
+            bit_v = 1 << i
+            for w, m in row.items():
+                if m is Mark.ARROW:
+                    continue
+                j = index[w]
+                possible[i] |= 1 << j
+                possible_back[j] |= bit_v
+                if m is Mark.TAIL:
+                    forward[i] |= 1 << j
+                    backward[j] |= bit_v
+                else:
+                    circles = True
+        if not circles:  # every possibly directed step is directed: share the lists
+            possible, possible_back = forward, backward
+        return {(True, False): forward, (True, True): backward,
+                (False, False): possible, (False, True): possible_back}
+
     def neighbors(self, node: Node) -> frozenset:
         self._require(node)
         return frozenset(self._marks[node])
@@ -339,8 +375,45 @@ def _disjoint_sets(g: Graph, x, y, z=()):
     return x, y, z
 
 
-# directed -> the marks at v that stop a step from v to w (see `_reach`)
+# directed -> the marks at v that stop a step from v to w (the steps of `_reach`)
 _STOP_MARKS = {True: (Mark.ARROW, Mark.CIRCLE), False: (Mark.ARROW, Mark.ARROW)}
+
+
+def _bits(g: Graph, nodes) -> int:
+    """The mask of `nodes`: bit i for the node at position i."""
+    index = g.node_index
+    mask = 0
+    for v in nodes:
+        mask |= 1 << index[v]
+    return mask
+
+
+def _nodes(g: Graph, mask: int) -> frozenset:
+    """The nodes of `mask`."""
+    nodes = g.nodes
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(nodes[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
+def _reach_bits(g: Graph, seeds: int, *, directed: bool, reverse: bool = False,
+                avoid: int = 0) -> int:
+    """`_reach` on masks."""
+    step = g._steps[directed, reverse]
+    seen = seeds | avoid
+    todo = seeds
+    while todo:
+        new = 0
+        while todo:
+            low = todo & -todo
+            new |= step[low.bit_length() - 1]
+            todo ^= low
+        todo = new & ~seen
+        seen |= todo
+    return seen & ~avoid
 
 
 def _reach(g: Graph, seeds, *, directed: bool, reverse: bool = False, avoid=frozenset()) -> frozenset:
@@ -352,30 +425,15 @@ def _reach(g: Graph, seeds, *, directed: bool, reverse: bool = False, avoid=froz
     into the seeds, so the step reads the mark at w.  The search expands
     every seed and enters no node of `avoid`; the result holds the seeds
     and every node reached, minus `avoid`.
+
+    The steps come from the graph's table `Graph._steps`, one mask per
+    node and kind of step, and the search is a fixpoint on masks
+    (`_reach_bits`): one round ORs the step masks of the nodes still to
+    expand, taken lowest bit first, and the nodes of that union not yet
+    seen are the ones the next round expands.
     """
-    marks = g._marks
-    stop1, stop2 = _STOP_MARKS[directed]
-    seen = set(avoid)
-    seen.update(seeds)
-    stack = list(seeds)
-    push, add = stack.append, seen.add
-    if reverse:
-        while stack:
-            v = stack.pop()
-            for w in marks[v]:
-                if w not in seen:
-                    m = marks[w][v]
-                    if m is not stop1 and m is not stop2:
-                        add(w)
-                        push(w)
-    else:
-        while stack:
-            v = stack.pop()
-            for w, m in marks[v].items():
-                if w not in seen and m is not stop1 and m is not stop2:
-                    add(w)
-                    push(w)
-    return frozenset(seen.difference(avoid)) if avoid else frozenset(seen)
+    return _nodes(g, _reach_bits(g, _bits(g, seeds), directed=directed, reverse=reverse,
+                                 avoid=_bits(g, avoid)))
 
 
 def parents(g: Graph, s) -> frozenset:
@@ -459,11 +517,17 @@ def _find_directed_cycle(g: Graph):
 
 
 def _find_almost_directed_cycle(g: Graph):
-    """Return a directed path A..B with B <-> A present, or None."""
-    for e in sorted(g.edges, key=lambda e: (g.node_index[e.a], g.node_index[e.b])):
-        if not e.is_bidirected():
-            continue
-        for src, dst in ((e.a, e.b), (e.b, e.a)):
+    """Return a directed path A..B with B <-> A present, or None.
+
+    The bidirected edges are tried by the declaration position of their
+    name-smaller endpoint, then of the other, and each from that endpoint
+    first."""
+    marks, index = g._marks, g.node_index
+    pairs = sorted(((a, b) for a, row in marks.items() for b, m in row.items()
+                    if a < b and m is Mark.ARROW and marks[b][a] is Mark.ARROW),
+                   key=lambda p: (index[p[0]], index[p[1]]))
+    for a, b in pairs:
+        for src, dst in ((a, b), (b, a)):
             path = _shortest_path(g, src, {dst}, directed=True)
             if path:
                 return path
@@ -474,8 +538,9 @@ def _shortest_path(g: Graph, src: Node, targets, *, directed: bool, avoid=frozen
     """Shortest directed or possibly directed path from `src` to a node of
     `targets` that enters no node of `avoid`, as a tuple, or None.
 
-    Steps read the mark table as `_reach` does.  Neighbours are expanded
-    in declaration order, so ties go to the path first in that order.
+    Steps are those of `_reach`, read from the mark table.  Neighbours
+    are expanded in declaration order, so ties go to the path first in
+    that order.
     """
     if src in targets:
         return (src,)

@@ -35,7 +35,18 @@ from .errors import (
     NotDefiniteStatusError,
     UnknownNodeError,
 )
-from .graphs import Graph, Mark, _as_set, _disjoint_sets, _reach, _Record, _set
+from .graphs import (
+    Graph,
+    Mark,
+    _as_set,
+    _bits,
+    _disjoint_sets,
+    _nodes,
+    _reach,
+    _reach_bits,
+    _Record,
+    _set,
+)
 
 
 class NodePathStatus(Enum):
@@ -136,7 +147,7 @@ def blocks(g: Graph, p: Path, z) -> bool:
     return False
 
 
-def _open_walk(g: Graph, x, y, z, skip_first=None):
+def _open_walk(g: Graph, x, y, z, skip_first=None, *, an_z=None):
     """Shortest open definite status walk from `x` to `y` given `z`, or None.
 
     Breadth-first search over (previous, current) edge states: a state is
@@ -145,8 +156,12 @@ def _open_walk(g: Graph, x, y, z, skip_first=None):
     its first node of `y`.  `skip_first(start, first)` exempts first edges.
     Neighbours are expanded in declaration order, so the walk rebuilt from
     the parent pointers is the lexicographically first shortest one.
+    `an_z` is the mask of An(z); it is computed when not given.  Only its
+    nodes outside `x` and `y` are read.
     """
-    an_z = _reach(g, z, directed=True, reverse=True)
+    if an_z is None:
+        an_z = _reach_bits(g, _bits(g, z), directed=True, reverse=True)
+    index = g.node_index
     marks = g._marks
     order = g._ordered_neighbors
     arrow, tail, circle = Mark.ARROW, Mark.TAIL, Mark.CIRCLE
@@ -172,7 +187,7 @@ def _open_walk(g: Graph, x, y, z, skip_first=None):
         # An arrowhead against a circle is not of definite status.
         non_collider = v not in z
         if m_in is arrow:
-            open_arrow, open_tail, open_circle = v in an_z, non_collider, False
+            open_arrow, open_tail, open_circle = an_z >> index[v] & 1, non_collider, False
         elif m_in is tail:
             open_arrow = open_tail = open_circle = non_collider
         else:
@@ -250,16 +265,21 @@ def require_maximal(g: Graph) -> None:
     """Raise unless every non-adjacent pair can be m-separated by some set.
 
     `g` must be ancestral.  Then non-adjacent a and b are m-separable iff
-    An({a, b}) minus {a, b} separates them (Richardson & Spirtes 2002), so
-    each pair takes one search.
+    Z = An({a, b}) minus {a, b} separates them (Richardson & Spirtes 2002),
+    so each pair takes one search.  An(Z) and An({a, b}) hold the same
+    nodes outside {a, b}, since every ancestor of a or b other than a and
+    b is in Z, so the search is handed An({a, b}).
     """
     from .errors import NotMaximalError
 
-    for i, a in enumerate(g.nodes):
-        for b in g.nodes[i + 1 :]:
+    nodes = g.nodes
+    for i, a in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            b = nodes[j]
             if g.adjacent(a, b):
                 continue
-            ab = frozenset((a, b))
-            z = _reach(g, ab, directed=True, reverse=True) - ab
-            if _open_walk(g, frozenset([a]), frozenset([b]), z) is not None:
+            ab = 1 << i | 1 << j
+            an = _reach_bits(g, ab, directed=True, reverse=True)
+            z = _nodes(g, an & ~ab)
+            if _open_walk(g, frozenset([a]), frozenset([b]), z, an_z=an) is not None:
                 raise NotMaximalError((a, b))

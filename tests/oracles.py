@@ -396,47 +396,38 @@ def children_loop(g, s):
     return frozenset(w for v in s for w, e in adj[v].items() if _directed_edge(e, v, w))
 
 
-def directed_closure(g, s, reverse=False):
-    """Reachability along directed edges, into `s` with `reverse`; includes `s`."""
+def closure_loop(g, seeds, *, directed, reverse=False, avoid=frozenset()):
+    """The contract of `graphs._reach` over edge objects: every seed is
+    expanded, no node of `avoid` is entered, and the result holds the
+    seeds and the nodes reached, minus `avoid`.  A step v -> w takes a
+    directed edge v -> w (`directed`) or an edge with no arrowhead at v;
+    with `reverse` the edge is read the other way round."""
     adj = edge_table(g)
-    seen = set(s)
-    stack = list(s)
+    seen = set(seeds) | set(avoid)
+    stack = list(seeds)
     while stack:
         v = stack.pop()
         for w, e in adj[v].items():
             if w in seen:
                 continue
             near, far = (w, v) if reverse else (v, w)
-            if _directed_edge(e, near, far):
+            if _directed_edge(e, near, far) if directed else e.mark_at(near) is not Mark.ARROW:
                 seen.add(w)
                 stack.append(w)
-    return frozenset(seen)
+    return frozenset(seen.difference(avoid))
+
+
+def directed_closure(g, s, reverse=False):
+    """Reachability along directed edges, into `s` with `reverse`; includes `s`."""
+    return closure_loop(g, s, directed=True, reverse=reverse)
 
 
 def possible_descendants_loop(g, s):
-    adj = edge_table(g)
-    seen = set(s)
-    stack = list(s)
-    while stack:
-        v = stack.pop()
-        for w, e in adj[v].items():
-            if w not in seen and e.mark_at(v) is not Mark.ARROW:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    return closure_loop(g, s, directed=False)
 
 
 def possible_ancestors_loop(g, s):
-    adj = edge_table(g)
-    seen = set(s)
-    stack = list(s)
-    while stack:
-        v = stack.pop()
-        for w, e in adj[v].items():
-            if w not in seen and e.mark_at(w) is not Mark.ARROW:
-                seen.add(w)
-                stack.append(w)
-    return frozenset(seen)
+    return closure_loop(g, s, directed=False, reverse=True)
 
 
 def _reach_from(g, x, step):

@@ -7,6 +7,7 @@ import pytest
 
 import covadjust as ca
 from covadjust.cgtext import Query
+from covadjust.cli import run_command
 from covadjust.errors import DuplicateEdgeError, GraphError, MarkNotAllowedError, ParseError
 from covadjust.graphs import _ALLOWED_MARKS, Edge, Graph, GraphClass, Mark
 
@@ -224,6 +225,43 @@ def test_parsing_builds_no_edge_objects(monkeypatch):
     docs = [ca.parse_document(text) for text in texts]
     assert built["edges"] == 0
     assert sum(len(doc.graph.edges) for doc in docs) == built["edges"] > 120
+
+
+# a MAG with a bidirected edge, so the almost directed cycle check has one to try
+BIDIRECTED_MAG = "graph mag { V <-> X X -> Y W -> Y } query { X = X; Y = Y }"
+
+
+@pytest.mark.parametrize("command", ["check", "amenable", "forbidden", "backdoor", "list"])
+def test_mag_commands_build_no_edge_objects(command, tmp_path, monkeypatch, capsys):
+    """The class check of a parsed MAG (ancestral, maximal) and the
+    decision read the mark table: no `Edge` is built."""
+    (tmp_path / "bidirected.cg").write_text(BIDIRECTED_MAG, encoding="utf-8")
+    files = [CORPUS_DIR / "fig3b.cg", CORPUS_DIR / "fig3c.cg", tmp_path / "bidirected.cg"]
+    built = collections.Counter()
+    init = Edge.__init__
+
+    def counting_init(self, *args):
+        built["edges"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(Edge, "__init__", counting_init)
+    for path in files:
+        assert run_command([command, "--graph", str(path)]) in (0, 1)
+    capsys.readouterr()
+    assert built["edges"] == 0
+
+
+def test_parsed_graph_holds_one_string_per_node():
+    """Every mention of a name is the object of its first mention, so a
+    parsed graph keeps one `str` per node, not one per mention."""
+    texts = [(CORPUS_DIR / f"{name}.cg").read_text(encoding="utf-8") for name in CORPUS_NAMES]
+    texts.append(_wide_text(100, "one-string-per-node"))
+    for text in texts:
+        g = ca.parse_graph(text)
+        by_name = {v: v for v in g.nodes}
+        for v, row in g._marks.items():
+            assert v is by_name[v]
+            assert all(w is by_name[w] for w in row)
 
 
 # ------------------------------------------------- against the reference parser

@@ -1,13 +1,15 @@
 """The mark table and the closure kernel against the edge objects.
 
 Every search reads marks from `Graph._marks` and every closure runs on
-`graphs._reach`.  Here the table is compared with the edge objects, each
-closure with the edge-object loop it replaced (kept in `oracles`), the
+`graphs._reach`, a fixpoint over the one-step masks of `Graph._steps`.
+Here the table is compared with the edge objects, each closure with the
+edge-object loop it replaced (kept in `oracles`), the
 ancestral-separator forms of `require_maximal` and `latent_project` with
 their subset searches, and a counting guard checks that the decisions
-never go back through the edge objects.
+never go back through the edge objects and build each step table once.
 """
 
+import functools
 import itertools
 import json
 import random
@@ -24,7 +26,18 @@ from covadjust.errors import (
     SizeCapExceededError,
     UnknownNodeError,
 )
-from covadjust.graphs import Edge, Graph, GraphClass, _as_set, _reach
+from covadjust.graphs import (
+    _ALLOWED_MARKS,
+    Edge,
+    Graph,
+    GraphClass,
+    Mark,
+    _as_set,
+    _bits,
+    _nodes,
+    _reach,
+    _reach_bits,
+)
 from covadjust.paths import require_maximal
 
 import oracles
@@ -91,10 +104,53 @@ def test_closures_agree_with_edge_object_loops(cls):
                 oracles.possibly_directed_reach_from(g, s))
             assert _reach(g, s, directed=True, avoid=s) == oracles.directed_reach_from(g, s)
             y = frozenset(rng.sample(list(g.nodes), 1))
-            assert criteria._possibly_directed_reach_to(g, y, avoid=s) == (
+            assert _nodes(g, criteria._possibly_directed_reach_to(g, y, avoid=s)) == (
                 oracles.possibly_directed_reach_to(g, y, s))
             assert _reach(g, y - s, directed=True, reverse=True, avoid=s) == (
                 oracles.directed_reach_to(g, y, s))
+
+
+def _wide_graph(cls, n, rng):
+    """A seeded graph of `n` nodes with about three edges per node, each
+    drawn from the mark pairs of class `cls` and oriented along a random
+    order (tail or circle at the earlier node, arrowhead at the later)."""
+    names = tuple(f"N{i}" for i in range(n))
+    order = list(names)
+    rng.shuffle(order)
+    pairs = sorted(_ALLOWED_MARKS[getattr(GraphClass, cls.upper())], key=str)
+    pairs = [(ma, mb) for ma, mb in pairs if ma is not Mark.ARROW or mb is Mark.ARROW]
+    edges = [Edge(order[i], order[j], *rng.choice(pairs))
+             for i in range(n) for j in range(i + 1, n) if rng.random() < 3.0 / n]
+    return Graph(getattr(GraphClass, cls.upper()), names, frozenset(edges))
+
+
+STEP_KINDS = [(directed, reverse) for directed in (True, False) for reverse in (False, True)]
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_step_kernel_agrees_with_edge_object_closures(cls):
+    """Each kind of step, with `avoid` overlapping the seeds, on the class
+    graphs and on wide graphs whose masks pass 64 bits."""
+    rng = random.Random(f"kernel-{cls}")
+    wide = [_wide_graph(cls, n, rng) for n in (70, 200)]
+    far = 0  # results holding a node past position 63
+    for g in [*GRAPHS[cls], *wide]:
+        names = list(g.nodes)
+        for _ in range(8):
+            seeds = frozenset(rng.sample(names, rng.randint(1, 3)))
+            avoid = frozenset(rng.sample(names, rng.randint(0, 3)))
+            if rng.random() < 0.5:
+                avoid |= {next(iter(seeds))}
+            for directed, reverse in STEP_KINDS:
+                want = oracles.closure_loop(g, seeds, directed=directed, reverse=reverse,
+                                            avoid=avoid)
+                assert _reach(g, seeds, directed=directed, reverse=reverse, avoid=avoid) == want
+                assert _reach_bits(g, _bits(g, seeds), directed=directed, reverse=reverse,
+                                   avoid=_bits(g, avoid)) == _bits(g, want)
+                far += _bits(g, want) >> 64 != 0
+    assert far >= 10
+    for g in wide:
+        assert _nodes(g, _bits(g, g.nodes)) == frozenset(g.nodes)
 
 
 def test_shielded_circle_triple_is_not_of_definite_status():
@@ -258,6 +314,11 @@ def test_decisions_read_the_mark_table_only(monkeypatch):
     monkeypatch.setattr(graphs.Graph, "edge_between",
                         counted("edge_between", graphs.Graph.edge_between))
     monkeypatch.setattr(graphs.Edge, "__init__", counted("Edge", graphs.Edge.__init__))
+    built = []  # the graphs whose step table was built
+    build = graphs.Graph.__dict__["_steps"].func
+    steps = functools.cached_property(lambda g: built.append(g) or build(g))
+    steps.__set_name__(graphs.Graph, "_steps")
+    monkeypatch.setattr(graphs.Graph, "_steps", steps)
     rng = random.Random(25)
     decisions = 0
     failed = set()
@@ -283,4 +344,5 @@ def test_decisions_read_the_mark_table_only(monkeypatch):
     assert counts["edge_between"] == 0
     assert counts["Edge"] == 0
     assert counts["sort_nodes"] <= 2 * decisions
+    assert built == [g for _, g, _ in cases]  # once per graph, not once per decision
     assert all((cls, "Cond2") in failed for cls in CLASSES)

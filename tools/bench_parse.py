@@ -89,21 +89,27 @@ def main(argv=None):
         rows.append({"class": cls, "n": n, "edges": edges, "bytes": len(text),
                      "us_per_parse": round(us, 1)})
         print(f"{cls:5} n={n:3} edges={edges:4} {us:9.1f} us", flush=True)
+    record(args.out, args.label, texts, rows,
+           "parse_document time per parse (median of 5 runs), written by tools/bench_parse.py")
+
+
+def record(path, label, texts, rows, about):
+    """Put one run's rows under `label` in the JSON file `path`, beside
+    the runs of other labels, with a digest of the texts it ran on."""
     digest = hashlib.sha256("".join(t for _, _, t in texts).encode()).hexdigest()[:16]
     result = {}
-    if os.path.exists(args.out):
-        with open(args.out, encoding="utf-8") as fh:
+    if os.path.exists(path):
+        with open(path, encoding="utf-8") as fh:
             result = json.load(fh)
-    result.setdefault("runs", {})[args.label] = {
+    result.setdefault("runs", {})[label] = {
         "python": platform.python_version(),
         "machine": platform.machine(),
         "date": time.strftime("%Y-%m-%d"),
         "texts_sha256": digest,
         "rows": rows,
     }
-    result["about"] = ("parse_document time per parse (median of 5 runs), "
-                       "written by tools/bench_parse.py")
-    with open(args.out, "w", encoding="utf-8") as fh:
+    result["about"] = about
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
         fh.write("\n")
 
