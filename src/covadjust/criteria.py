@@ -76,7 +76,13 @@ def is_visible(g: Graph, x, y) -> bool:
     of y (a single edge into x is the trivial such path).  A visible edge
     is guaranteed free of latent confounding between its endpoints.
     Raises `UnknownNodeError` for an unknown node and
-    `NotDirectedEdgeError` unless x -> y is an edge.
+    `NotDirectedEdgeError` unless x -> y is an edge, on every call.
+
+    A MAG's or PAG's edge is searched the first time it is asked; the
+    verdict is kept in the graph's memo `Graph._visible`, which later
+    calls and the criteria read.  The memo is a cache, like a
+    `cached_property`: concurrent readers at worst search one edge twice,
+    and equality, hashing and pickling of the graph never see it.
     """
     marks = g._marks
     if x not in marks or y not in marks:
@@ -85,6 +91,21 @@ def is_visible(g: Graph, x, y) -> bool:
         raise NotDirectedEdgeError(f"{x} -> {y} is not an edge")
     if g.graph_class in (GraphClass.DAG, GraphClass.CPDAG):
         return True
+    return _visible(g, x, y)
+
+
+def _visible(g: Graph, x, y) -> bool:
+    """`is_visible` of the edge x -> y of a MAG or PAG, from the memo."""
+    memo = g._visible
+    seen = memo.get((x, y))
+    if seen is None:
+        seen = memo[x, y] = _visibility_search(g, x, y)
+    return seen
+
+
+def _visibility_search(g: Graph, x, y) -> bool:
+    """Search for the collider path that makes the edge x -> y visible."""
+    marks = g._marks
     pa_y = {w for w in marks[y] if marks[w][y] is Mark.TAIL}
     # the last nodes a collider path into x can step onto from outside:
     # x and the parents of y joined to x by a <-> chain through parents of y
@@ -121,25 +142,34 @@ def find_amenability_violation(g: Graph, x, y):
 def _amenability_violation(g: Graph, x: frozenset, y: frozenset, suffix: int):
     """`find_amenability_violation` given `suffix`, the possibly directed
     closure `_possibly_directed_reach_to(g, y, avoid=x)`."""
-    marks = g._marks
     index = g.node_index
+    nodes = g.nodes
+    steps = g._steps
+    # the first steps of proper possibly directed paths to y, as masks; in
+    # a DAG or CPDAG a directed first edge is visible, in a MAG or PAG it
+    # is asked of the memo
+    possible = steps[False, False]
+    directed = steps[True, False]
+    tails_visible = g.graph_class in (GraphClass.DAG, GraphClass.CPDAG)
     violations = []
     for x_node in g.sort_nodes(x):
-        at_x = marks[x_node]
-        for u in g._ordered_neighbors[x_node]:
-            m = at_x[u]
-            if u in x or m is Mark.ARROW:
-                continue
-            if not suffix >> index[u] & 1:
-                continue  # no proper possibly directed continuation to y
-            if m is Mark.TAIL and is_visible(g, x_node, u):
+        i = index[x_node]
+        tails = directed[i]
+        firsts = possible[i] & suffix  # `suffix` holds no node of x
+        if tails_visible:
+            firsts &= ~tails
+        while firsts:
+            low = firsts & -firsts
+            firsts ^= low
+            u = nodes[low.bit_length() - 1]
+            if low & tails and _visible(g, x_node, u):
                 continue
             rest = _shortest_path(g, u, y, directed=False, avoid=x)
             if rest:
                 violations.append((x_node,) + rest)
     if not violations:
         return None
-    return min(violations, key=lambda p: (len(p), tuple(g.node_index[n] for n in p)))
+    return min(violations, key=lambda p: (len(p), tuple(index[n] for n in p)))
 
 
 def is_amenable(g: Graph, x, y) -> bool:
@@ -222,10 +252,13 @@ def satisfies_generalized_backdoor(g: Graph, x, y, z) -> AdjustmentVerdict:
     if bad:
         return AdjustmentVerdict(False, "Cond1", _first(g, bad))
     marks = g._marks
-
-    def first_edge_exempt(start, first):
-        # a tail at start makes the edge start -> first
-        return marks[start][first] is Mark.TAIL and is_visible(g, start, first)
+    if g.graph_class in (GraphClass.DAG, GraphClass.CPDAG):
+        def first_edge_exempt(start, first):
+            # a tail at start makes the edge start -> first, and it is visible
+            return marks[start][first] is Mark.TAIL
+    else:
+        def first_edge_exempt(start, first):
+            return marks[start][first] is Mark.TAIL and _visible(g, start, first)
 
     for x_node in g.sort_nodes(x):
         cond = z | (x - {x_node})
@@ -244,7 +277,10 @@ def list_adjustment_sets(g: Graph, x, y, *, minimal_only=False, max_size=None):
     condition (1) outright).  With `minimal_only`, keeps only sets no
     proper subset of which also satisfies the criterion.  Returns an
     empty list when the graph is not amenable: no adjustment set exists.
+    Raises `ValueError` for a negative `max_size`, which no set meets.
     """
+    if max_size is not None and max_size < 0:
+        raise ValueError(f"max_size must be at least 0, got {max_size}")
     x, y, _ = _disjoint_sets(g, x, y)
     reach = _possibly_directed_reach_to(g, y, avoid=x)
     if _amenability_violation(g, x, y, reach) is not None:

@@ -17,6 +17,13 @@ built from it on first use: for each kind of step `_reach` takes, one
 bit mask per node of the nodes one step away, where bit i stands for
 the node at position i of `Graph.nodes`.  A closure is then a fixpoint
 over integers, and the criteria keep their closures as masks.
+
+The visibility of a MAG's or PAG's directed edges is memoized too, but
+one edge at a time: `Graph._visible` keeps the verdict of each edge the
+first time it is asked.  Like the tables it is a cache in the manner of
+`functools.cached_property`: concurrent readers at worst compute and
+store one value twice, and equality, hashing and pickling read only the
+class, the nodes and the edges, never a cache.
 """
 
 from __future__ import annotations
@@ -298,6 +305,12 @@ class Graph(_Record):
             possible, possible_back = forward, backward
         return {(True, False): forward, (True, True): backward,
                 (False, False): possible, (False, True): possible_back}
+
+    @cached_property
+    def _visible(self) -> dict:
+        """The memo of `criteria.is_visible` on a MAG or PAG: (x, y) maps to
+        the visibility of the edge x -> y, entered the first time it is asked."""
+        return {}
 
     def neighbors(self, node: Node) -> frozenset:
         self._require(node)

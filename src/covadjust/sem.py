@@ -185,8 +185,11 @@ def verify_adjustment(g: Graph, x, y, z, trials: int = 20, seed: int = 0):
     Raises `NotAmenableError` with the amenability violation when the
     graph is not adjustment amenable for (x, y): no set is an adjustment
     set then, yet the SEMs on the members' canonical DAGs carry no latent
-    confounder behind an invisible edge and could not show it.
+    confounder behind an invisible edge and could not show it.  Raises
+    `ValueError` unless `trials` is at least 1: no trial certifies nothing.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be at least 1, got {trials}")
     x, ys, z = _disjoint_sets(g, x, y, z)
     (y,) = ys
     violation = find_amenability_violation(g, x, ys)

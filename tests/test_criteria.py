@@ -328,6 +328,15 @@ def test_list_minimal_and_max_size(corpus):
     assert {frozenset(s) for s in minimal} == {frozenset({"Z", "A"}), frozenset({"Z", "B"})}
     capped = ca.list_adjustment_sets(g, {"X"}, {"Y"}, max_size=2)
     assert {frozenset(s) for s in capped} == {frozenset({"Z", "A"}), frozenset({"Z", "B"})}
+    assert ca.list_adjustment_sets(g, {"X"}, {"Y"}, max_size=0) == []
+
+
+@pytest.mark.parametrize("max_size", [-1, -5])
+def test_list_rejects_negative_max_size(corpus, max_size):
+    # a negative size bound would list nothing: a silent empty answer
+    g = corpus("fig1a").graph
+    with pytest.raises(ValueError, match="max_size"):
+        ca.list_adjustment_sets(g, {"X"}, {"Y"}, max_size=max_size)
 
 
 def test_list_figure4(corpus):

@@ -2,7 +2,7 @@
 
 Cond2 and the back-door test run one breadth-first search over
 (previous, current) edge states, and `is_visible` a closure over
-bidirected chains.  Here they are compared with the simple-path search
+bidirected chains, run once per edge and memoized on the graph.  Here they are compared with the simple-path search
 and the collider-path DFS kept in `oracles`, on seeded random DAGs,
 CPDAGs, MAGs and PAGs, and every witness is checked as a path.
 """

@@ -5,14 +5,20 @@ Every search reads marks from `Graph._marks` and every closure runs on
 Here the table is compared with the edge objects, each closure with the
 edge-object loop it replaced (kept in `oracles`), the
 ancestral-separator forms of `require_maximal` and `latent_project` with
-their subset searches, and a counting guard checks that the decisions
-never go back through the edge objects and build each step table once.
+their subset searches, the visibility memo with the collider-path search,
+and a counting guard checks that the decisions never go back through the
+edge objects, build each step table once and search each edge's
+visibility once.
 """
 
+import collections
 import functools
 import itertools
 import json
+import pickle
 import random
+import sys
+import threading
 
 import pytest
 
@@ -22,6 +28,8 @@ from covadjust.cli import run_command
 from covadjust.errors import (
     AlmostDirectedCycleError,
     DirectedCycleError,
+    NoPathWitnessError,
+    NotDirectedEdgeError,
     NotMaximalError,
     SizeCapExceededError,
     UnknownNodeError,
@@ -281,6 +289,101 @@ def test_latent_project_has_no_node_cap(tmp_path, capsys):
     assert edges == [f"{a} -> {b}" for a, b in pairs]
 
 
+def _visibility_graphs(cls):
+    """Seeded graphs of class `cls`: small class graphs, a MAG projected
+    from an 80-node DAG, and wide graphs of 70, 120 and 200 nodes (visibility
+    is a local definition, so the wide graphs need not be in their class)."""
+    rng = random.Random(f"visibility-{cls}")
+    out = [*class_graphs(cls, 3, 20), *(_wide_graph(cls, n, rng) for n in (70, 120, 200))]
+    if cls == "mag":
+        d = random_dag(rng, 80, 0.03)
+        out.append(ca.latent_project(d, [v for v in d.nodes if rng.random() < 0.85]))
+    return out
+
+
+def _fresh(g):
+    """The same graph with no cache built."""
+    return Graph(g.graph_class, g.nodes, g.edges)
+
+
+@pytest.mark.parametrize("cls", CLASSES)
+def test_visibility_memo_agrees_with_collider_path_dfs(cls):
+    """`is_visible` on every directed edge against the brute-force search:
+    cold (the first ask of each edge), warm (the memo's answer), and on a
+    fresh copy of the graph after decisions have filled its memo; the
+    node and edge checks still raise on a graph whose memo is full."""
+    rng = random.Random(f"memo-{cls}")
+    sizes, answers, filled = [], [], 0
+    for g in _visibility_graphs(cls):
+        sizes.append(len(g.nodes))
+        edges = sorted(oracles.directed_pairs(g))
+        want = {(t, h): oracles.is_visible_dfs(g, Edge.directed(t, h)) for t, h in edges}
+        for _ in range(2):  # cold, then warm
+            assert {(t, h): ca.is_visible(g, t, h) for t, h in edges} == want
+        answers += want.values()
+        filled_g = _fresh(g)
+        tails = sorted({t for t, _ in edges}, key=g.node_index.__getitem__)
+        for x in rng.sample(tails, min(20, len(tails))):
+            below = sorted(ca.possible_descendants(g, {x}) - {x}, key=g.node_index.__getitem__)
+            y = rng.choice(below)
+            ca.find_amenability_violation(filled_g, {x}, {y})
+            try:
+                ca.satisfies_generalized_backdoor(filled_g, {x}, {y}, set())
+            except NoPathWitnessError:
+                pass  # a walk that is no path: the wide graphs are outside their class
+        memo = filled_g.__dict__.get("_visible", {})
+        assert memo.items() <= want.items()
+        filled += len(memo)
+        assert {(t, h): ca.is_visible(filled_g, t, h) for t, h in edges} == want
+        # a cache: equality, hashing and pickling ignore it
+        assert filled_g == _fresh(g) and hash(filled_g) == hash(_fresh(g))
+        assert "_visible" not in pickle.loads(pickle.dumps(filled_g)).__dict__
+        with pytest.raises(UnknownNodeError):
+            ca.is_visible(filled_g, g.nodes[0], "no such node")
+        for t, h in edges[:3]:
+            with pytest.raises(NotDirectedEdgeError):
+                ca.is_visible(filled_g, h, t)
+            far = next((v for v in g.nodes if v != t and v not in g._marks[t]), None)
+            if far is not None:
+                with pytest.raises(NotDirectedEdgeError):
+                    ca.is_visible(filled_g, t, far)
+    assert max(sizes) >= 70
+    if cls in ("mag", "pag"):
+        assert answers.count(True) >= 50 and answers.count(False) >= 50
+        assert filled >= 50
+    else:
+        assert all(answers) and filled == 0  # no search, no memo
+
+
+def test_visibility_memo_under_concurrent_readers():
+    """Threads asking every edge of one fresh graph at once, switching
+    often: a lost or doubled store may repeat a search, never change an
+    answer."""
+    rng = random.Random("memo-threads")
+    g = _wide_graph("mag", 120, rng)
+    edges = sorted(oracles.directed_pairs(g))
+    want = {(t, h): oracles.is_visible_dfs(g, Edge.directed(t, h)) for t, h in edges}
+    orders = [rng.sample(edges, len(edges)) for _ in range(8)]
+    got = [None] * len(orders)
+
+    def ask(i):
+        got[i] = {(t, h): ca.is_visible(g, t, h) for t, h in orders[i]}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=ask, args=(i,)) for i in range(len(orders))]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert got == [want] * len(orders)
+    assert g._visible == want
+
+
 # ------------------------------------------------------------ hot-path guard
 
 
@@ -319,6 +422,10 @@ def test_decisions_read_the_mark_table_only(monkeypatch):
     steps = functools.cached_property(lambda g: built.append(g) or build(g))
     steps.__set_name__(graphs.Graph, "_steps")
     monkeypatch.setattr(graphs.Graph, "_steps", steps)
+    searched = collections.Counter()  # (graph, x, y) -> visibility searches of x -> y
+    search = criteria._visibility_search
+    monkeypatch.setattr(criteria, "_visibility_search",
+                        lambda g, x, y: searched.update([(id(g), x, y)]) or search(g, x, y))
     rng = random.Random(25)
     decisions = 0
     failed = set()
@@ -345,4 +452,5 @@ def test_decisions_read_the_mark_table_only(monkeypatch):
     assert counts["Edge"] == 0
     assert counts["sort_nodes"] <= 2 * decisions
     assert built == [g for _, g, _ in cases]  # once per graph, not once per decision
+    assert searched and max(searched.values()) == 1  # once per edge, not once per ask
     assert all((cls, "Cond2") in failed for cls in CLASSES)

@@ -207,3 +207,11 @@ def test_verify_adjustment_refuses_non_amenable_graph(corpus):
         ca.verify_adjustment(g, {"X"}, "Y", set(), trials=2, seed=1)
     assert info.value.witness == ("X", "Y")
     assert info.value.witness == ca.find_amenability_violation(g, {"X"}, {"Y"})
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_verify_adjustment_rejects_non_positive_trials(corpus, trials):
+    # no trial would make an empty list of reports: a vacuous certificate
+    g = corpus("fig1a").graph
+    with pytest.raises(ValueError, match="trials"):
+        ca.verify_adjustment(g, {"X"}, "Y", {"Z", "A"}, trials=trials, seed=3)
