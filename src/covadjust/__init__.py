@@ -51,17 +51,7 @@ from .mec import (
     union_representative,
     unshielded_colliders,
 )
-from .paths import (
-    NodePathStatus,
-    Path,
-    PathKind,
-    blocks,
-    classify,
-    find_open_definite_path,
-    m_connected,
-    m_separated,
-    status_at,
-)
+from .paths import find_open_definite_path, m_connected
 from .sem import (
     EffectReport,
     LinearSEM,
@@ -85,17 +75,12 @@ __all__ = [
     "GraphDocument",
     "LinearSEM",
     "Mark",
-    "NodePathStatus",
-    "Path",
-    "PathKind",
     "Query",
     "adjusted_estimate",
     "ancestors",
-    "blocks",
     "build_graph",
     "canonical_dag",
     "children",
-    "classify",
     "covariance",
     "descendants",
     "enumerate_dags",
@@ -109,7 +94,6 @@ __all__ = [
     "latent_project",
     "list_adjustment_sets",
     "m_connected",
-    "m_separated",
     "markov_equivalent",
     "parents",
     "parse_document",
@@ -122,7 +106,6 @@ __all__ = [
     "separation_fingerprint",
     "serialize_document",
     "serialize_graph",
-    "status_at",
     "total_effect",
     "union_representative",
     "unshielded_colliders",

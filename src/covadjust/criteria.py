@@ -3,8 +3,8 @@
 `satisfies_gac` decides the generalized adjustment criterion: (0) the
 graph is adjustment amenable for (X, Y), (1) Z avoids every possible
 descendant of a non-X node on a proper possibly causal path from X to Y
-(the forbidden set), and (2) Z blocks every proper definite status
-non-causal path from X to Y.  A set passing all three is a valid
+(the forbidden set), and (2) every proper definite status non-causal
+path from X to Y is blocked given Z.  A set passing all three is a valid
 adjustment set in every graph of the represented class, and every valid
 adjustment set passes.
 
@@ -31,7 +31,7 @@ from .graphs import (
     _set,
     _shortest_path,
 )
-from .paths import find_open_definite_path
+from .paths import _open_path
 
 
 class AdjustmentQuery(_Record):
@@ -204,9 +204,9 @@ def _proper_backdoor_exemption(g: Graph, reach: int):
     is the possibly directed closure `_possibly_directed_reach_to(g, Y,
     avoid=X)`.
 
-    For an amenable graph and Z outside the forbidden set, Z blocks every
-    proper definite status non-causal path iff it blocks every proper
-    definite status path in that graph (Perković et al., JMLR 2018).
+    For an amenable graph and Z outside the forbidden set, every proper
+    definite status non-causal path is blocked given Z iff every proper
+    definite status path in that graph is (Perković et al., JMLR 2018).
     """
     marks = g._marks
     index = g.node_index
@@ -230,9 +230,7 @@ def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
     bad = _bits(g, z) & _forbidden_set(g, x, reach)
     if bad:
         return AdjustmentVerdict(False, "Cond1", _first(g, bad))
-    open_path = find_open_definite_path(
-        g, x, y, z, skip_first=_proper_backdoor_exemption(g, reach)
-    )
+    open_path = _open_path(g, x, y, z, skip_first=_proper_backdoor_exemption(g, reach))
     if open_path is not None:
         return AdjustmentVerdict(False, "Cond2", open_path)
     return AdjustmentVerdict(True)
@@ -262,9 +260,7 @@ def satisfies_generalized_backdoor(g: Graph, x, y, z) -> AdjustmentVerdict:
 
     for x_node in g.sort_nodes(x):
         cond = z | (x - {x_node})
-        open_path = find_open_definite_path(
-            g, frozenset([x_node]), y, cond, skip_first=first_edge_exempt
-        )
+        open_path = _open_path(g, frozenset([x_node]), y, cond, skip_first=first_edge_exempt)
         if open_path is not None:
             return AdjustmentVerdict(False, "Cond2", open_path)
     return AdjustmentVerdict(True)
@@ -293,7 +289,7 @@ def list_adjustment_sets(g: Graph, x, y, *, minimal_only=False, max_size=None):
     for size in range(limit + 1):
         for combo in itertools.combinations(candidates, size):
             z = frozenset(combo)
-            if find_open_definite_path(g, x, y, z, skip_first=exempt) is None:
+            if _open_path(g, x, y, z, skip_first=exempt) is None:
                 passing.append(z)
     if minimal_only:
         passing = [z for z in passing if not any(other < z for other in passing)]

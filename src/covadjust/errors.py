@@ -73,10 +73,6 @@ class SizeCapExceededError(GraphError):
         super().__init__(message)
 
 
-class NotDefiniteStatusError(GraphError):
-    """Blocking queried on a path that is not of definite status."""
-
-
 class NoPathWitnessError(GraphError):
     """The shortest open walk from X to Y revisits a node, so it is no path."""
 
@@ -94,10 +90,6 @@ class NotAmenableError(GraphError):
             f"not adjustment amenable: possibly directed path {' '.join(self.witness)}"
             " does not start with a visible edge"
         )
-
-
-class EndpointInZError(GraphError):
-    """Blocking queried with a path endpoint inside the conditioning set."""
 
 
 class SetsNotDisjointError(GraphError):

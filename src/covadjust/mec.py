@@ -25,7 +25,6 @@ from .errors import (
     NotMaximalError,
     SizeCapExceededError,
     SkeletonMismatchError,
-    UnknownNodeError,
 )
 from .graphs import (
     Edge,
@@ -33,6 +32,7 @@ from .graphs import (
     GraphClass,
     Mark,
     _ALLOWED_MARKS,
+    _as_set,
     _find_directed_cycle,
     _reach,
     _Record,
@@ -245,10 +245,7 @@ def latent_project(d: Graph, observed) -> Graph:
     """
     if d.graph_class is not GraphClass.DAG:
         raise ClassMismatchError("latent_project expects a DAG")
-    observed = frozenset(observed)
-    unknown = observed - set(d.nodes)
-    if unknown:
-        raise UnknownNodeError(f"observed nodes not in the graph: {sorted(unknown)}")
+    observed = _as_set(d, observed)
     obs = [n for n in d.nodes if n in observed]
     # a and b are adjacent iff (An({a, b}) & observed) minus {a, b} does
     # not d-separate them (Richardson & Spirtes 2002); the mark at a is a

@@ -1,4 +1,4 @@
-"""Paths, definite status, blocking and m-separation.
+"""Definite status, blocking and m-connection.
 
 A path is a sequence of distinct nodes in which successive nodes are
 adjacent.  An interior node is a collider when both incident path edges
@@ -9,9 +9,9 @@ when every interior node is one or the other.
 
 A definite status path is m-connecting given Z when no definite
 non-collider on it is in Z and every collider on it has a descendant in
-Z; otherwise Z blocks it.  The collider condition uses directed-edge
-reachability in every graph class (circles never count), following the
-standard definite-status m-separation for partial graphs.
+Z; otherwise it is blocked given Z.  The collider condition uses
+directed-edge reachability in every graph class (circles never count),
+following the standard definite-status m-separation for partial graphs.
 
 `_open_walk` is the one m-connection search, polynomial in the graph:
 a breadth-first search over (previous node, current node) states that
@@ -21,130 +21,16 @@ or has a descendant in Z once, which fixes the marks on the next edge
 that leave the node open.  `m_connected`, `find_open_definite_path`
 (which rebuilds its witness from the parent pointers), `require_maximal`
 and the `mec` fingerprints and projection run on it.  The test suite
-checks it against exhaustive enumeration of definite status paths.
+checks it against exhaustive enumeration of definite status paths,
+classified and tested for blocking by `tests/oracles.py` alone.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from enum import Enum
 
-from .errors import (
-    EndpointInZError,
-    NoPathWitnessError,
-    NotDefiniteStatusError,
-    UnknownNodeError,
-)
-from .graphs import (
-    Graph,
-    Mark,
-    _as_set,
-    _bits,
-    _disjoint_sets,
-    _nodes,
-    _reach,
-    _reach_bits,
-    _Record,
-    _set,
-)
-
-
-class NodePathStatus(Enum):
-    COLLIDER = "collider"
-    DEFINITE_NON_COLLIDER = "definite-non-collider"
-    NOT_DEFINITE = "not-definite"
-    ENDPOINT = "endpoint"
-
-
-class Path(_Record):
-    """A concrete path in a graph: at least two distinct adjacent nodes."""
-
-    __slots__ = _fields = ("graph", "nodes")
-
-    def __init__(self, graph: Graph, nodes: tuple):
-        nodes = tuple(nodes)
-        if len(nodes) < 2:
-            raise UnknownNodeError("a path has at least two nodes")
-        if len(set(nodes)) != len(nodes):
-            raise UnknownNodeError(f"path nodes are not distinct: {nodes}")
-        graph._require(*nodes)
-        for a, b in zip(nodes, nodes[1:]):
-            if not graph.adjacent(a, b):
-                raise UnknownNodeError(f"{a} and {b} are not adjacent")
-        _set(self, "graph", graph)
-        _set(self, "nodes", nodes)
-
-    def __len__(self):
-        return len(self.nodes) - 1  # length = number of edges
-
-    def reversed(self) -> "Path":
-        return Path(self.graph, self.nodes[::-1])
-
-
-class PathKind(_Record):
-    __slots__ = _fields = ("possibly_causal", "causal", "proper_wrt_x", "definite_status")
-
-    def __init__(self, possibly_causal: bool, causal: bool, proper_wrt_x: bool,
-                 definite_status: bool):
-        _set(self, "possibly_causal", possibly_causal)
-        _set(self, "causal", causal)
-        _set(self, "proper_wrt_x", proper_wrt_x)
-        _set(self, "definite_status", definite_status)
-
-
-def _triple_status(g: Graph, left, mid, right) -> NodePathStatus:
-    m_left = g.mark_at(mid, left)
-    m_right = g.mark_at(mid, right)
-    if m_left is Mark.ARROW and m_right is Mark.ARROW:
-        return NodePathStatus.COLLIDER
-    if m_left is Mark.TAIL or m_right is Mark.TAIL:
-        return NodePathStatus.DEFINITE_NON_COLLIDER
-    if m_left is Mark.CIRCLE and m_right is Mark.CIRCLE and not g.adjacent(left, right):
-        return NodePathStatus.DEFINITE_NON_COLLIDER
-    return NodePathStatus.NOT_DEFINITE
-
-
-def status_at(p: Path, i: int) -> NodePathStatus:
-    """Status of the node at position `i`, which must be interior."""
-    if not 0 < i < len(p.nodes) - 1:
-        raise IndexError(f"position {i} is not interior on a path of {len(p.nodes)} nodes")
-    return _triple_status(p.graph, p.nodes[i - 1], p.nodes[i], p.nodes[i + 1])
-
-
-def classify(p: Path, x=()) -> PathKind:
-    """Classify a path: (possibly) causal, proper with respect to `x`, definite status."""
-    g = p.graph
-    x = _as_set(g, x) if x else frozenset()
-    possibly_causal = True
-    causal = True
-    for a, b in zip(p.nodes, p.nodes[1:]):
-        if g.mark_at(a, b) is Mark.ARROW:
-            possibly_causal = False
-        if not (g.mark_at(a, b) is Mark.TAIL and g.mark_at(b, a) is Mark.ARROW):
-            causal = False
-    proper = bool(x) and p.nodes[0] in x and not any(n in x for n in p.nodes[1:])
-    definite = all(
-        status_at(p, i) is not NodePathStatus.NOT_DEFINITE for i in range(1, len(p.nodes) - 1)
-    )
-    return PathKind(possibly_causal, causal, proper, definite)
-
-
-def blocks(g: Graph, p: Path, z) -> bool:
-    """Whether `z` blocks the definite status path `p`."""
-    z = _as_set(g, z)
-    if p.nodes[0] in z or p.nodes[-1] in z:
-        raise EndpointInZError("path endpoints may not be conditioned on")
-    an_z = _reach(g, z, directed=True, reverse=True)
-    for i in range(1, len(p.nodes) - 1):
-        status = status_at(p, i)
-        v = p.nodes[i]
-        if status is NodePathStatus.NOT_DEFINITE:
-            raise NotDefiniteStatusError(f"{v} is not of definite status on {p.nodes}")
-        if status is NodePathStatus.DEFINITE_NON_COLLIDER and v in z:
-            return True
-        if status is NodePathStatus.COLLIDER and v not in an_z:
-            return True
-    return False
+from .errors import NoPathWitnessError
+from .graphs import Graph, Mark, _bits, _disjoint_sets, _nodes, _reach_bits
 
 
 def _open_walk(g: Graph, x, y, z, skip_first=None, *, an_z=None):
@@ -231,18 +117,16 @@ def m_connected(g: Graph, x, y, z=()) -> bool:
     return _open_walk(g, x, y, z) is not None
 
 
-def m_separated(g: Graph, x, y, z=()) -> bool:
-    return not m_connected(g, x, y, z)
-
-
 def find_open_definite_path(g: Graph, x, y, z, *, skip_first=None):
     """Shortest open definite status path from `x` to `y` given `z`, or None.
 
     Only the first node of the path is in `x`.  `skip_first(start, first)`
-    exempts first edges from the search; the adjustment criteria pass
-    the first edges of proper possibly causal paths (GAC) or the visible
-    edges out of `x` (back-door) this way.  The result is the shortest
-    path, ties broken by declaration order.
+    exempts first edges from the search; the adjustment criteria, which
+    call the search through `_open_path`, pass the first edges of proper
+    possibly causal paths (GAC) or the visible edges out of `x`
+    (back-door) this way.  The result is the shortest
+    path, ties broken by declaration order.  The sets are checked as in
+    `m_connected`: `x` and `y` non-empty, all three pairwise disjoint.
 
     The search runs over (previous, current) edge states in polynomial
     time and finds the shortest open walk.  In DAGs and MAGs that walk is
@@ -252,9 +136,12 @@ def find_open_definite_path(g: Graph, x, y, z, *, skip_first=None):
     a walk returned.  The differential tests check that this does not
     happen under the preconditions of the adjustment criteria.
     """
-    x = _as_set(g, x)
-    y = _as_set(g, y)
-    z = _as_set(g, z)
+    x, y, z = _disjoint_sets(g, x, y, z)
+    return _open_path(g, x, y, z, skip_first)
+
+
+def _open_path(g: Graph, x, y, z, skip_first=None):
+    """`find_open_definite_path` on sets that the caller has checked."""
     walk = _open_walk(g, x, y, z, skip_first)
     if walk is not None and len(set(walk)) < len(walk):
         raise NoPathWitnessError(walk)

@@ -10,7 +10,7 @@ import functools
 import itertools
 import random
 import re
-from collections import deque
+from collections import deque, namedtuple
 
 from covadjust.cgtext import GraphDocument, Query
 from covadjust.criteria import AdjustmentVerdict
@@ -26,7 +26,7 @@ from covadjust.graphs import (
     validate_ancestral,
 )
 from covadjust.mec import _mark_union, separation_fingerprint, unshielded_colliders
-from covadjust.paths import Path, _open_walk, classify
+from covadjust.paths import _open_walk
 
 
 @functools.lru_cache(maxsize=1024)
@@ -279,11 +279,49 @@ def _triple_open(adj, left, mid, right, z, an_z):
     return False
 
 
+PathKind = namedtuple("PathKind", "possibly_causal causal proper_wrt_x definite_status")
+
+
+def classify_path(g, nodes, x=()):
+    """The kind of the path `nodes`, read off the raw edge objects: no
+    arrowhead towards the start (possibly causal), every edge pointing
+    away from it (causal), only its first node in `x` (proper) and every
+    interior triple of definite status.  A triple is of definite status
+    iff `_triple_open` leaves it open given an empty Z with every node in
+    An(Z).  Raises ValueError unless the nodes are at least two, distinct
+    and successively adjacent."""
+    adj = edge_table(g)
+    nodes = tuple(nodes)
+    if len(nodes) < 2 or len(set(nodes)) < len(nodes):
+        raise ValueError(f"not at least two distinct nodes: {nodes}")
+    for a, b in zip(nodes, nodes[1:]):
+        if b not in adj.get(a, ()):
+            raise ValueError(f"{a} and {b} are not adjacent")
+    steps = [(edge_mark(adj, a, b), edge_mark(adj, b, a)) for a, b in zip(nodes, nodes[1:])]
+    return PathKind(
+        all(near is not Mark.ARROW for near, _ in steps),
+        all(near is Mark.TAIL and far is Mark.ARROW for near, far in steps),
+        nodes[0] in x and not any(n in x for n in nodes[1:]),
+        all(_triple_open(adj, *nodes[i - 1:i + 2], (), adj) for i in range(1, len(nodes) - 1)),
+    )
+
+
+def path_open(g, nodes, z):
+    """Whether the path `nodes` is open given `z`: every interior triple
+    passes `_triple_open`, so a path not of definite status is never
+    open.  Raises ValueError when `z` holds an endpoint."""
+    if nodes[0] in z or nodes[-1] in z:
+        raise ValueError(f"an endpoint of {nodes} is in Z")
+    adj = edge_table(g)
+    an_z = directed_closure(g, frozenset(z), reverse=True)
+    return all(_triple_open(adj, *nodes[i - 1:i + 2], z, an_z) for i in range(1, len(nodes) - 1))
+
+
 def enumerate_paths(g, x, y, *, possibly_causal=None, causal=None, proper=None,
                     definite_status=None):
     """All simple paths from a node of `x` to a node of `y` matching the mask,
-    in lexicographic order of node declaration indices.  Each filter flag
-    is True (require), False (forbid) or None (ignore)."""
+    as node tuples in lexicographic order of node declaration indices.
+    Each filter flag is True (require), False (forbid) or None (ignore)."""
     mask = {"possibly_causal": possibly_causal, "causal": causal, "proper_wrt_x": proper,
             "definite_status": definite_status}
     found = []
@@ -291,10 +329,9 @@ def enumerate_paths(g, x, y, *, possibly_causal=None, causal=None, proper=None,
 
     def extend(path):
         if path[-1] in y and len(path) > 1:
-            p = Path(g, path)
-            kind = classify(p, x)
+            kind = classify_path(g, path, x)
             if all(want is None or getattr(kind, k) is want for k, want in mask.items()):
-                found.append(p)
+                found.append(path)
         for nxt in adj[path[-1]]:
             if nxt not in path:
                 extend(path + (nxt,))

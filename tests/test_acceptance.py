@@ -303,8 +303,8 @@ def test_criterion_9_latent_projection():
                 rest = [v for v in m.nodes if v not in (a, b)]
                 for r in range(len(rest) + 1):
                     for s in itertools.combinations(rest, r):
-                        assert moral_d_separated(d, {a}, {b}, set(s)) == ca.m_separated(
-                            m, {a}, {b}, frozenset(s)
+                        assert moral_d_separated(d, {a}, {b}, set(s)) == (
+                            not ca.m_connected(m, {a}, {b}, frozenset(s))
                         )
             # the output is a valid MAG
             ca.build_graph(ca.GraphClass.MAG, m.nodes, m.edges)

@@ -15,10 +15,12 @@ from covadjust.graphs import Edge, Graph, Mark
 import oracles
 from oracles import (
     class_graphs,
+    classify_path,
     cpdag_of,
     directed_pairs,
     enumerate_paths,
     pag_of,
+    path_open,
     random_dag,
     small_queries,
 )
@@ -32,13 +34,13 @@ def forbidden_reference(g, x, y):
     """The forbidden set by raw path enumeration, as a cross-check."""
     on = set()
     for p in enumerate_paths(g, x, y, proper=True, possibly_causal=True):
-        on.update(p.nodes[1:])
+        on.update(p[1:])
     return ca.possible_descendants(g, on) if on else frozenset()
 
 
 def amenable_reference(g, x, y):
     for p in enumerate_paths(g, x, y, proper=True, possibly_causal=True):
-        tail, head = p.nodes[:2]
+        tail, head = p[:2]
         if g.mark_at(tail, head) is not Mark.TAIL or not ca.is_visible(g, tail, head):
             return False
     return True
@@ -210,10 +212,9 @@ def test_gac_cond2_witness_is_open_path(corpus):
     g = corpus("fig4a").graph
     verdict = gac(g, {"X"}, {"Y"}, set())
     assert verdict.failed_condition == "Cond2"
-    p = ca.Path(g, verdict.witness)
-    kind = ca.classify(p, {"X"})
+    kind = classify_path(g, verdict.witness, {"X"})
     assert kind.proper_wrt_x and kind.definite_status and not kind.possibly_causal
-    assert not ca.blocks(g, p, set())
+    assert path_open(g, verdict.witness, set())
 
 
 def test_gac_cond1_iff_z_meets_forbidden():

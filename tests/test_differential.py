@@ -2,9 +2,11 @@
 
 Cond2 and the back-door test run one breadth-first search over
 (previous, current) edge states, and `is_visible` a closure over
-bidirected chains, run once per edge and memoized on the graph.  Here they are compared with the simple-path search
-and the collider-path DFS kept in `oracles`, on seeded random DAGs,
-CPDAGs, MAGs and PAGs, and every witness is checked as a path.
+bidirected chains, run once per edge and memoized on the graph.  Here
+they are compared with the simple-path search and the collider-path DFS
+kept in `oracles`, on seeded random DAGs, CPDAGs, MAGs and PAGs, and
+every witness is classified and tested for being open by `oracles`
+from the raw edge objects.
 """
 
 import itertools
@@ -16,7 +18,6 @@ import covadjust as ca
 from covadjust import criteria, graphs
 from covadjust.errors import NoPathWitnessError
 from covadjust.graphs import Edge, Graph, GraphClass, Mark
-from covadjust.paths import Path
 
 import oracles
 from oracles import (
@@ -58,10 +59,9 @@ def _oracle_gac(g, x, y, z, forbidden):
 
 
 def _check_witness(g, witness, x, z, *, gac):
-    p = Path(g, witness)  # raises unless distinct, adjacent nodes
-    kind = ca.classify(p, x)
+    kind = oracles.classify_path(g, witness, x)  # raises unless distinct, adjacent nodes
     assert kind.definite_status
-    assert not ca.blocks(g, p, z)
+    assert oracles.path_open(g, witness, z)
     if gac:
         assert kind.proper_wrt_x and not kind.possibly_causal
 

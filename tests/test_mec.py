@@ -13,6 +13,7 @@ from covadjust.errors import (
     NotEquivalentError,
     SizeCapExceededError,
     SkeletonMismatchError,
+    UnknownNodeError,
 )
 from covadjust.graphs import Edge, Graph, GraphClass, _find_directed_cycle
 
@@ -337,12 +338,19 @@ def test_projection_preserves_observed_separations():
         observed = [n for n in d.nodes if rng.random() < 0.7] or list(d.nodes[:2])
         m = ca.latent_project(d, observed)
         for x, y, z in small_queries(m.nodes, max_xy=1):
-            assert moral_d_separated(d, x, y, z) == ca.m_separated(m, x, y, z)
+            assert moral_d_separated(d, x, y, z) == (not ca.m_connected(m, x, y, z))
 
 
 def test_latent_project_requires_dag(corpus):
     with pytest.raises(ClassMismatchError):
         ca.latent_project(corpus("fig1a").graph, {"X"})
+
+
+def test_latent_project_reads_a_string_as_one_node():
+    d = ca.parse_graph("graph dag { A -> B B -> C }")
+    with pytest.raises(UnknownNodeError):
+        ca.latent_project(d, "AB")
+    assert ca.latent_project(d, "B").nodes == ("B",)
 
 
 # -------------------------------------------------------------- canonical_dag

@@ -23,7 +23,6 @@ from covadjust.errors import (
 )
 from covadjust.graphs import Edge, Graph, GraphClass, Mark
 from covadjust.mec import EquivalenceClass
-from covadjust.paths import Path, PathKind
 from covadjust.sem import EffectReport, LinearSEM
 
 EDGE_AB = "Edge(a='A', b='B', mark_a=<Mark.TAIL: '-'>, mark_b=<Mark.ARROW: '>'>)"
@@ -55,10 +54,6 @@ def _records():
         (AdjustmentVerdict(False, "Cond2", ("X", "V", "Y")),
          AdjustmentVerdict(passed=False, failed_condition="Cond2", witness=("X", "V", "Y")),
          "AdjustmentVerdict(passed=False, failed_condition='Cond2', witness=('X', 'V', 'Y'))"),
-        (Path(g, ("A", "B")), Path(_graph(), ["A", "B"]),
-         f"Path(graph={GRAPH_AB}, nodes=('A', 'B'))"),
-        (ca.classify(Path(g, ("A", "B")), {"A"}), PathKind(True, True, True, True),
-         "PathKind(possibly_causal=True, causal=True, proper_wrt_x=True, definite_status=True)"),
         (ca.enumerate_dags(cpdag), ca.enumerate_dags(ca.parse_graph("graph cpdag { A -- B }")),
          "EquivalenceClass(representative=Graph(graph_class=<GraphClass.CPDAG: 'cpdag'>, "
          "nodes=('A', 'B'), edges=frozenset({Edge(a='A', b='B', mark_a=<Mark.CIRCLE: 'o'>, "
@@ -79,8 +74,6 @@ FIELDS = {
     "GraphDocument": ("graph", "query"),
     "AdjustmentQuery": ("graph", "x", "y", "z"),
     "AdjustmentVerdict": ("passed", "failed_condition", "witness"),
-    "Path": ("graph", "nodes"),
-    "PathKind": ("possibly_causal", "causal", "proper_wrt_x", "definite_status"),
     "EquivalenceClass": ("representative", "members"),
     "EffectReport": ("z_set", "member", "trial", "true_effect", "adjusted_estimate",
                      "max_abs_gap"),

@@ -35,13 +35,19 @@ def test_exported_names_resolve():
 
 
 def test_removed_names_stay_removed():
-    from covadjust import cgtext, criteria, paths
+    from covadjust import cgtext, criteria, errors, paths
 
-    for name, module in (("enumerate_paths", paths), ("separating_sets", paths),
-                         ("satisfies_ac", criteria), ("_Token", cgtext), ("_tokenize", cgtext),
-                         ("_Parser", cgtext), ("_NAME_RE", cgtext)):
-        assert name not in ca.__all__
-        assert not hasattr(ca, name) and not hasattr(module, name)
+    removed = {
+        paths: ("enumerate_paths", "separating_sets", "Path", "PathKind", "NodePathStatus",
+                "status_at", "classify", "blocks", "m_separated"),
+        errors: ("EndpointInZError", "NotDefiniteStatusError"),
+        criteria: ("satisfies_ac",),
+        cgtext: ("_Token", "_tokenize", "_Parser", "_NAME_RE"),
+    }
+    for module, names in removed.items():
+        for name in names:
+            assert name not in ca.__all__
+            assert not hasattr(ca, name) and not hasattr(module, name), name
     assert not hasattr(ca.Graph, "_adjacency")
 
 
