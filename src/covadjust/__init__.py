@@ -3,7 +3,7 @@
 Decides and enumerates adjustment sets in DAGs, CPDAGs, MAGs and PAGs
 with a criterion that is both sound and complete, and certifies the
 decisions at desk scale by enumerating Markov equivalence classes and
-comparing against a closed-form linear-Gaussian oracle.
+comparing against an exact linear structural equation oracle.
 """
 
 from . import errors

@@ -25,9 +25,9 @@ from .criteria import (
 from .errors import GraphError, NotAmenableError, SizeCapExceededError
 from .graphs import GraphClass, validate_graph
 from .mec import enumerate_dags, enumerate_mags, latent_project
-from .sem import SOUNDNESS_TOL, verify_adjustment
+from .sem import verify_adjustment
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 # Commands whose work can grow exponentially with the graph.  The default
 # node cap guards only these; the decisions run in polynomial time.
@@ -165,13 +165,13 @@ def _dispatch(args, doc):
 
     if cmd == "check":
         x, y, z = _resolve_sets(args, query, need_z=True)
-        verdict = satisfies_gac(AdjustmentQuery(g, frozenset(x), frozenset(y), frozenset(z)))
+        verdict = satisfies_gac(AdjustmentQuery(g, x, y, z))
         result = {"passed": verdict.passed, "failed_condition": verdict.failed_condition}
         return result, _witness_json(verdict.witness), 0 if verdict.passed else 1
 
     if cmd == "backdoor":
         x, y, z = _resolve_sets(args, query, need_z=True)
-        verdict = satisfies_generalized_backdoor(g, frozenset(x), frozenset(y), frozenset(z))
+        verdict = satisfies_generalized_backdoor(g, x, y, z)
         result = {"passed": verdict.passed, "failed_condition": verdict.failed_condition}
         return result, _witness_json(verdict.witness), 0 if verdict.passed else 1
 
@@ -209,32 +209,33 @@ def _dispatch(args, doc):
         x, y, z = _resolve_sets(args, query, need_z=True)
         if len(y) != 1:
             raise GraphError("verify needs a single Y node")
-        x_order = list(g.sort_nodes(frozenset(x)))
         try:
-            reports = verify_adjustment(
-                g, frozenset(x), next(iter(y)), frozenset(z), trials=args.trials, seed=args.seed
-            )
+            reports = verify_adjustment(g, x, y[0], z, trials=args.trials, seed=args.seed)
         except NotAmenableError as exc:
+            reports, witness = None, list(exc.witness)
+        x_order = list(g.sort_nodes(frozenset(x)))  # x is known to be in g by now
+        if reports is None:
             # no set adjusts in a graph that is not amenable; nothing to compare
             result = {"members": 0, "trials": args.trials, "x_order": x_order,
                       "max_abs_gap": None, "sound": False, "amenable": False, "reports": []}
-            return result, list(exc.witness), 1
-        max_gap = max((r.max_abs_gap for r in reports), default=0.0)
-        sound = max_gap <= SOUNDNESS_TOL
+            return result, witness, 1
+        # exact numbers as rational strings: "-3/7", "2", "0"
+        max_gap = max(r.max_abs_gap for r in reports)
+        sound = max_gap == 0
         result = {
-            "members": 1 + max((r.member for r in reports), default=0),
+            "members": 1 + max(r.member for r in reports),
             "trials": args.trials,
             "x_order": x_order,
-            "max_abs_gap": max_gap,
+            "max_abs_gap": str(max_gap),
             "sound": sound,
             "amenable": True,
             "reports": [
                 {
                     "member": r.member,
                     "trial": r.trial,
-                    "true_effect": list(r.true_effect),
-                    "adjusted_estimate": list(r.adjusted_estimate),
-                    "max_abs_gap": r.max_abs_gap,
+                    "true_effect": [str(v) for v in r.true_effect],
+                    "adjusted_estimate": [str(v) for v in r.adjusted_estimate],
+                    "max_abs_gap": str(r.max_abs_gap),
                 }
                 for r in reports
             ],

@@ -370,9 +370,20 @@ def _edge_glyph(mark_a: Mark, mark_b: Mark) -> str:
 
 
 def _as_set(g: Graph, nodes) -> frozenset:
-    s = frozenset([nodes]) if isinstance(nodes, str) else frozenset(nodes)
+    """`nodes`, one name or an iterable of names, as a node set.
+
+    Raises `UnknownNodeError` naming the first unknown name in argument
+    order, or the smallest one if `nodes` is a set, whose iteration order
+    follows the hash seed of the process.
+    """
+    if isinstance(nodes, str):
+        nodes = (nodes,)
+    elif iter(nodes) is nodes:  # a one-pass iterator: keep its names for the message
+        nodes = tuple(nodes)
+    s = frozenset(nodes)
     if not g.node_index.keys() >= s:
-        g._require(*s)
+        unknown = [v for v in nodes if v not in g.node_index]
+        g._require(min(unknown, key=str) if isinstance(nodes, (set, frozenset)) else unknown[0])
     return s
 
 

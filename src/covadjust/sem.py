@@ -1,72 +1,82 @@
-"""Linear-Gaussian structural equation oracle.
+"""Linear structural equation oracle in exact integer arithmetic.
 
-A linear SEM over a DAG fixes, for every consistent Gaussian density,
-both the interventional total effect of X on Y (a sum of edge-coefficient
-products over directed paths, read off a matrix inverse after severing
-the edges into X) and the covariate-adjusted regression estimate (the X
+A linear SEM over a DAG fixes both the interventional total effect of X
+on Y (a sum of edge-weight products over the directed paths that avoid
+the other X nodes) and the covariate-adjusted regression estimate (the X
 coefficients when regressing Y on X and Z).  A set Z is an adjustment
-set exactly when the two coincide for every density consistent with the
+set exactly when the two coincide for every model consistent with the
 graph, so comparing them across all members of an equivalence class
-certifies criterion decisions numerically.
+certifies criterion decisions.
 
-Covariances are closed form; there is no sampling noise anywhere.
+Everything is exact.  Edge weights and noise variances are integers, so
+on a DAG (I - B)^-1 is an integer matrix, the implied covariance is an
+integer matrix, and a total effect is an integer path sum; the
+regression is solved by fraction-free Gauss-Jordan elimination over the
+integers, and only its answer becomes a `fractions.Fraction`.  A gap
+between effect and estimate is 0 or it is not: there is no tolerance
+and no sampling noise anywhere.
 
-numpy is imported inside the functions that compute, so importing the
-package (and every CLI command but `verify`) does not load it.
+The integer algebra lives in `covadjust._exact`.  It, `fractions` and
+`random` are imported inside the functions that need them, so importing
+the package (and every CLI command but `verify`) loads none of them.
 """
 
 from __future__ import annotations
 
+from itertools import chain, compress
+
 from .criteria import find_amenability_violation
 from .errors import (
     ClassMismatchError,
+    DirectedCycleError,
     NotAmenableError,
     SetsNotDisjointError,
     SingularDesignError,
 )
-from .graphs import Graph, GraphClass, Mark, _disjoint_sets, _Record, _set
+from .graphs import (
+    Graph,
+    GraphClass,
+    Mark,
+    _disjoint_sets,
+    _find_directed_cycle,
+    _Record,
+    _set,
+)
 from .mec import canonical_dag, enumerate_dags, enumerate_mags
 
-TYPE_CHECKING = False  # true only to type checkers, which then see numpy
-if TYPE_CHECKING:
-    import numpy as np
-
-SOUNDNESS_TOL = 1e-8
-COMPLETENESS_GAP = 1e-3
+WEIGHTS = (-3, -2, -1, 1, 2, 3)
+NOISE_VARIANCES = (1, 2, 3)
 
 
 class LinearSEM(_Record):
-    """Coefficient matrix over a DAG plus independent noise variances.
+    """Integer edge weights over a DAG plus independent noise variances.
 
-    `coeffs[i, j]` is the weight of the edge nodes[i] -> nodes[j] and must
-    be zero off the edge set; `noise_var` is positive.
+    `coeffs[i][j]` is the weight of the edge nodes[i] -> nodes[j] and must
+    be zero off the edge set; `noise_var[i]` is the noise variance of
+    nodes[i] and must be positive.  Both hold `int`s only, as tuples.
     """
 
     __slots__ = _fields = ("graph", "coeffs", "noise_var")
 
-    def __init__(self, graph: Graph, coeffs: np.ndarray, noise_var: np.ndarray):
-        import numpy as np
-
+    def __init__(self, graph: Graph, coeffs, noise_var):
         if graph.graph_class is not GraphClass.DAG:
             raise ClassMismatchError("a linear SEM needs a DAG")
-        n = len(graph.nodes)
-        coeffs = np.asarray(coeffs, dtype=float)
-        noise = np.asarray(noise_var, dtype=float)
-        if coeffs.shape != (n, n) or noise.shape != (n,):
+        nodes = graph.nodes
+        coeffs = tuple(map(tuple, coeffs))
+        noise = tuple(noise_var)
+        n = len(nodes)
+        if len(coeffs) != n or len(noise) != n or any(len(row) != n for row in coeffs):
             raise ValueError("coefficient or noise shape does not match the graph")
-        allowed = np.zeros((n, n), dtype=bool)
-        idx = graph.node_index
-        for e in graph.edges:
-            if e.mark_a is Mark.TAIL:
-                allowed[idx[e.a], idx[e.b]] = True
-            else:
-                allowed[idx[e.b], idx[e.a]] = True
-        if np.any(coeffs[~allowed] != 0.0):
-            raise ValueError("nonzero coefficient off the DAG edge set")
-        if np.any(noise <= 0.0):
+        if not set(map(type, chain(noise, *coeffs))) <= {int}:
+            raise TypeError("edge weights and noise variances must be integers")
+        marks = graph._marks
+        for v, row in zip(nodes, coeffs):
+            out = marks[v]
+            for w in compress(nodes, row):  # the heads of the nonzero weights
+                if out.get(w) is not Mark.TAIL:
+                    raise ValueError("nonzero coefficient off the DAG edge set")
+        if noise and min(noise) <= 0:
             raise ValueError("noise variances must be positive")
-        coeffs.flags.writeable = False
-        noise.flags.writeable = False
         _set(self, "graph", graph)
         _set(self, "coeffs", coeffs)
         _set(self, "noise_var", noise)
@@ -76,14 +86,15 @@ class LinearSEM(_Record):
 
 
 class EffectReport(_Record):
-    """Outcome of one member/trial comparison for `verify_adjustment`."""
+    """Outcome of one member/trial comparison for `verify_adjustment`:
+    integer true effects, `Fraction` estimates and their largest gap."""
 
     __slots__ = _fields = (
         "z_set", "member", "trial", "true_effect", "adjusted_estimate", "max_abs_gap"
     )
 
     def __init__(self, z_set: frozenset, member: int, trial: int, true_effect: tuple,
-                 adjusted_estimate: tuple, max_abs_gap: float):
+                 adjusted_estimate: tuple, max_abs_gap):
         _set(self, "z_set", z_set)
         _set(self, "member", member)
         _set(self, "trial", trial)
@@ -92,95 +103,124 @@ class EffectReport(_Record):
         _set(self, "max_abs_gap", max_abs_gap)
 
 
-def random_sem(dag: Graph, seed: int) -> LinearSEM:
-    """Seed-deterministic SEM: edge weights uniform on
-    [-1.5, -0.1] u [0.1, 1.5], noise variances uniform on [0.5, 1.5]."""
+def random_sem(dag: Graph, seed) -> LinearSEM:
+    """Seed-deterministic SEM: each edge weight uniform on {±1, ±2, ±3},
+    each noise variance uniform on {1, 2, 3}.
+
+    `seed` (an int or a str) seeds a `random.Random`, so the draw is the
+    same in every process.  Weights are drawn node by node in declaration
+    order, each node's children in declaration order, then the noise
+    variances in declaration order.
+    """
     if dag.graph_class is not GraphClass.DAG:
         raise ClassMismatchError("random_sem needs a DAG")
-    import numpy as np
+    import random
 
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
+    index, marks = dag.node_index, dag._marks
     n = len(dag.nodes)
-    idx = dag.node_index
-    coeffs = np.zeros((n, n))
-    for e in sorted(dag.edges, key=lambda e: (idx[e.a], idx[e.b])):
-        tail = e.tail_node()
-        head = e.other(tail)
-        magnitude = rng.uniform(0.1, 1.5)
-        sign = 1.0 if rng.random() < 0.5 else -1.0
-        coeffs[idx[tail], idx[head]] = sign * magnitude
-    noise = rng.uniform(0.5, 1.5, size=n)
-    return LinearSEM(dag, coeffs, noise)
+    edges = [(i, index[w]) for i, v in enumerate(dag.nodes)
+             for w in dag._ordered_neighbors[v] if marks[v][w] is Mark.TAIL]
+    coeffs = [[0] * n for _ in range(n)]
+    for (i, j), b in zip(edges, rng.choices(WEIGHTS, k=len(edges))):
+        coeffs[i][j] = b
+    return LinearSEM(dag, coeffs, rng.choices(NOISE_VARIANCES, k=n))
 
 
-def covariance(sem: LinearSEM) -> np.ndarray:
-    """Implied covariance (I - B)^-T Omega (I - B)^-1; symmetric positive
-    definite for every SEM on a DAG."""
-    import numpy as np
+def _sinks_first(sem: LinearSEM):
+    """`_exact.sinks_first` of the weights of `sem`.  Raises
+    `DirectedCycleError` if they run around a cycle, which only a graph
+    built without `validate_graph` can hold."""
+    from . import _exact
 
-    n = len(sem.graph.nodes)
-    a = np.eye(n) - sem.coeffs
-    a_inv = np.linalg.inv(a)  # unit determinant on a DAG, never singular
-    return a_inv.T @ np.diag(sem.noise_var) @ a_inv
+    found = _exact.sinks_first(sem.coeffs)
+    if found is None:
+        raise DirectedCycleError(_find_directed_cycle(sem.graph))
+    return found
 
 
-def total_effect(sem: LinearSEM, x, y) -> np.ndarray:
-    """Interventional effect of each node of `x` (declaration order) on `y`:
-    sever all edges into `x`, then read the (x_i, y) entries of (I - B)^-1."""
+def covariance(sem: LinearSEM, nodes=None) -> tuple:
+    """Implied covariance (I - B)^-T Omega (I - B)^-1 between `nodes` (in
+    the order given; every node in declaration order by default), as a
+    tuple of integer rows.  Only the columns of (I - B)^-1 that belong to
+    `nodes` are built."""
+    g = sem.graph
+    if nodes is None:
+        targets = range(len(g.nodes))
+    else:
+        g._require(*nodes)
+        targets = [g.node_index[v] for v in nodes]
+    from . import _exact
+
+    return _exact.covariance(*_sinks_first(sem), sem.noise_var, targets)
+
+
+def total_effect(sem: LinearSEM, x, y) -> tuple:
+    """Interventional effect of each node of `x` (declaration order) on `y`,
+    as integers: with every edge into `x` severed, the sum over directed
+    paths to `y` of the products of their weights."""
     g = sem.graph
     x, _, _ = _disjoint_sets(g, x, y)
-    import numpy as np
+    index = g.node_index
+    from . import _exact
 
-    n = len(g.nodes)
-    cut = np.array(sem.coeffs)
-    for node in x:
-        cut[:, sem.index(node)] = 0.0
-    totals = np.linalg.inv(np.eye(n) - cut)
-    return np.array([totals[sem.index(v), sem.index(y)] for v in g.sort_nodes(x)])
+    effect = _exact.effects_on(*_sinks_first(sem), index[y], {index[v] for v in x})
+    return tuple(effect[index[v]] for v in g.sort_nodes(x))
 
 
-def adjusted_estimate(sigma: np.ndarray, x_idx, y_idx: int, z_idx=()) -> np.ndarray:
-    """Coefficients on the `x` coordinates when regressing `y` on `x` and `z`
-    under the covariance `sigma` (indices into its order)."""
-    import numpy as np
+def adjusted_estimate(sigma, x_idx, y_idx: int, z_idx=()) -> tuple:
+    """Coefficients on the `x` coordinates, as `Fraction`s, when regressing
+    `y` on `x` and `z` under the integer covariance `sigma` (indices into
+    its order).
 
+    The normal equations are solved over the integers by fraction-free
+    Gauss-Jordan elimination (`_exact.solve`); only the answer becomes
+    `Fraction`s.  Raises `SingularDesignError` when the covariance of `x`
+    and `z` is singular.
+    """
     x_idx = list(x_idx)
-    z_idx = list(z_idx)
-    w = x_idx + z_idx
+    w = x_idx + list(z_idx)
     if len(set(w + [y_idx])) != len(w) + 1:
         raise SetsNotDisjointError("regression indices overlap")
-    sigma = np.asarray(sigma, dtype=float)
-    try:
-        beta = np.linalg.solve(sigma[np.ix_(w, w)], sigma[w, y_idx])
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError(str(exc)) from exc
-    return beta[: len(x_idx)]
+    rows = [[sigma[a][b] for b in w] + [sigma[a][y_idx]] for a in w]
+    if not set(map(type, chain(*rows))) <= {int}:
+        raise TypeError("adjusted_estimate solves over integer covariances only")
+    from fractions import Fraction
+
+    from . import _exact
+
+    solved = _exact.solve(rows)
+    if solved is None:
+        raise SingularDesignError("the design covariance is singular")
+    numerators, d = solved
+    return tuple(Fraction(v, d) for v in numerators[: len(x_idx)])
 
 
-def _member_substrates(g: Graph):
-    """Member graphs of [g] paired with the DAGs the SEMs live on."""
-    if g.graph_class is GraphClass.DAG:
-        members = [g]
-    elif g.graph_class is GraphClass.CPDAG:
-        members = list(enumerate_dags(g).members)
-    elif g.graph_class is GraphClass.MAG:
-        members = [g]
-    else:
-        members = list(enumerate_mags(g).members)
-    out = []
-    for m in members:
-        out.append((m, m if m.graph_class is GraphClass.DAG else canonical_dag(m)))
-    return out
+def _member_substrates(g: Graph) -> list:
+    """The DAGs the SEMs live on, one per member of [g]: the member itself
+    or, for a MAG, its canonical DAG."""
+    if g.graph_class is GraphClass.CPDAG:
+        return list(enumerate_dags(g).members)
+    members = enumerate_mags(g).members if g.graph_class is GraphClass.PAG else [g]
+    return [m if m.graph_class is GraphClass.DAG else canonical_dag(m) for m in members]
+
+
+def trial_seed(seed: int, member: int, trial: int) -> str:
+    """The `random_sem` seed of one (member, trial) of `verify_adjustment`."""
+    return f"{seed}/{member}/{trial}"
 
 
 def verify_adjustment(g: Graph, x, y, z, trials: int = 20, seed: int = 0):
     """Compare true total effects against Z-adjusted regression estimates
     on `trials` random SEMs for every member of the class of `g`.
 
-    Returns one `EffectReport` per (member, trial), in that order.  If Z
-    satisfies the generalized adjustment criterion, every gap is tiny
-    (soundness); if it fails, some member and trial exhibits a clear gap
-    (completeness, up to reseeding flukes).
+    Returns one `EffectReport` per (member, trial), in that order; the SEM
+    of each is `random_sem(substrate, trial_seed(seed, member, trial))`.
+    If Z satisfies the generalized adjustment criterion, every gap is
+    exactly 0 (soundness).  If it fails, some member and trial shows a
+    nonzero gap (completeness), unless the small integer weights happen
+    to cancel in every trial; the tests look for such a cancellation on
+    the corpus and on seeded graphs of all four classes and find none.
 
     Raises `NotAmenableError` with the amenability violation when the
     graph is not adjustment amenable for (x, y): no set is an adjustment
@@ -195,20 +235,19 @@ def verify_adjustment(g: Graph, x, y, z, trials: int = 20, seed: int = 0):
     violation = find_amenability_violation(g, x, ys)
     if violation is not None:
         raise NotAmenableError(violation)
-    import numpy as np
-
     reports = []
-    for m_idx, (_, substrate) in enumerate(_member_substrates(g)):
-        x_pos = [substrate.node_index[v] for v in substrate.sort_nodes(x)]
-        y_pos = substrate.node_index[y]
-        z_pos = [substrate.node_index[v] for v in substrate.sort_nodes(z)]
+    for m_idx, substrate in enumerate(_member_substrates(g)):
+        # the covariance is needed between X, Z and Y only, in that order
+        x_nodes = substrate.sort_nodes(x)
+        z_nodes = substrate.sort_nodes(z)
+        variables = (*x_nodes, *z_nodes, y)
+        x_pos = range(len(x_nodes))
+        z_pos = range(len(x_nodes), len(x_nodes) + len(z_nodes))
+        y_pos = len(variables) - 1
         for trial in range(trials):
-            child = np.random.SeedSequence(entropy=seed, spawn_key=(m_idx, trial))
-            sem = random_sem(substrate, int(child.generate_state(1)[0]))
+            sem = random_sem(substrate, trial_seed(seed, m_idx, trial))
             true = total_effect(sem, x, y)
-            est = adjusted_estimate(covariance(sem), x_pos, y_pos, z_pos)
-            gap = float(np.max(np.abs(true - est))) if len(true) else 0.0
-            reports.append(
-                EffectReport(frozenset(z), m_idx, trial, tuple(true), tuple(est), gap)
-            )
+            est = adjusted_estimate(covariance(sem, variables), x_pos, y_pos, z_pos)
+            gap = max(abs(t - e) for t, e in zip(true, est))
+            reports.append(EffectReport(z, m_idx, trial, true, est, gap))
     return reports

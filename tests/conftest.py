@@ -39,10 +39,11 @@ def corpus():
     return load
 
 
-def run_with_src(*args):
+def run_with_src(*args, **env_vars):
     """Run a fresh interpreter with `args` from the repository root, with
-    the package imported from `src`; asserts exit code 0."""
-    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"))
+    the package imported from `src` and `env_vars` added to the
+    environment; asserts exit code 0."""
+    env = dict(os.environ, PYTHONPATH=str(REPO_ROOT / "src"), **env_vars)
     proc = subprocess.run(
         [sys.executable, *args], cwd=REPO_ROOT, env=env, capture_output=True, text=True
     )

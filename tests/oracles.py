@@ -92,7 +92,8 @@ def moral_d_separated(dag, x, y, z):
 
 def path_sum_total_effect(sem, x, y):
     """Total effects as explicit sums of edge-coefficient products over
-    directed paths, after severing the edges into the intervened nodes."""
+    directed paths, after severing the edges into the intervened nodes;
+    integers for the integer weights of a `LinearSEM`."""
     g = sem.graph
     idx = g.node_index
     children = {n: [] for n in g.nodes}
@@ -101,15 +102,15 @@ def path_sum_total_effect(sem, x, y):
             children[tail].append(head)
     totals = []
     for s in sorted(x, key=idx.__getitem__):
-        acc = 0.0
-        stack = [(s, 1.0)]
+        acc = 0
+        stack = [(s, 1)]
         while stack:
             v, prod = stack.pop()
             if v == y:
                 acc += prod
                 continue
             for w in children[v]:
-                stack.append((w, prod * sem.coeffs[idx[v], idx[w]]))
+                stack.append((w, prod * sem.coeffs[idx[v]][idx[w]]))
         totals.append(acc)
     return totals
 

@@ -4,13 +4,14 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 from covadjust.cgtext import parse_document, serialize_graph
 from covadjust.cli import run_command
 
-from conftest import CORPUS_DIR, REPO_ROOT, run_with_src
+from conftest import CORPUS_DIR, CORPUS_NAMES, REPO_ROOT, run_with_src
 from oracles import random_dag
 
 
@@ -30,7 +31,7 @@ def test_check_passing_set(capsys):
         capsys, "check", "--graph", corpus_path("fig1a"), "-X", "X", "-Y", "Y", "-Z", "Z,A"
     )
     assert code == 0
-    assert payload["format"] == 1
+    assert payload["format"] == 2
     assert payload["command"] == "check"
     assert payload["graph_class"] == "cpdag"
     assert payload["result"]["passed"] is True
@@ -294,7 +295,44 @@ def test_verify_command(capsys):
     assert code == 0
     assert payload["result"]["sound"] is True
     assert payload["result"]["members"] == 2
+    assert payload["result"]["max_abs_gap"] == "0"
     assert len(payload["result"]["reports"]) == 6
+
+
+@pytest.mark.parametrize("name", CORPUS_NAMES)
+def test_verify_agrees_with_check_on_the_corpus(capsys, name):
+    # the file's query, 20 trials: sound exactly when check passes, same exit
+    check_code, check, _ = run(capsys, "check", "--graph", corpus_path(name))
+    code, payload, _ = run(capsys, "verify", "--graph", corpus_path(name))
+    assert code == check_code
+    assert payload["result"]["sound"] is check["result"]["passed"]
+    assert payload["result"]["amenable"] is (check["result"]["failed_condition"] != "Cond0")
+    if not payload["result"]["amenable"]:
+        assert payload["witness"] == check["witness"]
+
+
+@pytest.mark.parametrize("command", ["check", "backdoor", "amenable", "verify"])
+def test_first_unknown_node_in_flag_order(capsys, command):
+    code, payload, _ = run(capsys, command, "--graph", corpus_path("fig1a"), "-X", "S,X,R")
+    assert code == 2
+    assert payload["error"] == {"type": "UnknownNodeError", "message": "unknown node: S"}
+
+
+def test_verify_writes_exact_rationals(capsys):
+    # every number is a rational string; an estimate off its effect shows it
+    code, payload, _ = run(capsys, "verify", "--graph", corpus_path("fig2-right"),
+                           "--trials", "4", "--seed", "2")
+    assert code == 1 and payload["format"] == 2
+    result = payload["result"]
+    assert result["sound"] is False and result["amenable"] is True
+    gaps = []
+    for r in result["reports"]:
+        fields = [*r["true_effect"], *r["adjusted_estimate"], r["max_abs_gap"]]
+        assert all(isinstance(v, str) and re.fullmatch(r"-?\d+(/\d+)?", v) for v in fields)
+        (true,), (est,) = map(Fraction, r["true_effect"]), map(Fraction, r["adjusted_estimate"])
+        assert Fraction(r["max_abs_gap"]) == abs(true - est)
+        gaps.append(Fraction(r["max_abs_gap"]))
+    assert result["max_abs_gap"] == str(max(gaps)) != "0"
 
 
 def test_mec_command_on_pag(capsys):
@@ -340,9 +378,11 @@ def test_verify_refuses_non_amenable_graph(capsys):
     assert payload["witness"] == ["X", "Y"]
 
 
-# Loaded by nothing the package needs: numpy only by `verify`, the rest never.
-# Run under -S, because `site` itself may load typing.
-NOT_AT_START = "('numpy', 'dataclasses', 'inspect', 'typing')"
+# Loaded by nothing the package needs at start; `verify` adds the integer
+# algebra, `fractions` and with it `decimal`.  Run under -S, because `site`
+# itself may load typing.
+NOT_AT_START = ("('numpy', 'fractions', 'decimal', 'covadjust._exact', 'dataclasses', 'inspect',"
+                " 'typing')")
 
 
 def test_import_does_not_load_numpy():
@@ -370,7 +410,7 @@ def test_check_command_does_not_load_numpy():
     assert out.strip() == "0 []"
 
 
-def test_verify_command_loads_numpy():
+def test_verify_process_loads_no_numpy():
     out = run_with_src(
         "-c",
         "import io, json, sys, contextlib\n"
@@ -378,6 +418,7 @@ def test_verify_command_loads_numpy():
         "buf = io.StringIO()\n"
         "with contextlib.redirect_stdout(buf):\n"
         "    code = cli.run_command(['verify', '--graph', 'corpus/fig5a.cg', '--trials', '2'])\n"
-        "print(code, json.loads(buf.getvalue())['result']['sound'], 'numpy' in sys.modules)"
+        "print(code, json.loads(buf.getvalue())['result']['sound'],"
+        " 'numpy' in sys.modules, 'fractions' in sys.modules)"
     )
-    assert out.split() == ["0", "True", "True"]
+    assert out.split() == ["0", "True", "False", "True"]

@@ -14,6 +14,7 @@ from covadjust.errors import (
 )
 from covadjust.graphs import Edge, Graph, GraphClass, Mark
 
+from conftest import run_with_src
 from oracles import random_dag
 
 
@@ -149,6 +150,31 @@ def test_descendants_requires_dag_or_mag(corpus):
 def test_unknown_node_in_relations(corpus):
     with pytest.raises(UnknownNodeError):
         ca.parents(corpus("fig1a").graph, {"nope"})
+
+
+def test_first_unknown_node_in_argument_order():
+    d = ca.parse_graph("graph dag { A -> B B -> C }")
+    for names, first in ((["Q", "R", "S"], "Q"), (("S", "A", "R"), "S"), ("RS", "RS"),
+                         (iter(["R", "Q"]), "R"), ({"S": 0, "Q": 1}, "S"),
+                         ({"S", "R", "Q"}, "Q"), (frozenset({"S", "R"}), "R")):
+        with pytest.raises(UnknownNodeError, match=f"^unknown node: {first}$"):
+            ca.m_connected(d, names, ["A"])
+    with pytest.raises(UnknownNodeError, match="^unknown node: R$"):
+        ca.latent_project(d, ["A", "R", "Q"])
+
+
+def test_unknown_node_message_ignores_the_hash_seed():
+    code = (
+        "import covadjust as ca\n"
+        "d = ca.parse_graph('graph dag { A -> B B -> C }')\n"
+        "for args in ((['Q', 'R', 'S'], ['A']), ({'Q', 'R', 'S'}, ['A'])):\n"
+        "    try:\n"
+        "        ca.m_connected(d, *args)\n"
+        "    except ca.errors.UnknownNodeError as exc:\n"
+        "        print(exc)\n"
+    )
+    outs = {run_with_src("-c", code, PYTHONHASHSEED=str(h)) for h in range(1, 7)}
+    assert outs == {"unknown node: Q\nunknown node: Q\n"}
 
 
 def test_possible_descendants_collapse_and_monotone():

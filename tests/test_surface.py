@@ -35,7 +35,7 @@ def test_exported_names_resolve():
 
 
 def test_removed_names_stay_removed():
-    from covadjust import cgtext, criteria, errors, paths
+    from covadjust import cgtext, criteria, errors, paths, sem
 
     removed = {
         paths: ("enumerate_paths", "separating_sets", "Path", "PathKind", "NodePathStatus",
@@ -43,6 +43,7 @@ def test_removed_names_stay_removed():
         errors: ("EndpointInZError", "NotDefiniteStatusError"),
         criteria: ("satisfies_ac",),
         cgtext: ("_Token", "_tokenize", "_Parser", "_NAME_RE"),
+        sem: ("SOUNDNESS_TOL", "COMPLETENESS_GAP", "TYPE_CHECKING"),
     }
     for module, names in removed.items():
         for name in names:

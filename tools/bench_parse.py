@@ -93,10 +93,10 @@ def main(argv=None):
            "parse_document time per parse (median of 5 runs), written by tools/bench_parse.py")
 
 
-def record(path, label, texts, rows, about, mode=None):
+def record(path, label, texts, rows, about, **fields):
     """Put one run's rows under `label` in the JSON file `path`, beside
-    the runs of other labels, with a digest of the texts it ran on and,
-    if given, the `mode` of the run."""
+    the runs of other labels, with a digest of the texts it ran on and
+    any further `fields` of the run (its `mode`, its totals)."""
     digest = hashlib.sha256("".join(t for _, _, t in texts).encode()).hexdigest()[:16]
     result = {}
     if os.path.exists(path):
@@ -108,9 +108,8 @@ def record(path, label, texts, rows, about, mode=None):
         "date": time.strftime("%Y-%m-%d"),
         "texts_sha256": digest,
         "rows": rows,
+        **fields,
     }
-    if mode is not None:
-        result["runs"][label]["mode"] = mode
     result["about"] = about
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(result, fh, indent=1, sort_keys=True)
