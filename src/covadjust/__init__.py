@@ -4,7 +4,20 @@ Decides and enumerates adjustment sets in DAGs, CPDAGs, MAGs and PAGs
 with a criterion that is both sound and complete, and certifies the
 decisions at desk scale by enumerating Markov equivalence classes and
 comparing against an exact linear structural equation oracle.
+
+``import covadjust`` runs only `errors`, `graphs` and `cgtext`.  The
+other modules (`paths`, `criteria`, `mec`, `sem`) are deferred: each is
+in ``sys.modules`` from the start, and its code runs once, on the first
+read of one of its attributes or of a package-level name it defines
+(``covadjust.satisfies_gac``).  The first read runs it under a lock, so
+threads that reach a deferred module together see it run once and
+whole.
 """
+
+import importlib.util
+import sys
+import threading
+import types
 
 from . import errors
 from .cgtext import (
@@ -14,17 +27,6 @@ from .cgtext import (
     parse_graph,
     serialize_document,
     serialize_graph,
-)
-from .criteria import (
-    AdjustmentQuery,
-    AdjustmentVerdict,
-    find_amenability_violation,
-    forbidden_set,
-    is_amenable,
-    is_visible,
-    list_adjustment_sets,
-    satisfies_gac,
-    satisfies_generalized_backdoor,
 )
 from .graphs import (
     Edge,
@@ -40,27 +42,96 @@ from .graphs import (
     possible_descendants,
     validate_graph,
 )
-from .mec import (
-    EquivalenceClass,
-    canonical_dag,
-    enumerate_dags,
-    enumerate_mags,
-    latent_project,
-    markov_equivalent,
-    separation_fingerprint,
-    union_representative,
-    unshielded_colliders,
-)
-from .paths import find_open_definite_path, m_connected
-from .sem import (
-    EffectReport,
-    LinearSEM,
-    adjusted_estimate,
-    covariance,
-    random_sem,
-    total_effect,
-    verify_adjustment,
-)
+
+# Module metadata, which the import system, `repr()` and `vars()` read;
+# reading it leaves a deferred module unrun.
+_IMPORT_ATTRS = frozenset({"__name__", "__spec__", "__loader__", "__package__", "__file__",
+                           "__cached__", "__path__", "__class__", "__dict__"})
+_LOCK = threading.RLock()  # reentrant: a module's code may read another deferred module
+_RUNNING = set()  # names of the deferred modules whose code runs now
+
+
+class _DeferredModule(types.ModuleType):
+    """A module whose code has not run yet; the first attribute read runs
+    it and makes the object a plain module."""
+
+    def __getattribute__(self, attr):
+        if attr not in _IMPORT_ATTRS:
+            _load(self)
+        return types.ModuleType.__getattribute__(self, attr)
+
+    def __setattr__(self, attr, value):
+        _load(self)
+        types.ModuleType.__setattr__(self, attr, value)
+
+    def __delattr__(self, attr):
+        _load(self)
+        types.ModuleType.__delattr__(self, attr)
+
+    def __dir__(self):
+        _load(self)
+        return types.ModuleType.__dir__(self)
+
+
+def _load(module):
+    """Run a deferred module's code unless it has run.
+
+    Other threads wait on the lock until the code has run, and only then
+    does the object become a plain module; the thread running the code
+    reads its partial namespace, as in an import cycle.  Code that raises
+    leaves the module deferred, and the next read runs it again.
+    """
+    if type(module) is _DeferredModule:
+        name = module.__name__
+        with _LOCK:
+            if type(module) is _DeferredModule and name not in _RUNNING:
+                _RUNNING.add(name)
+                try:
+                    module.__spec__.loader.exec_module(module)
+                finally:
+                    _RUNNING.discard(name)
+                object.__setattr__(module, "__class__", types.ModuleType)
+
+
+def _defer(name):
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    module = importlib.util.module_from_spec(spec)
+    module.__class__ = _DeferredModule
+    sys.modules[spec.name] = module
+    return module
+
+
+paths = _defer("paths")
+criteria = _defer("criteria")
+mec = _defer("mec")
+sem = _defer("sem")
+
+# package-level name -> the deferred module that defines it
+_DEFERRED_NAMES = {
+    **dict.fromkeys(("find_open_definite_path", "m_connected"), "paths"),
+    **dict.fromkeys(("AdjustmentQuery", "AdjustmentVerdict", "find_amenability_violation",
+                     "forbidden_set", "is_amenable", "is_visible", "list_adjustment_sets",
+                     "satisfies_gac", "satisfies_generalized_backdoor"), "criteria"),
+    **dict.fromkeys(("EquivalenceClass", "canonical_dag", "enumerate_dags", "enumerate_mags",
+                     "latent_project", "markov_equivalent", "separation_fingerprint",
+                     "union_representative", "unshielded_colliders"), "mec"),
+    **dict.fromkeys(("EffectReport", "LinearSEM", "adjusted_estimate", "covariance",
+                     "random_sem", "total_effect", "verify_adjustment"), "sem"),
+}
+
+
+def __getattr__(name):
+    module = _DEFERRED_NAMES.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(globals()[module], name)
+    globals()[name] = value  # later reads skip this function
+    return value
+
+
+def __dir__():
+    return sorted(globals().keys() | _DEFERRED_NAMES.keys())
+
 
 __version__ = "0.1.0"
 

@@ -13,19 +13,9 @@ import json
 import sys
 import time
 
-from . import cgtext
-from .criteria import (
-    AdjustmentQuery,
-    forbidden_set,
-    find_amenability_violation,
-    list_adjustment_sets,
-    satisfies_gac,
-    satisfies_generalized_backdoor,
-)
+from . import _load, cgtext, criteria, mec, sem
 from .errors import GraphError, NotAmenableError, SizeCapExceededError
 from .graphs import GraphClass, validate_graph
-from .mec import enumerate_dags, enumerate_mags, latent_project
-from .sem import verify_adjustment
 
 FORMAT_VERSION = 2
 
@@ -45,17 +35,56 @@ def _int_at_least(low):
     return count
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _list_flags(p):
+    p.add_argument("--minimal", action="store_true", help="inclusion-minimal sets only")
+    p.add_argument("--max-size", type=_int_at_least(0), default=None, metavar="K")
+
+
+def _project_flags(p):
+    p.add_argument("--observed", default=None, metavar="A,B,C")
+
+
+def _verify_flags(p):
+    p.add_argument("--trials", type=_int_at_least(1), default=20, metavar="N")
+    p.add_argument("--seed", type=int, default=0, metavar="N")
+
+
+# command -> (help, the deferred module it runs, takes -X/-Y, takes -Z,
+# adds its own flags).  The module runs before the clock starts.
+COMMANDS = {
+    "validate": ("check the class invariants of the graph", mec, False, False, None),
+    "amenable": ("is the graph adjustment amenable for (X, Y)?", criteria, True, False, None),
+    "forbidden": ("nodes that no adjustment set for (X, Y) may contain", criteria, True, False,
+                  None),
+    "check": ("does Z satisfy the generalized adjustment criterion?", criteria, True, True, None),
+    "backdoor": ("does Z satisfy the generalized back-door criterion?", criteria, True, True,
+                 None),
+    "list": ("enumerate all sets satisfying the criterion", criteria, True, False, _list_flags),
+    "mec": ("enumerate the Markov equivalence class members", mec, False, False, None),
+    "project": ("latent-project a DAG onto the observed nodes", mec, False, False,
+                _project_flags),
+    "verify": ("compare adjusted estimates with true effects on random SEMs", sem, True, True,
+               _verify_flags),
+}
+
+
+def _build_parser(command=None) -> argparse.ArgumentParser:
+    """The parser of every command, or, for a known `command`, of that
+    command alone, which parses and reports its arguments the same way."""
     parser = argparse.ArgumentParser(
         prog="covadjust",
         description="Adjustment set decisions in DAGs, CPDAGs, MAGs and PAGs.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text, *, sets=True, z_flag=False, extra=None):
+    names = [command] if command in COMMANDS else list(COMMANDS)
+    # with one command, the metavar keeps them all in the usage line of a
+    # top-level error ("unrecognized arguments")
+    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        help_text, _, sets, z_flag, extra = COMMANDS[name]
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--graph", required=True, metavar="FILE", help=".cg graph file")
-        p.add_argument("--max-nodes", type=int, default=None, metavar="N")
+        p.add_argument("--max-nodes", type=_int_at_least(0), default=None, metavar="N")
         if sets:
             p.add_argument("-X", dest="x", default=None, metavar="A,B")
             p.add_argument("-Y", dest="y", default=None, metavar="C")
@@ -63,32 +92,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("-Z", dest="z", default=None, metavar="D,E")
         if extra:
             extra(p)
-        return p
-
-    add("validate", "check the class invariants of the graph", sets=False)
-    add("amenable", "is the graph adjustment amenable for (X, Y)?")
-    add("forbidden", "nodes that no adjustment set for (X, Y) may contain")
-    add("check", "does Z satisfy the generalized adjustment criterion?", z_flag=True)
-    add("backdoor", "does Z satisfy the generalized back-door criterion?", z_flag=True)
-
-    def list_extra(p):
-        p.add_argument("--minimal", action="store_true", help="inclusion-minimal sets only")
-        p.add_argument("--max-size", type=_int_at_least(0), default=None, metavar="K")
-
-    add("list", "enumerate all sets satisfying the criterion", extra=list_extra)
-    add("mec", "enumerate the Markov equivalence class members", sets=False)
-
-    def project_extra(p):
-        p.add_argument("--observed", default=None, metavar="A,B,C")
-
-    add("project", "latent-project a DAG onto the observed nodes", sets=False, extra=project_extra)
-
-    def verify_extra(p):
-        p.add_argument("--trials", type=_int_at_least(1), default=20, metavar="N")
-        p.add_argument("--seed", type=int, default=0, metavar="N")
-
-    add("verify", "compare adjusted estimates with true effects on random SEMs",
-        z_flag=True, extra=verify_extra)
     return parser
 
 
@@ -153,41 +156,41 @@ def _dispatch(args, doc):
 
     if cmd == "amenable":
         x, y, _ = _resolve_sets(args, query)
-        violation = find_amenability_violation(g, x, y)
+        violation = criteria.find_amenability_violation(g, x, y)
         if violation is None:
             return {"amenable": True}, None, 0
         return {"amenable": False}, _witness_json(violation), 1
 
     if cmd == "forbidden":
         x, y, _ = _resolve_sets(args, query)
-        forb = forbidden_set(g, x, y)
+        forb = criteria.forbidden_set(g, x, y)
         return {"forbidden": list(g.sort_nodes(forb))}, None, 0
 
     if cmd == "check":
         x, y, z = _resolve_sets(args, query, need_z=True)
-        verdict = satisfies_gac(AdjustmentQuery(g, x, y, z))
+        verdict = criteria.satisfies_gac(criteria.AdjustmentQuery(g, x, y, z))
         result = {"passed": verdict.passed, "failed_condition": verdict.failed_condition}
         return result, _witness_json(verdict.witness), 0 if verdict.passed else 1
 
     if cmd == "backdoor":
         x, y, z = _resolve_sets(args, query, need_z=True)
-        verdict = satisfies_generalized_backdoor(g, x, y, z)
+        verdict = criteria.satisfies_generalized_backdoor(g, x, y, z)
         result = {"passed": verdict.passed, "failed_condition": verdict.failed_condition}
         return result, _witness_json(verdict.witness), 0 if verdict.passed else 1
 
     if cmd == "list":
         x, y, _ = _resolve_sets(args, query)
-        sets = list_adjustment_sets(
+        sets = criteria.list_adjustment_sets(
             g, x, y, minimal_only=args.minimal, max_size=args.max_size
         )
         return [list(g.sort_nodes(z)) for z in sets], None, 0
 
     if cmd == "mec":
         if g.graph_class in (GraphClass.CPDAG, GraphClass.DAG):
-            klass = enumerate_dags(g)
+            klass = mec.enumerate_dags(g)
             member_class = "dag"
         else:
-            klass = enumerate_mags(g)
+            klass = mec.enumerate_mags(g)
             member_class = "mag"
         return (
             {
@@ -202,7 +205,7 @@ def _dispatch(args, doc):
 
     if cmd == "project":
         observed = _split_nodes(args.observed) or tuple(g.nodes)
-        mag = latent_project(g, observed)
+        mag = mec.latent_project(g, observed)
         return {"nodes": list(mag.nodes), "edges": _edge_list(mag)}, None, 0
 
     if cmd == "verify":
@@ -210,7 +213,7 @@ def _dispatch(args, doc):
         if len(y) != 1:
             raise GraphError("verify needs a single Y node")
         try:
-            reports = verify_adjustment(g, x, y[0], z, trials=args.trials, seed=args.seed)
+            reports = sem.verify_adjustment(g, x, y[0], z, trials=args.trials, seed=args.seed)
         except NotAmenableError as exc:
             reports, witness = None, list(exc.witness)
         x_order = list(g.sort_nodes(frozenset(x)))  # x is known to be in g by now
@@ -250,13 +253,15 @@ def _emit(payload) -> None:
 
 
 def run_command(argv) -> int:
-    parser = _build_parser()
+    argv = list(argv)
+    parser = _build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = args.command
+    _load(COMMANDS[command][1])
     started = time.perf_counter()
-    command = getattr(args, "command", None)
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
             text = fh.read()

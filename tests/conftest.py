@@ -49,3 +49,20 @@ def run_with_src(*args, **env_vars):
     )
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
+
+
+# Prefix of a fresh process that records, in `ran`, every module of the
+# package whose code runs from then on.  The audit hook sees the module
+# code that `exec` runs, so reading `ran` loads nothing.
+RUN_LOG = (
+    "import os, sys\n"
+    "ran = []\n"
+    "def log(event, args):\n"
+    "    code = args[0] if event == 'exec' else None\n"
+    "    if getattr(code, 'co_name', None) == '<module>':\n"
+    "        folder, file = os.path.split(code.co_filename)\n"
+    "        if os.path.basename(folder) == 'covadjust':\n"
+    "            ran.append(file[:-3])\n"
+    "sys.addaudithook(log)\n"
+)
+DEFERRED = ("paths", "criteria", "mec", "sem")

@@ -9,9 +9,10 @@ from fractions import Fraction
 import pytest
 
 from covadjust.cgtext import parse_document, serialize_graph
+from covadjust import cli
 from covadjust.cli import run_command
 
-from conftest import CORPUS_DIR, CORPUS_NAMES, REPO_ROOT, run_with_src
+from conftest import CORPUS_DIR, CORPUS_NAMES, DEFERRED, REPO_ROOT, RUN_LOG, run_with_src
 from oracles import random_dag
 
 
@@ -210,6 +211,29 @@ def test_list_rejects_negative_max_size(capsys):
     assert code == 0 and payload["result"] == []
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_one_command_parser_parses_and_reports_alike(capsys, command):
+    path = corpus_path("fig1a")
+    for argv in ([command, "--graph", path], [command, "--help"], [command],
+                 [command, "--graph", path, "extra"], [command, "--graph", path, "--bogus"]):
+        seen = []
+        for parser in (cli._build_parser(), cli._build_parser(command)):
+            try:
+                seen.append(vars(parser.parse_args(argv)))
+            except SystemExit as exc:
+                seen.append(exc.code)
+            seen.append(capsys.readouterr())
+        assert seen[:2] == seen[2:], argv
+
+
+def test_negative_node_cap_is_a_usage_error(capsys):
+    code, payload, err = run(capsys, "check", "--graph", corpus_path("fig1a"), "--max-nodes", "-1")
+    assert code == 2 and payload is None
+    assert "--max-nodes" in err
+    code, payload, _ = run(capsys, "check", "--graph", corpus_path("fig1a"), "--max-nodes", "0")
+    assert code == 3 and payload["error"]["limit"] == 0
+
+
 def test_validate_valid_and_invalid(tmp_path, capsys):
     code, payload, _ = run(capsys, "validate", "--graph", corpus_path("fig4a"))
     assert code == 0 and payload["result"]["valid"] is True
@@ -401,13 +425,39 @@ def test_check_command_does_not_load_numpy():
     out = run_with_src(
         "-S",
         "-c",
-        "import io, sys, contextlib\n"
+        RUN_LOG + "import io, contextlib\n"
         "from covadjust import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    code = cli.run_command(['check', '--graph', 'corpus/fig1a.cg'])\n"
-        f"print(code, [m for m in {NOT_AT_START} if m in sys.modules])"
+        f"print(code, [m for m in {NOT_AT_START} if m in sys.modules],"
+        " [m for m in ('mec', 'sem') if m in ran])"
     )
-    assert out.strip() == "0 []"
+    assert out.strip() == "0 [] []"
+
+
+@pytest.mark.parametrize("command, runs", [
+    *((cmd, {"paths", "criteria"})
+      for cmd in ("amenable", "forbidden", "check", "backdoor", "list")),
+    *((cmd, {"paths", "mec"}) for cmd in ("validate", "mec", "project")),
+    ("verify", set(DEFERRED)),
+])
+def test_each_command_runs_only_its_modules(tmp_path, command, runs):
+    graph = corpus_path("fig1a")
+    if command == "project":
+        graph = tmp_path / "dag.cg"
+        graph.write_text("graph dag { L -> A L -> B A -> B }")
+    argv = [command, "--graph", str(graph), *(["--trials", "1"] if command == "verify" else [])]
+    out = run_with_src(
+        "-c",
+        RUN_LOG + "import io, contextlib\n"
+        "from covadjust import cli\n"
+        "started = list(ran)\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.run_command({argv!r})\n"
+        f"print(code in (0, 1), sorted(set(started) & set({DEFERRED})),"
+        f" sorted(set(ran) & set({DEFERRED})), len(ran) == len(set(ran)))"
+    )
+    assert out.strip() == f"True [] {sorted(runs)} True"
 
 
 def test_verify_process_loads_no_numpy():

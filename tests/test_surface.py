@@ -1,14 +1,17 @@
 """Every exported name, and every name that `perfbench/tracing.py` wraps
 by module and name, resolves.  The tracer imports only the standard
-library, so it is loaded here by path."""
+library, so it is loaded here by path.  The deferred modules resolve
+the same way from a fresh process, from several threads at once."""
 
 import importlib
 import importlib.util
 import inspect
+import json
+import pickle
 
 import covadjust as ca
 
-from conftest import REPO_ROOT
+from conftest import DEFERRED, REPO_ROOT, RUN_LOG, run_with_src
 
 
 def _traced_spans():
@@ -32,6 +35,73 @@ def test_traced_names_resolve():
 def test_exported_names_resolve():
     for name in ca.__all__:
         assert hasattr(ca, name), name
+
+
+def test_dir_and_star_import_hold_every_exported_name():
+    # in a fresh process, where no deferred module has run yet
+    out = run_with_src(
+        "-c",
+        "import covadjust\n"
+        "listed = set(dir(covadjust))\n"
+        "from covadjust import *\n"
+        "print(sorted(set(covadjust.__all__) - listed),"
+        " [n for n in covadjust.__all__ if globals().get(n) is not getattr(covadjust, n)])"
+    )
+    assert out.strip() == "[] []"
+
+
+def test_records_of_deferred_modules_pickle_into_a_fresh_process(tmp_path):
+    g = ca.parse_graph("graph dag { A -> B }")
+    records = (ca.AdjustmentQuery(g, {"A"}, {"B"}),
+               ca.enumerate_dags(ca.parse_graph("graph cpdag { A -- B }")),
+               ca.LinearSEM(g, ((0, -2), (0, 0)), (1, 3)))
+    dump = tmp_path / "records.pickle"
+    dump.write_bytes(pickle.dumps(records))
+    out = run_with_src(
+        "-c",
+        RUN_LOG + "import pickle\n"
+        f"records = pickle.loads(open({str(dump)!r}, 'rb').read())\n"
+        "print(pickle.dumps(records).hex(), sorted(ran))"
+    )
+    again, ran = out.split(maxsplit=1)
+    assert pickle.loads(bytes.fromhex(again)) == records
+    assert ran.strip() == str(sorted(["__init__", "errors", "graphs", "cgtext", *DEFERRED]))
+
+
+def test_concurrent_first_use_runs_each_module_once():
+    # Eight threads reach the deferred modules together, with the thread
+    # switch interval shortened so that they interleave inside the loading.
+    out = run_with_src(
+        "-c",
+        RUN_LOG + "import json, threading\n"
+        "import covadjust\n"
+        "def sem():\n"
+        "    covadjust.sem.verify_adjustment\n"
+        "def mec():\n"
+        "    covadjust.mec.enumerate_mags\n"
+        "def gac():\n"
+        "    from covadjust import satisfies_gac\n"
+        "touches = [sem, mec, gac]\n"
+        "start = threading.Barrier(8)\n"
+        "errors = []\n"
+        "def work(i):\n"
+        "    start.wait()\n"
+        "    for touch in touches[i % 3:] + touches[:i % 3]:\n"
+        "        try:\n"
+        "            touch()\n"
+        "        except Exception as exc:\n"
+        "            errors.append(repr(exc))\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "threads = [threading.Thread(target=work, args=(i,)) for i in range(8)]\n"
+        "for t in threads:\n"
+        "    t.start()\n"
+        "for t in threads:\n"
+        "    t.join(timeout=60)\n"
+        "print(json.dumps({'alive': sum(t.is_alive() for t in threads), 'errors': errors,"
+        " 'ran': sorted(m for m in ran if m in " + repr(DEFERRED) + ")}))"
+    )
+    result = json.loads(out)
+    assert result == {"alive": 0, "errors": [], "ran": sorted(DEFERRED)}
 
 
 def test_removed_names_stay_removed():

@@ -1,8 +1,9 @@
-"""Time `verify` on every corpus figure, end to end and in process.
+"""Time `verify`, or every command, on every corpus figure, end to end.
 
     python3 tools/bench_verify.py --label change
     python3 tools/bench_verify.py --label parent --src ../parent/src
     python3 tools/bench_verify.py --label change --versus parent=../parent/src
+    python3 tools/bench_verify.py --command all --label change --versus parent=../parent/src
 
 For each figure of `corpus/` the script runs `python -m covadjust verify
 --graph corpus/<figure>.cg` (the file's query, the default 20 trials and
@@ -18,6 +19,13 @@ then reports which of `numpy` and `fractions` were loaded.  A figure
 whose graph is not amenable for its query is refused (exit 1); its
 calls time the refusal.
 
+`--command NAME` times another command the same way, and `--command all`
+times each of `COMMANDS` (every command but `project`, which needs a DAG,
+and the corpus has none).  Their rows give, per figure and command, the
+exit code, `process_ms`, `elapsed_ms` and `modules`: the `covadjust`
+modules whose code ran, from one more process that runs the command
+under an audit hook.  They go to `BENCH_cli.json` by default.
+
 `--src` names the source directory the `covadjust` package is imported
 from, so one checkout can time another; the figures are always this
 checkout's.  `--versus OTHER=SRC` times a second source directory in the
@@ -25,9 +33,9 @@ same run, each repeat of each figure back to back, first one side and
 then the other, alternating which goes first, so that the drift of a
 shared machine's speed between minutes falls on both sides alike; its
 rows go under the label OTHER.  The result goes under each label into
-the JSON file given by `--out` (default `BENCH_verify.json`), beside the
-runs of other labels, with a digest of the figure texts and the totals
-over the ten figures.
+the JSON file given by `--out` (default `BENCH_verify.json` for `verify`,
+else `BENCH_cli.json`), beside the runs of other labels, with a digest
+of the figure texts and the totals over the ten figures.
 """
 
 from __future__ import annotations
@@ -45,6 +53,7 @@ import bench_parse
 ROOT = bench_parse.ROOT
 CORPUS = os.path.join(ROOT, "corpus")
 RUNS = 7
+COMMANDS = ["validate", "amenable", "forbidden", "check", "backdoor", "list", "mec", "verify"]
 
 # Times verify_adjustment in its own process: argv is the figure and the
 # number of timed calls after the first.
@@ -70,17 +79,44 @@ print(json.dumps({"first_call_ms": times[0] * 1e3, "call_ms": statistics.median(
 """
 
 
+# Runs `python -m covadjust` with argv and then writes, as the last line
+# of stderr, the sorted names of the covadjust modules whose code ran: an
+# audit hook sees the module code that `exec` runs.
+MODULES_RAN = r"""
+import json, os, runpy, sys
+ran = set()
+def log(event, args):
+    code = args[0] if event == "exec" else None
+    if getattr(code, "co_name", None) == "<module>":
+        folder, file = os.path.split(code.co_filename)
+        if os.path.basename(folder) == "covadjust":
+            ran.add("covadjust" + ("" if file == "__init__.py" else "." + file[:-3]))
+sys.addaudithook(log)
+sys.argv = ["covadjust", *sys.argv[1:]]
+try:
+    runpy.run_module("covadjust", run_name="__main__", alter_sys=True)
+finally:
+    print(json.dumps(sorted(ran)), file=sys.stderr)
+"""
+
+
 def _env(src):
     return dict(os.environ, PYTHONPATH=os.path.abspath(src))
 
 
-def _cli(src, path):
-    """One `verify` process: (wall ms, exit code, parsed JSON output)."""
+def _cli(src, command, path):
+    """One command process: (wall ms, exit code, parsed JSON output)."""
     t0 = time.perf_counter()
-    proc = subprocess.run([sys.executable, "-m", "covadjust", "verify", "--graph", path],
+    proc = subprocess.run([sys.executable, "-m", "covadjust", command, "--graph", path],
                           cwd=ROOT, env=_env(src), capture_output=True, text=True)
     wall = (time.perf_counter() - t0) * 1e3
     return wall, proc.returncode, json.loads(proc.stdout)
+
+
+def _modules_ran(src, command, path):
+    proc = subprocess.run([sys.executable, "-c", MODULES_RAN, command, "--graph", path],
+                          cwd=ROOT, env=_env(src), capture_output=True, text=True)
+    return json.loads(proc.stderr.splitlines()[-1])
 
 
 def _in_process(src, path, runs):
@@ -92,10 +128,15 @@ def _in_process(src, path, runs):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--label", required=True)
+    parser.add_argument("--command", default="verify", choices=[*COMMANDS, "all"],
+                        metavar="NAME|all")
     parser.add_argument("--src", default=os.path.join(ROOT, "src"))
     parser.add_argument("--versus", default=None, metavar="OTHER=SRC")
-    parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_verify.json"))
+    parser.add_argument("--out", default=None)
     args = parser.parse_args(argv)
+    verify = args.command == "verify"
+    out = args.out or os.path.join(ROOT, "BENCH_verify.json" if verify else "BENCH_cli.json")
+    commands = COMMANDS if args.command == "all" else [args.command]
     sides = [(args.label, args.src)]
     if args.versus:
         other, src = args.versus.split("=", 1)
@@ -107,33 +148,48 @@ def main(argv=None):
         path = os.path.join(CORPUS, f"{fig}.cg")
         with open(path, encoding="utf-8") as fh:
             texts.append((fig, None, fh.read()))
-        walls = {label: [] for label, _ in sides}
-        outputs = {}
-        for rep in range(RUNS):
-            for label, src in (sides if rep % 2 == 0 else sides[::-1]):
-                wall, code, payload = _cli(src, path)
-                walls[label].append((wall, payload["elapsed_ms"]))
-                outputs[label] = code, payload["result"]["sound"]
-        for label, src in sides:
-            code, sound = outputs[label]
-            row = {"figure": fig, "exit": code, "sound": sound,
-                   "process_ms": round(statistics.median(w for w, _ in walls[label]), 1),
-                   "elapsed_ms": round(statistics.median(e for _, e in walls[label]), 2)}
-            for key, value in _in_process(src, path, RUNS).items():
-                row[key] = round(value, 2) if isinstance(value, float) else value
-            rows[label].append(row)
-            print(f"{label:8} {fig:10} exit {code} {row['process_ms']:7.1f} ms process"
-                  f" {row['elapsed_ms']:7.2f} ms elapsed {row['call_ms']:7.2f} ms call"
-                  f" numpy={row['numpy_loaded']}", flush=True)
+        for command in commands:
+            walls = {label: [] for label, _ in sides}
+            outputs = {}
+            for rep in range(RUNS):
+                for label, src in (sides if rep % 2 == 0 else sides[::-1]):
+                    wall, code, payload = _cli(src, command, path)
+                    walls[label].append((wall, payload["elapsed_ms"]))
+                    outputs[label] = code, payload["result"]
+            for label, src in sides:
+                code, result = outputs[label]
+                row = {"figure": fig, "exit": code,
+                       "process_ms": round(statistics.median(w for w, _ in walls[label]), 1),
+                       "elapsed_ms": round(statistics.median(e for _, e in walls[label]), 2)}
+                if verify:
+                    row["sound"] = result["sound"]
+                    for key, value in _in_process(src, path, RUNS).items():
+                        row[key] = round(value, 2) if isinstance(value, float) else value
+                    detail = f"{row['call_ms']:7.2f} ms call numpy={row['numpy_loaded']}"
+                else:
+                    row["command"] = command
+                    row["modules"] = _modules_ran(src, command, path)
+                    detail = f"{command:9} {len(row['modules'])} modules"
+                rows[label].append(row)
+                print(f"{label:8} {fig:10} exit {code} {row['process_ms']:7.1f} ms process"
+                      f" {row['elapsed_ms']:7.2f} ms elapsed {detail}", flush=True)
     for label, _ in sides:
-        totals = {key: round(sum(r[key] for r in rows[label]), 1)
-                  for key in ("process_ms", "elapsed_ms", "first_call_ms", "call_ms")}
+        if verify:
+            totals = {key: round(sum(r[key] for r in rows[label]), 1)
+                      for key in ("process_ms", "elapsed_ms", "first_call_ms", "call_ms")}
+            about = ("verify on each corpus figure: median process wall time and reported "
+                     "elapsed_ms over fresh processes, and in-process verify_adjustment "
+                     "times, written by tools/bench_verify.py")
+        else:
+            totals = {command: {key: round(sum(r[key] for r in rows[label]
+                                               if r["command"] == command), 1)
+                                for key in ("process_ms", "elapsed_ms")}
+                      for command in commands}
+            about = ("each command on each corpus figure: median process wall time and "
+                     "reported elapsed_ms over fresh processes, and the covadjust modules "
+                     "whose code ran, written by tools/bench_verify.py --command")
         print(f"{label:8} totals {totals}")
-        bench_parse.record(args.out, label, texts, rows[label],
-                           "verify on each corpus figure: median process wall time and reported "
-                           "elapsed_ms over fresh processes, and in-process verify_adjustment "
-                           "times, written by tools/bench_verify.py",
-                           runs=RUNS, totals=totals)
+        bench_parse.record(out, label, texts, rows[label], about, runs=RUNS, totals=totals)
 
 
 if __name__ == "__main__":
