@@ -135,51 +135,8 @@ def __dir__():
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AdjustmentQuery",
-    "AdjustmentVerdict",
-    "Edge",
-    "EffectReport",
-    "EquivalenceClass",
-    "Graph",
-    "GraphClass",
-    "GraphDocument",
-    "LinearSEM",
-    "Mark",
-    "Query",
-    "adjusted_estimate",
-    "ancestors",
-    "build_graph",
-    "canonical_dag",
-    "children",
-    "covariance",
-    "descendants",
-    "enumerate_dags",
-    "enumerate_mags",
-    "errors",
-    "find_amenability_violation",
-    "find_open_definite_path",
-    "forbidden_set",
-    "is_amenable",
-    "is_visible",
-    "latent_project",
-    "list_adjustment_sets",
-    "m_connected",
-    "markov_equivalent",
-    "parents",
-    "parse_document",
-    "parse_graph",
-    "possible_ancestors",
-    "possible_descendants",
-    "random_sem",
-    "satisfies_gac",
-    "satisfies_generalized_backdoor",
-    "separation_fingerprint",
-    "serialize_document",
-    "serialize_graph",
-    "total_effect",
-    "union_representative",
-    "unshielded_colliders",
-    "validate_graph",
-    "verify_adjustment",
-]
+# the eager names, then every deferred one
+__all__ = sorted(["Edge", "Graph", "GraphClass", "GraphDocument", "Mark", "Query", "ancestors",
+                  "build_graph", "children", "descendants", "errors", "parents", "parse_document",
+                  "parse_graph", "possible_ancestors", "possible_descendants",
+                  "serialize_document", "serialize_graph", "validate_graph", *_DEFERRED_NAMES])

@@ -3,29 +3,13 @@
 `sem` imports this module inside the functions that compute, so
 importing the package, and every command but `verify`, does not load it.
 Matrices are sequences of integer rows indexed by node position; a
-weight matrix B holds at B[i][j] the weight of the edge i -> j.
+weight matrix B holds at B[i][j] the weight of the edge i -> j.  The
+path sums take B as each position's (child, weight) pairs and an order of
+the positions that puts every child before its parents; `sem` takes that
+order from the graph (`graphs._sinks_first`), not from the weights.
 """
 
 from operator import mul
-
-
-def sinks_first(coeffs):
-    """Each position's (child, weight) pairs over the nonzero weights of
-    `coeffs`, and the positions in an order that puts every child before
-    its parents; None if the nonzero weights run around a directed cycle."""
-    kids = [[(j, c) for j, c in enumerate(row) if c] for row in coeffs]
-    parents = [[] for _ in kids]
-    for i, pairs in enumerate(kids):
-        for j, _ in pairs:
-            parents[j].append(i)
-    left = [len(pairs) for pairs in kids]
-    order = [i for i, count in enumerate(left) if not count]
-    for j in order:  # grows while it is read: Kahn's algorithm from the sinks
-        for i in parents[j]:
-            left[i] -= 1
-            if not left[i]:
-                order.append(i)
-    return (kids, order) if len(order) == len(kids) else None
 
 
 def effects_on(kids, order, target, cut=()):

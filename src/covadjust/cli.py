@@ -210,10 +210,8 @@ def _dispatch(args, doc):
 
     if cmd == "verify":
         x, y, z = _resolve_sets(args, query, need_z=True)
-        if len(y) != 1:
-            raise GraphError("verify needs a single Y node")
         try:
-            reports = sem.verify_adjustment(g, x, y[0], z, trials=args.trials, seed=args.seed)
+            reports = sem.verify_adjustment(g, x, y, z, trials=args.trials, seed=args.seed)
         except NotAmenableError as exc:
             reports, witness = None, list(exc.witness)
         x_order = list(g.sort_nodes(frozenset(x)))  # x is known to be in g by now

@@ -24,12 +24,12 @@ from .graphs import (
     GraphClass,
     Mark,
     _bits,
+    _descend,
     _disjoint_sets,
     _nodes,
     _reach_bits,
     _Record,
     _set,
-    _shortest_path,
 )
 from .paths import _open_path
 
@@ -125,23 +125,28 @@ def _visibility_search(g: Graph, x, y) -> bool:
     )
 
 
-def _possibly_directed_reach_to(g: Graph, y: frozenset, avoid: frozenset) -> int:
+def _possibly_directed_reach_to(g: Graph, y: frozenset, avoid: frozenset, layers=None) -> int:
     """The mask of the nodes outside `avoid` with a possibly directed path
-    to `y` that stays outside `avoid` (zero-length paths included)."""
+    to `y` that stays outside `avoid` (zero-length paths included).  A
+    `layers` list gets the closure's rounds, as `_reach_bits` gives them."""
     return _reach_bits(g, _bits(g, y - avoid), directed=False, reverse=True,
-                       avoid=_bits(g, avoid))
+                       avoid=_bits(g, avoid), layers=layers)
 
 
 def find_amenability_violation(g: Graph, x, y):
     """Shortest proper possibly directed path from `x` to `y` that does not
-    start with a visible directed edge out of `x`, or None if amenable."""
+    start with a visible directed edge out of `x`, or None if amenable.
+    Ties go to the path first in declaration order."""
     x, y, _ = _disjoint_sets(g, x, y)
-    return _amenability_violation(g, x, y, _possibly_directed_reach_to(g, y, avoid=x))
+    layers = []
+    reach = _possibly_directed_reach_to(g, y, avoid=x, layers=layers)
+    return _amenability_violation(g, x, reach, layers)
 
 
-def _amenability_violation(g: Graph, x: frozenset, y: frozenset, suffix: int):
+def _amenability_violation(g: Graph, x: frozenset, suffix: int, layers: list):
     """`find_amenability_violation` given `suffix`, the possibly directed
-    closure `_possibly_directed_reach_to(g, y, avoid=x)`."""
+    closure `_possibly_directed_reach_to(g, y, avoid=x)`, and `layers`, its
+    rounds."""
     index = g.node_index
     nodes = g.nodes
     steps = g._steps
@@ -151,25 +156,32 @@ def _amenability_violation(g: Graph, x: frozenset, y: frozenset, suffix: int):
     possible = steps[False, False]
     directed = steps[True, False]
     tails_visible = g.graph_class in (GraphClass.DAG, GraphClass.CPDAG)
-    violations = []
+    starts = []  # (x node, the mask of the first steps of its violating paths)
     for x_node in g.sort_nodes(x):
         i = index[x_node]
         tails = directed[i]
         firsts = possible[i] & suffix  # `suffix` holds no node of x
         if tails_visible:
             firsts &= ~tails
-        while firsts:
-            low = firsts & -firsts
-            firsts ^= low
-            u = nodes[low.bit_length() - 1]
-            if low & tails and _visible(g, x_node, u):
-                continue
-            rest = _shortest_path(g, u, y, directed=False, avoid=x)
-            if rest:
-                violations.append((x_node,) + rest)
-    if not violations:
+        else:
+            todo = firsts & tails
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                if _visible(g, x_node, nodes[low.bit_length() - 1]):
+                    firsts ^= low
+        if firsts:
+            starts.append((x_node, firsts))
+    if not starts:
         return None
-    return min(violations, key=lambda p: (len(p), tuple(index[n] for n in p)))
+    # the shortest violation steps first into the lowest round that holds a
+    # first step; ties go to the first x node, then to its first such step
+    for layer in layers:
+        for x_node, firsts in starts:
+            hit = firsts & layer
+            if hit:
+                u = (hit & -hit).bit_length() - 1
+                return (x_node, *_descend(g, u, layers, directed=False))
 
 
 def is_amenable(g: Graph, x, y) -> bool:
@@ -223,8 +235,9 @@ def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
     for Cond2.
     """
     g, x, y, z = query.graph, query.x, query.y, query.z
-    reach = _possibly_directed_reach_to(g, y, avoid=x)
-    violation = _amenability_violation(g, x, y, reach)
+    layers = []
+    reach = _possibly_directed_reach_to(g, y, avoid=x, layers=layers)
+    violation = _amenability_violation(g, x, reach, layers)
     if violation is not None:
         return AdjustmentVerdict(False, "Cond0", violation)
     bad = _bits(g, z) & _forbidden_set(g, x, reach)
@@ -278,8 +291,9 @@ def list_adjustment_sets(g: Graph, x, y, *, minimal_only=False, max_size=None):
     if max_size is not None and max_size < 0:
         raise ValueError(f"max_size must be at least 0, got {max_size}")
     x, y, _ = _disjoint_sets(g, x, y)
-    reach = _possibly_directed_reach_to(g, y, avoid=x)
-    if _amenability_violation(g, x, y, reach) is not None:
+    layers = []
+    reach = _possibly_directed_reach_to(g, y, avoid=x, layers=layers)
+    if _amenability_violation(g, x, reach, layers) is not None:
         return []
     excluded = _forbidden_set(g, x, reach) | _bits(g, x) | _bits(g, y)
     candidates = [n for i, n in enumerate(g.nodes) if not excluded >> i & 1]

@@ -18,6 +18,14 @@ bit mask per node of the nodes one step away, where bit i stands for
 the node at position i of `Graph.nodes`.  A closure is then a fixpoint
 over integers, and the criteria keep their closures as masks.
 
+That fixpoint is the one traversal.  It runs in breadth-first rounds,
+and the rounds are layers: round k holds the nodes k steps from the
+seeds.  A witness path is read off the layers of the closure the
+decision has already run, by descending from its first node one layer
+at a time (`_descend`).  Acyclicity is the sinks-first (Kahn) order over
+the same masks, `_sinks_first`, and a directed cycle is a walk through
+the nodes it leaves out.
+
 The visibility of a MAG's or PAG's directed edges is memoized too, but
 one edge at a time: `Graph._visible` keeps the verdict of each edge the
 first time it is asked.  Like the tables it is a cache in the manner of
@@ -28,7 +36,6 @@ class, the nodes and the edges, never a cache.
 
 from __future__ import annotations
 
-from collections import deque
 from collections.abc import Iterable
 from enum import Enum
 from functools import cached_property
@@ -399,10 +406,6 @@ def _disjoint_sets(g: Graph, x, y, z=()):
     return x, y, z
 
 
-# directed -> the marks at v that stop a step from v to w (the steps of `_reach`)
-_STOP_MARKS = {True: (Mark.ARROW, Mark.CIRCLE), False: (Mark.ARROW, Mark.ARROW)}
-
-
 def _bits(g: Graph, nodes) -> int:
     """The mask of `nodes`: bit i for the node at position i."""
     index = g.node_index
@@ -424,12 +427,15 @@ def _nodes(g: Graph, mask: int) -> frozenset:
 
 
 def _reach_bits(g: Graph, seeds: int, *, directed: bool, reverse: bool = False,
-                avoid: int = 0) -> int:
-    """`_reach` on masks."""
+                avoid: int = 0, layers: list | None = None) -> int:
+    """`_reach` on masks.  A `layers` list gets the mask each round
+    expands appended: round k holds the nodes k steps from the seeds."""
     step = g._steps[directed, reverse]
     seen = seeds | avoid
     todo = seeds
     while todo:
+        if layers is not None:
+            layers.append(todo)
         new = 0
         while todo:
             low = todo & -todo
@@ -458,6 +464,23 @@ def _reach(g: Graph, seeds, *, directed: bool, reverse: bool = False, avoid=froz
     """
     return _nodes(g, _reach_bits(g, _bits(g, seeds), directed=directed, reverse=reverse,
                                  avoid=_bits(g, avoid)))
+
+
+def _descend(g: Graph, start: int, layers: list, directed: bool) -> tuple:
+    """The path from the node at position `start` into the seeds of a
+    reverse closure whose rounds are `layers`, as a tuple of names.  Each
+    step goes forward to the lowest position one round down, so the path
+    is the shortest one and, among those, the first in declaration order;
+    `start` must lie in some round."""
+    step = g._steps[directed, False]
+    nodes = g.nodes
+    k = next(k for k, layer in enumerate(layers) if layer >> start & 1)
+    path = [nodes[start]]
+    for layer in reversed(layers[:k]):
+        down = step[start] & layer
+        start = (down & -down).bit_length() - 1
+        path.append(nodes[start])
+    return tuple(path)
 
 
 def parents(g: Graph, s) -> frozenset:
@@ -503,41 +526,52 @@ def possible_ancestors(g: Graph, s) -> frozenset:
     return _reach(g, _as_set(g, s), directed=False, reverse=True)
 
 
-def _children_in_order(g: Graph, v: Node):
-    """Children of `v` in declaration order."""
-    marks = g._marks[v]
-    return (w for w in g._ordered_neighbors[v] if marks[w] is Mark.TAIL)
+def _sinks_first(g: Graph) -> list:
+    """Node positions in an order that puts every child before its
+    parents: Kahn's algorithm from the sinks, over the directed step masks.
+    A node on a directed cycle, or with a directed path into one, is never
+    freed and is left out, so the order holds every position iff the graph
+    has no directed cycle."""
+    children, parents = g._steps[True, False], g._steps[True, True]
+    left = [kids.bit_count() for kids in children]
+    order = [i for i, count in enumerate(left) if not count]
+    for j in order:  # grows while it is read
+        todo = parents[j]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            i = low.bit_length() - 1
+            left[i] -= 1
+            if not left[i]:
+                order.append(i)
+    return order
 
 
 def _find_directed_cycle(g: Graph):
-    """Return a node list forming a directed cycle, or None."""
-    color = {n: 0 for n in g.nodes}  # 0 unvisited, 1 on stack, 2 done
-    parent = {}
-    for root in g.nodes:
-        if color[root]:
-            continue
-        stack = [(root, _children_in_order(g, root))]
-        color[root] = 1
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if color[w] == 1:
-                    cycle = [v]
-                    while cycle[-1] != w:
-                        cycle.append(parent[cycle[-1]])
-                    cycle.reverse()
-                    return cycle
-                if color[w] == 0:
-                    color[w] = 1
-                    parent[w] = v
-                    stack.append((w, _children_in_order(g, w)))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = 2
-                stack.pop()
-    return None
+    """Return a node list forming a directed cycle, or None.
+
+    The nodes `_sinks_first` leaves out each have a child left out too.
+    The walk from the first of them to its first such child, and on, ends
+    on a node it has passed: the cycle is the walk from there, the one a
+    depth-first search taking roots and children in declaration order
+    meets first.
+    """
+    order = _sinks_first(g)
+    if len(order) == len(g.nodes):
+        return None
+    left = (1 << len(g.nodes)) - 1
+    for i in order:
+        left ^= 1 << i
+    children = g._steps[True, False]
+    walk = []
+    at = {}  # position -> its place in the walk
+    v = (left & -left).bit_length() - 1
+    while v not in at:
+        at[v] = len(walk)
+        walk.append(v)
+        kids = children[v] & left
+        v = (kids & -kids).bit_length() - 1
+    return [g.nodes[i] for i in walk[at[v]:]]
 
 
 def _find_almost_directed_cycle(g: Graph):
@@ -545,49 +579,22 @@ def _find_almost_directed_cycle(g: Graph):
 
     The bidirected edges are tried by the declaration position of their
     name-smaller endpoint, then of the other, and each from that endpoint
-    first."""
+    first.  The path is the shortest, first in declaration order, read
+    off the rounds of the directed closure into its last node."""
     marks, index = g._marks, g.node_index
     pairs = sorted(((a, b) for a, row in marks.items() for b, m in row.items()
                     if a < b and m is Mark.ARROW and marks[b][a] is Mark.ARROW),
                    key=lambda p: (index[p[0]], index[p[1]]))
+    closures = {}  # position -> its directed ancestors and the rounds that reached them
     for a, b in pairs:
-        for src, dst in ((a, b), (b, a)):
-            path = _shortest_path(g, src, {dst}, directed=True)
-            if path:
-                return path
-    return None
-
-
-def _shortest_path(g: Graph, src: Node, targets, *, directed: bool, avoid=frozenset()):
-    """Shortest directed or possibly directed path from `src` to a node of
-    `targets` that enters no node of `avoid`, as a tuple, or None.
-
-    Steps are those of `_reach`, read from the mark table.  Neighbours
-    are expanded in declaration order, so ties go to the path first in
-    that order.
-    """
-    if src in targets:
-        return (src,)
-    marks = g._marks
-    order = g._ordered_neighbors
-    stop1, stop2 = _STOP_MARKS[directed]
-    prev = {src: None}
-    queue = deque([src])
-    while queue:
-        v = queue.popleft()
-        mv = marks[v]
-        for w in order[v]:
-            m = mv[w]
-            if w in prev or w in avoid or m is stop1 or m is stop2:
-                continue
-            prev[w] = v
-            if w in targets:
-                path = [w]
-                while v is not None:
-                    path.append(v)
-                    v = prev[v]
-                return tuple(reversed(path))
-            queue.append(w)
+        for src, dst in ((index[a], index[b]), (index[b], index[a])):
+            if dst not in closures:
+                layers = []
+                closures[dst] = (_reach_bits(g, 1 << dst, directed=True, reverse=True,
+                                             layers=layers), layers)
+            reach, layers = closures[dst]
+            if reach >> src & 1:
+                return _descend(g, src, layers, directed=True)
     return None
 
 

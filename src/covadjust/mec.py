@@ -217,12 +217,16 @@ def enumerate_dags(c: Graph) -> EquivalenceClass:
     if c.graph_class is not GraphClass.CPDAG:
         raise ClassMismatchError("enumerate_dags expects a CPDAG")
     members = _class_members(c, GraphClass.DAG)
+    compelled = c._steps[True, False]
     for m in members:
-        pa = {v: {w for w, k in row.items() if k is Mark.ARROW} for v, row in m._marks.items()}
-        for t in c.nodes:
-            for h in c._ordered_neighbors[t]:
-                if c._marks[t][h] is Mark.TAIL and pa[h] == pa[t] | {t}:
-                    raise InvalidCpdagError(f"edge {t} -> {h} is reversible: covered in a member")
+        pa = m._steps[True, True]  # the parents of each position, as a mask
+        for t, heads in enumerate(compelled):
+            while heads:
+                h = (heads & -heads).bit_length() - 1
+                heads &= heads - 1
+                if pa[h] == pa[t] | 1 << t:
+                    raise InvalidCpdagError(f"edge {c.nodes[t]} -> {c.nodes[h]} is reversible: "
+                                            "covered in a member")
     return EquivalenceClass(c, members)
 
 

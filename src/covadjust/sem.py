@@ -16,9 +16,12 @@ integers, and only its answer becomes a `fractions.Fraction`.  A gap
 between effect and estimate is 0 or it is not: there is no tolerance
 and no sampling noise anywhere.
 
-The integer algebra lives in `covadjust._exact`.  It, `fractions` and
-`random` are imported inside the functions that need them, so importing
-the package (and every CLI command but `verify`) loads none of them.
+The integer algebra lives in `covadjust._exact`; its path sums fill in
+from the sinks up, in the order the graph gives (`graphs._sinks_first`),
+so a graph with a directed cycle is refused whatever its weights.  It,
+`fractions` and `random` are imported inside the functions that need
+them, so importing the package (and every CLI command but `verify`)
+loads none of them.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from .criteria import find_amenability_violation
 from .errors import (
     ClassMismatchError,
     DirectedCycleError,
+    GraphError,
     NotAmenableError,
     SetsNotDisjointError,
     SingularDesignError,
@@ -41,6 +45,7 @@ from .graphs import (
     _find_directed_cycle,
     _Record,
     _set,
+    _sinks_first,
 )
 from .mec import canonical_dag, enumerate_dags, enumerate_mags
 
@@ -127,16 +132,26 @@ def random_sem(dag: Graph, seed) -> LinearSEM:
     return LinearSEM(dag, coeffs, rng.choices(NOISE_VARIANCES, k=n))
 
 
-def _sinks_first(sem: LinearSEM):
-    """`_exact.sinks_first` of the weights of `sem`.  Raises
-    `DirectedCycleError` if they run around a cycle, which only a graph
-    built without `validate_graph` can hold."""
-    from . import _exact
+def _weights_sinks_first(sem: LinearSEM):
+    """Each position's (child, weight) pairs over the nonzero weights of
+    `sem`, and the positions in the graph's order `_sinks_first`, which
+    puts every child before its parents.  Raises `DirectedCycleError` if
+    the graph has a directed cycle, which only a graph built without
+    `validate_graph` can hold, whatever the weights on it."""
+    g = sem.graph
+    order = _sinks_first(g)
+    if len(order) < len(g.nodes):
+        raise DirectedCycleError(_find_directed_cycle(g))
+    return [[(j, c) for j, c in enumerate(row) if c] for row in sem.coeffs], order
 
-    found = _exact.sinks_first(sem.coeffs)
-    if found is None:
-        raise DirectedCycleError(_find_directed_cycle(sem.graph))
-    return found
+
+def _single_y(y) -> tuple:
+    """`y`, one name or a collection of one name, as a tuple of its names;
+    raises `GraphError` if it holds more than one, repeats included."""
+    names = (y,) if isinstance(y, str) else tuple(y)
+    if len(names) > 1:
+        raise GraphError("verify needs a single Y node")
+    return names
 
 
 def covariance(sem: LinearSEM, nodes=None) -> tuple:
@@ -152,19 +167,20 @@ def covariance(sem: LinearSEM, nodes=None) -> tuple:
         targets = [g.node_index[v] for v in nodes]
     from . import _exact
 
-    return _exact.covariance(*_sinks_first(sem), sem.noise_var, targets)
+    return _exact.covariance(*_weights_sinks_first(sem), sem.noise_var, targets)
 
 
 def total_effect(sem: LinearSEM, x, y) -> tuple:
     """Interventional effect of each node of `x` (declaration order) on `y`,
-    as integers: with every edge into `x` severed, the sum over directed
-    paths to `y` of the products of their weights."""
+    one node or a collection of one, as integers: with every edge into `x`
+    severed, the sum over directed paths to `y` of the products of their
+    weights."""
     g = sem.graph
-    x, _, _ = _disjoint_sets(g, x, y)
+    x, (y,), _ = _disjoint_sets(g, x, _single_y(y))
     index = g.node_index
     from . import _exact
 
-    effect = _exact.effects_on(*_sinks_first(sem), index[y], {index[v] for v in x})
+    effect = _exact.effects_on(*_weights_sinks_first(sem), index[y], {index[v] for v in x})
     return tuple(effect[index[v]] for v in g.sort_nodes(x))
 
 
@@ -212,7 +228,8 @@ def trial_seed(seed: int, member: int, trial: int) -> str:
 
 def verify_adjustment(g: Graph, x, y, z, trials: int = 20, seed: int = 0):
     """Compare true total effects against Z-adjusted regression estimates
-    on `trials` random SEMs for every member of the class of `g`.
+    on `trials` random SEMs for every member of the class of `g`.  `y` is
+    one node or a collection of one.
 
     Returns one `EffectReport` per (member, trial), in that order; the SEM
     of each is `random_sem(substrate, trial_seed(seed, member, trial))`.
@@ -226,8 +243,10 @@ def verify_adjustment(g: Graph, x, y, z, trials: int = 20, seed: int = 0):
     graph is not adjustment amenable for (x, y): no set is an adjustment
     set then, yet the SEMs on the members' canonical DAGs carry no latent
     confounder behind an invisible edge and could not show it.  Raises
-    `ValueError` unless `trials` is at least 1: no trial certifies nothing.
+    `ValueError` unless `trials` is at least 1: no trial certifies nothing,
+    and `GraphError` if `y` holds more than one node.
     """
+    y = _single_y(y)
     if trials < 1:
         raise ValueError(f"trials must be at least 1, got {trials}")
     x, ys, z = _disjoint_sets(g, x, y, z)

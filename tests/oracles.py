@@ -14,17 +14,8 @@ from collections import deque, namedtuple
 
 from covadjust.cgtext import GraphDocument, Query
 from covadjust.criteria import AdjustmentVerdict
-from covadjust.errors import GraphError, MarkNotAllowedError, NotMaximalError, ParseError
-from covadjust.graphs import (
-    Edge,
-    Graph,
-    GraphClass,
-    Mark,
-    _find_directed_cycle,
-    _Record,
-    _set,
-    validate_ancestral,
-)
+from covadjust.errors import MarkNotAllowedError, NotMaximalError, ParseError
+from covadjust.graphs import Edge, Graph, GraphClass, Mark, _Record, _set
 from covadjust.mec import _mark_union, separation_fingerprint, unshielded_colliders
 from covadjust.paths import _open_walk
 
@@ -171,7 +162,7 @@ def cpdag_of(dag):
             for bit, (a, b) in zip(bits, pairs)
         ]
         g = Graph(GraphClass.DAG, dag.nodes, frozenset(edges))
-        if _find_directed_cycle(g) is None and unshielded_colliders(g) == target:
+        if directed_cycle(g) is None and unshielded_colliders(g) == target:
             members.append(g)
     return _mark_union(members, GraphClass.CPDAG, dag.nodes)
 
@@ -195,9 +186,7 @@ def mag_class_of(mag):
         g = Graph(GraphClass.MAG, mag.nodes, frozenset(edges))
         if unshielded_colliders(g) != target_uc:
             continue
-        try:
-            validate_ancestral(g)
-        except GraphError:
+        if directed_cycle(g) is not None or almost_directed_cycle(g) is not None:
             continue
         if separation_fingerprint(g) == target_fp:
             members.append(g)
@@ -221,7 +210,7 @@ def dag_classes_on_skeleton(nodes, pairs):
             for bit, (a, b) in zip(bits, pairs)
         )
         g = Graph(GraphClass.DAG, nodes, edges)
-        if _find_directed_cycle(g) is None:
+        if directed_cycle(g) is None:
             groups.setdefault(unshielded_colliders(g), []).append(g)
     return {
         _mark_union(members, GraphClass.CPDAG, nodes): {m.edges for m in members}
@@ -581,6 +570,40 @@ def satisfies_ac(g, x, y, z):
         return AdjustmentVerdict(False, "Cond1", g.sort_nodes(bad)[0])
     path = simple_path_search(g, x, y, z, proper=True, require_non_causal=True)
     return AdjustmentVerdict(True) if path is None else AdjustmentVerdict(False, "Cond2", path)
+
+
+def directed_cycle(g):
+    """A directed cycle as a node list, or None: the first back edge of a
+    depth-first search that takes roots and children in declaration order."""
+    adj = edge_table(g)
+    color = {n: 0 for n in g.nodes}  # 0 unvisited, 1 on the stack, 2 done
+    parent = {}
+
+    def children(v):
+        return (w for w, e in adj[v].items() if _directed_edge(e, v, w))
+
+    for root in g.nodes:
+        if color[root]:
+            continue
+        stack = [(root, children(root))]
+        color[root] = 1
+        while stack:
+            v, it = stack[-1]
+            for w in it:
+                if color[w] == 1:
+                    cycle = [v]
+                    while cycle[-1] != w:
+                        cycle.append(parent[cycle[-1]])
+                    return cycle[::-1]
+                if color[w] == 0:
+                    color[w] = 1
+                    parent[w] = v
+                    stack.append((w, children(w)))
+                    break
+            else:
+                color[v] = 2
+                stack.pop()
+    return None
 
 
 def shortest_directed_path(g, src, dst):

@@ -203,6 +203,14 @@ def test_verify_rejects_non_positive_trials(capsys, trials):
     assert "--trials" in err
 
 
+def test_verify_refuses_several_y_nodes(capsys):
+    # the library's check, with the CLI's message and exit code
+    code, payload, err = run(capsys, "verify", "--graph", corpus_path("fig1a"), "-Y", "Y,A")
+    assert code == 2
+    assert payload["error"] == {"type": "GraphError", "message": "verify needs a single Y node"}
+    assert err == "covadjust: verify needs a single Y node\n"
+
+
 def test_list_rejects_negative_max_size(capsys):
     code, payload, err = run(capsys, "list", "--graph", corpus_path("fig1a"), "--max-size", "-1")
     assert code == 2 and payload is None

@@ -393,9 +393,9 @@ def test_possibly_directed_closure_computed_once_per_decision(corpus, monkeypatc
     calls = []
     closure = criteria._possibly_directed_reach_to
 
-    def counted(g, y, avoid):
-        calls.append((y, avoid))
-        return closure(g, y, avoid)
+    def counted(*args, **kwargs):
+        calls.append((args, kwargs))
+        return closure(*args, **kwargs)
 
     monkeypatch.setattr(criteria, "_possibly_directed_reach_to", counted)
     cases = [

@@ -187,15 +187,23 @@ def test_is_visible_through_bidirected_chain_of_parents():
 
 @pytest.mark.parametrize("cls", sorted(GRAPHS))
 def test_shortest_path_agrees_with_the_old_searches(cls):
-    """`graphs._shortest_path` against the directed and the possibly
-    directed search it replaced: every directed pair, the Cond0 witness of
-    every query with one or two X nodes, and the almost directed cycles
-    that one added bidirected edge closes."""
+    """The paths read off the closure's rounds (`graphs._reach_bits` with
+    `layers`, then `graphs._descend`) against the directed and the
+    possibly directed searches they replaced: every directed pair, the
+    Cond0 witness of every query with one or two X nodes, and the almost
+    directed cycles that one added bidirected edge closes."""
     found = {"cycle": 0, "cond0": 0}
     for g in GRAPHS[cls]:
+        index = g.node_index
         for src, dst in itertools.permutations(g.nodes, 2):
             want = oracles.shortest_directed_path(g, src, dst)
-            assert graphs._shortest_path(g, src, {dst}, directed=True) == want
+            layers = []
+            reach = graphs._reach_bits(g, 1 << index[dst], directed=True, reverse=True,
+                                       layers=layers)
+            if reach >> index[src] & 1:
+                assert graphs._descend(g, index[src], layers, directed=True) == want
+            else:
+                assert want is None
             if want is not None and not g.adjacent(src, dst):
                 # src <-> dst along the directed path src -> ... -> dst
                 h = Graph(GraphClass.PAG, g.nodes, g.edges | {Edge.bidirected(src, dst)})

@@ -206,6 +206,48 @@ def _random_ancestral(rng, n):
     return g
 
 
+def _random_digraph(rng):
+    """A MAG-tagged graph of 2 to 30 nodes, built without its class check:
+    directed edges along a random order, some of them reversed (so more
+    than a quarter of the graphs are cyclic), and bidirected edges on a
+    few non-adjacent pairs."""
+    n = rng.randint(2, 30)
+    names = tuple(f"N{i}" for i in range(n))
+    order = rng.sample(names, n)
+    p, flip = rng.uniform(0.05, 0.3), rng.choice((0.0, 0.15, 0.4))
+    edges = [Edge.directed(*((b, a) if rng.random() < flip else (a, b)))
+             for i, a in enumerate(order) for b in order[i + 1:] if rng.random() < p]
+    pairs = {frozenset((e.a, e.b)) for e in edges}
+    edges += [Edge.bidirected(a, b) for a, b in itertools.combinations(names, 2)
+              if frozenset((a, b)) not in pairs and rng.random() < 0.02]
+    return Graph(GraphClass.MAG, names, frozenset(edges))
+
+
+def test_cycles_and_sinks_first_order_agree_with_the_depth_first_search():
+    """`_find_directed_cycle` gives the cycle of the depth-first search it
+    replaced (`oracles.directed_cycle`), `_sinks_first` orders every child
+    before its parents and holds every node iff there is no cycle, and on
+    the acyclic graphs `_find_almost_directed_cycle` gives the oracle's."""
+    rng = random.Random("digraphs")
+    seen = collections.Counter()
+    for _ in range(1200):
+        g = _random_digraph(rng)
+        cycle = graphs._find_directed_cycle(g)
+        assert cycle == oracles.directed_cycle(g), ca.serialize_graph(g)
+        order = graphs._sinks_first(g)
+        place = {g.nodes[i]: k for k, i in enumerate(order)}
+        assert (len(order) == len(g.nodes)) == (cycle is None)
+        for tail, head in oracles.directed_pairs(g):
+            if tail in place:
+                assert head in place and place[head] < place[tail]
+        seen["cyclic" if cycle else "acyclic"] += 1
+        if cycle is None:
+            almost = graphs._find_almost_directed_cycle(g)
+            assert almost == oracles.almost_directed_cycle(g), ca.serialize_graph(g)
+            seen["almost"] += almost is not None
+    assert seen["cyclic"] >= 300 and seen["acyclic"] >= 300 and seen["almost"] >= 100, seen
+
+
 def _maximality(check, g):
     try:
         check(g)

@@ -15,13 +15,14 @@ from covadjust.errors import (
     SkeletonMismatchError,
     UnknownNodeError,
 )
-from covadjust.graphs import Edge, Graph, GraphClass, _find_directed_cycle
+from covadjust.graphs import Edge, Graph, GraphClass
 
 from oracles import (
     all_pairs_fingerprint,
     class_graphs,
     cpdag_of,
     dag_classes_on_skeleton,
+    directed_cycle,
     mag_class_of,
     moral_d_separated,
     pag_of,
@@ -275,7 +276,7 @@ def _partners(d, rng):
     for e in sorted(d.edges, key=lambda e: (e.a, e.b)):
         t = e.tail_node()
         flipped = Graph(GraphClass.DAG, d.nodes, (d.edges - {e}) | {Edge.directed(e.other(t), t)})
-        if _find_directed_cycle(flipped) is None:
+        if directed_cycle(flipped) is None:
             yield flipped
     yield random_dag(rng, len(d.nodes), rng.uniform(0.3, 0.6))
 

@@ -8,6 +8,7 @@ from covadjust import sem as sem_module
 from covadjust.errors import (
     ClassMismatchError,
     DirectedCycleError,
+    GraphError,
     NotAmenableError,
     SetsNotDisjointError,
     SingularDesignError,
@@ -135,6 +136,12 @@ def test_weights_around_a_cycle_are_refused():
         ca.covariance(sem)
     with pytest.raises(DirectedCycleError):
         ca.total_effect(sem, {"A"}, "C")
+    # the graph's cycle is refused even when a weight of 0 breaks it
+    idx = g.node_index
+    coeffs = [list(row) for row in sem.coeffs]
+    coeffs[idx["C"]][idx["A"]] = 0
+    with pytest.raises(DirectedCycleError, match="directed cycle"):
+        ca.covariance(ca.LinearSEM(g, coeffs, sem.noise_var))
 
 
 def test_covariance_closed_forms():
@@ -336,6 +343,23 @@ def test_verify_adjustment_refuses_non_amenable_graph(corpus):
         ca.verify_adjustment(g, {"X"}, "Y", set(), trials=2, seed=1)
     assert info.value.witness == ("X", "Y")
     assert info.value.witness == ca.find_amenability_violation(g, {"X"}, {"Y"})
+
+
+def test_y_is_one_node_or_a_collection_of_one(corpus):
+    g = corpus("fig1a").graph
+    one = ca.verify_adjustment(g, {"X"}, "Y", {"Z", "A"}, trials=2, seed=3)
+    for y in ({"Y"}, ["Y"], frozenset(["Y"]), iter(["Y"])):
+        assert ca.verify_adjustment(g, {"X"}, y, {"Z", "A"}, trials=2, seed=3) == one
+    sem = ca.random_sem(ca.parse_graph("graph dag { X -> A A -> Y X -> Y }"), 1)
+    assert ca.total_effect(sem, {"X"}, {"Y"}) == ca.total_effect(sem, {"X"}, "Y")
+    for y in ({"A", "Y"}, ["Y", "Y"]):
+        with pytest.raises(GraphError, match="^verify needs a single Y node$"):
+            ca.verify_adjustment(g, {"X"}, y, (), trials=2)
+        with pytest.raises(GraphError, match="^verify needs a single Y node$"):
+            ca.total_effect(sem, {"X"}, y)
+    # one check serves both, before any other: trials and unknown nodes come after
+    with pytest.raises(GraphError, match="single Y"):
+        ca.verify_adjustment(g, {"Q"}, {"A", "R"}, (), trials=0)
 
 
 @pytest.mark.parametrize("trials", [0, -3])

@@ -1,4 +1,4 @@
-"""Time `satisfies_gac` on the seeded graphs of `tools/bench_parse.py`.
+"""Time `satisfies_gac` and Cond0 witnesses on the seeded graphs of `tools/bench_parse.py`.
 
     python3 tools/bench_decide.py --label change
     python3 tools/bench_decide.py --label parent --src ../parent/src
@@ -15,6 +15,11 @@ calls are timed (`reps = max(1, 4096 // n)`), and the median run
 divided by `reps` is the row's time per decision.  The row also holds
 each verdict's failed condition, so two runs can be seen to decide the
 same thing.
+
+Each CPDAG, MAG and PAG row also times `find_amenability_violation` on
+one query that is not amenable: the first of up to 100 draws of X and Y
+as above that has a violation.  These rows go to `witness_rows`, with the
+witness and its time per call (`us_per_witness`), timed as a decision is.
 
 With `--cold` every timed call decides on a fresh copy of the graph,
 built untimed before its run, so whatever a graph builds on first use
@@ -110,21 +115,42 @@ def _time(fn, make_args, reps):
     return statistics.median(runs) / reps
 
 
+def _graphs(ca, g, cold):
+    """`make(count)`: `count` times `g`, or with `cold` a fresh copy each time."""
+    if not cold:
+        return lambda count: [g] * count
+    cls, nodes, edges = g.graph_class, g.nodes, g.edges
+    return lambda count: [ca.Graph(cls, nodes, edges) for _ in range(count)]
+
+
 def _row(ca, text, x, y, z, cold, reps):
     """(failed condition, microseconds per decision) of one query."""
     g = ca.parse_graph(text)
-    query = ca.AdjustmentQuery(g, x, y, z)
-    verdict = ca.satisfies_gac(query)
-    if cold:
-        cls, nodes, edges = g.graph_class, g.nodes, g.edges
+    verdict = ca.satisfies_gac(ca.AdjustmentQuery(g, x, y, z))
+    graphs = _graphs(ca, g, cold)
 
-        def make_args(count):
-            return [ca.AdjustmentQuery(ca.Graph(cls, nodes, edges), x, y, z)
-                    for _ in range(count)]
-    else:
-        def make_args(count):
-            return [query] * count
+    def make_args(count):
+        return [ca.AdjustmentQuery(h, x, y, z) for h in graphs(count)]
+
     return verdict.failed_condition, _time(ca.satisfies_gac, make_args, reps) * 1e6
+
+
+def _witness_query(ca, g, rng):
+    """(x, y) of the first of up to 100 draws of `_queries` that is not
+    amenable, or None."""
+    for _ in range(100):
+        x, y, _ = _queries(ca, g, rng)[0]
+        if ca.find_amenability_violation(g, x, y) is not None:
+            return x, y
+    return None
+
+
+def _witness_row(ca, text, x, y, cold, reps):
+    """(Cond0 witness, microseconds per `find_amenability_violation`)."""
+    g = ca.parse_graph(text)
+    witness = ca.find_amenability_violation(g, x, y)
+    us = _time(lambda h: ca.find_amenability_violation(h, x, y), _graphs(ca, g, cold), reps)
+    return witness, us * 1e6
 
 
 def main(argv=None):
@@ -141,38 +167,59 @@ def main(argv=None):
 
     sides = [(args.label, *_load(args.src))]
     if args.versus is not None:
-        other, sep, src = args.versus.partition("=")
-        if not sep or not other or not src or other == args.label:
-            parser.error("--versus takes OTHER=SRC with OTHER not the --label")
+        other, src = bench_parse.versus(parser, args.versus, args.label)
         sides.append((other, *_load(src)))
     _use(sides[0][2])
-    texts = bench_parse._texts(sides[0][1], gen)
+    first = sides[0][1]
+    texts = bench_parse._texts(first, gen)
     rows = {label: [] for label, _, _ in sides}
+    witness_rows = {label: [] for label, _, _ in sides}
     k = 0
+
+    def interleaved(measure, table, key, what):
+        """Put each side's row `measure(ca)` in `table`, the first side
+        first on even calls, and print the rows' `what` and times."""
+        nonlocal k
+        order = sides if k % 2 == 0 else sides[::-1]
+        k += 1
+        for label, ca, modules in order:
+            _use(modules)
+            table[label].append(measure(ca))
+        last = [table[label][-1] for label, _, _ in sides]
+        times = "  ".join(f"{label} {row[key]:9.1f} us" for (label, _, _), row in zip(sides, last))
+        outcomes = "/".join(sorted({str(row[what] or "pass") for row in last}))
+        print(f"{last[0]['class']:5} n={last[0]['n']:3} {outcomes} {times}", flush=True)
+
     for cls, n, text in texts:
+        reps = max(1, 4096 // n)
         rng = random.Random(f"bench-decide-{cls}-{n}")
-        for x, y, z in _queries(sides[0][1], sides[0][1].parse_graph(text), rng):
-            order = sides if k % 2 == 0 else sides[::-1]
-            k += 1
-            for label, ca, modules in order:
-                _use(modules)
-                failed, us = _row(ca, text, x, y, z, args.cold, max(1, 4096 // n))
-                rows[label].append({"class": cls, "n": n, "z_size": len(z), "failed": failed,
-                                    "us_per_decision": round(us, 1)})
-            last = [rows[label][-1] for label, _, _ in sides]
-            times = "  ".join(f"{label} {row['us_per_decision']:9.1f} us"
-                              for (label, _, _), row in zip(sides, last))
-            verdicts = "/".join(sorted({row["failed"] or "pass" for row in last}))
-            print(f"{cls:5} n={n:3} |Z|={len(z):2} {verdicts:5} {times}", flush=True)
+        for x, y, z in _queries(first, first.parse_graph(text), rng):
+            def decide(ca):
+                failed, us = _row(ca, text, x, y, z, args.cold, reps)
+                return {"class": cls, "n": n, "z_size": len(z), "failed": failed,
+                        "us_per_decision": round(us, 1)}
+
+            interleaved(decide, rows, "us_per_decision", "failed")
+        pick = None if cls == "dag" else _witness_query(
+            first, first.parse_graph(text), random.Random(f"bench-witness-{cls}-{n}"))
+        if pick is not None:
+            def witness(ca):
+                found, us = _witness_row(ca, text, *pick, args.cold, reps)
+                return {"class": cls, "n": n, "witness": list(found),
+                        "us_per_witness": round(us, 1)}
+
+            interleaved(witness, witness_rows, "us_per_witness", "witness")
     for label, _, _ in sides:
         others = [other for other, _, _ in sides if other != label]
         mode = {"cold": args.cold, "interleaved_with": others[0] if others else None}
         bench_parse.record(args.out, label, texts, rows[label],
-                           "satisfies_gac time per decision (median of 5 runs, each scaled "
+                           "satisfies_gac time per decision, and in witness_rows "
+                           "find_amenability_violation time per call on one query per CPDAG, "
+                           "MAG and PAG row that is not amenable (median of 5 runs, each scaled "
                            "to the reference speed of perfbench/calib.py; a cold run decides "
                            "on a fresh graph per call, an interleaved run alternates two "
                            "source trees per row), written by tools/bench_decide.py",
-                           mode=mode)
+                           mode=mode, witness_rows=witness_rows[label])
 
 
 if __name__ == "__main__":

@@ -93,6 +93,16 @@ def main(argv=None):
            "parse_document time per parse (median of 5 runs), written by tools/bench_parse.py")
 
 
+def versus(parser, text, label):
+    """(OTHER, SRC) of the option ``--versus OTHER=SRC``; a usage error
+    unless both parts are given and OTHER is not the run's own `label`,
+    whose rows the other side's would overwrite."""
+    other, sep, src = text.partition("=")
+    if not sep or not other or not src or other == label:
+        parser.error("--versus takes OTHER=SRC with OTHER not the --label")
+    return other, src
+
+
 def record(path, label, texts, rows, about, **fields):
     """Put one run's rows under `label` in the JSON file `path`, beside
     the runs of other labels, with a digest of the texts it ran on and

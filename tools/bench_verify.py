@@ -138,9 +138,8 @@ def main(argv=None):
     out = args.out or os.path.join(ROOT, "BENCH_verify.json" if verify else "BENCH_cli.json")
     commands = COMMANDS if args.command == "all" else [args.command]
     sides = [(args.label, args.src)]
-    if args.versus:
-        other, src = args.versus.split("=", 1)
-        sides.append((other, src))
+    if args.versus is not None:
+        sides.append(bench_parse.versus(parser, args.versus, args.label))
     figures = sorted(f[:-3] for f in os.listdir(CORPUS) if f.endswith(".cg"))
     texts = []
     rows = {label: [] for label, _ in sides}
