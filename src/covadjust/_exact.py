@@ -6,7 +6,7 @@ Matrices are sequences of integer rows indexed by node position; a
 weight matrix B holds at B[i][j] the weight of the edge i -> j.  The
 path sums take B as each position's (child, weight) pairs and an order of
 the positions that puts every child before its parents; `sem` takes that
-order from the graph (`graphs._sinks_first`), not from the weights.
+order from the graph (`Graph._sinks_first`), not from the weights.
 """
 
 from operator import mul

@@ -254,15 +254,20 @@ def _edge_statement(e: Edge, g: Graph) -> str:
     return f"{p} {op} {q}"
 
 
+def _edge_statements(g: Graph) -> list:
+    """The statement of each edge, edges ordered by the declaration
+    positions of their name-ordered endpoints."""
+    idx = g.node_index
+    return [_edge_statement(e, g) for e in sorted(g.edges, key=lambda e: (idx[e.a], idx[e.b]))]
+
+
 def serialize_graph(g: Graph, query: Query | None = None) -> str:
     """Canonical text form; `parse_document` of the result is the identity
     on (class, node order, edges, query)."""
     lines = [f"graph {g.graph_class.value} {{"]
     for n in g.nodes:
         lines.append(f"  {n}")
-    idx = g.node_index
-    for e in sorted(g.edges, key=lambda e: (idx[e.a], idx[e.b])):
-        lines.append(f"  {_edge_statement(e, g)}")
+    lines.extend(f"  {statement}" for statement in _edge_statements(g))
     lines.append("}")
     if query is not None:
         parts = []

@@ -4,6 +4,10 @@ One-shot commands over a .cg graph file, JSON on stdout, diagnostics on
 stderr.  Exit codes: 0 success / criterion satisfied, 1 criterion not
 satisfied, 2 usage or parse error (including violated preconditions),
 3 enumeration cap exceeded.
+
+A row of `COMMANDS` defines a command: its help text, the deferred module
+it runs, the sets it reads, whether the default node cap guards it, its
+own flags and its handler.  `run_command` takes every step from the row.
 """
 
 from __future__ import annotations
@@ -12,16 +16,13 @@ import argparse
 import json
 import sys
 import time
+from collections import namedtuple
 
 from . import _load, cgtext, criteria, mec, sem
 from .errors import GraphError, NotAmenableError, SizeCapExceededError
 from .graphs import GraphClass, validate_graph
 
 FORMAT_VERSION = 2
-
-# Commands whose work can grow exponentially with the graph.  The default
-# node cap guards only these; the decisions run in polynomial time.
-ENUMERATING_COMMANDS = frozenset({"validate", "list", "mec", "verify"})
 DEFAULT_NODE_CAP = 15
 
 
@@ -35,37 +36,145 @@ def _int_at_least(low):
     return count
 
 
-def _list_flags(p):
-    p.add_argument("--minimal", action="store_true", help="inclusion-minimal sets only")
-    p.add_argument("--max-size", type=_int_at_least(0), default=None, metavar="K")
+def _flag(*names, **options):
+    """An `add_argument` spec."""
+    return names, options
 
 
-def _project_flags(p):
-    p.add_argument("--observed", default=None, metavar="A,B,C")
+def _split_nodes(text):
+    if text is None:
+        return None
+    return tuple(part for part in (p.strip() for p in text.split(",")) if part)
 
 
-def _verify_flags(p):
-    p.add_argument("--trials", type=_int_at_least(1), default=20, metavar="N")
-    p.add_argument("--seed", type=int, default=0, metavar="N")
+def _witness_json(witness):
+    return list(witness) if isinstance(witness, tuple) else witness
 
 
-# command -> (help, the deferred module it runs, takes -X/-Y, takes -Z,
-# adds its own flags).  The module runs before the clock starts.
+# Handlers: (graph, parsed arguments, the node sets the row reads) ->
+# (result, witness, exit code).  Each looks its library function up in the
+# module when it runs, so the module's code runs only for its own command.
+
+def _validate(g, args):
+    try:
+        validate_graph(g)
+    except SizeCapExceededError:
+        raise
+    except GraphError as exc:
+        return {"valid": False, "reason": type(exc).__name__, "detail": str(exc)}, None, 1
+    return {"valid": True, "nodes": len(g.nodes), "edges": len(g.edges)}, None, 0
+
+
+def _amenable(g, args, x, y):
+    violation = criteria.find_amenability_violation(g, x, y)
+    if violation is None:
+        return {"amenable": True}, None, 0
+    return {"amenable": False}, _witness_json(violation), 1
+
+
+def _forbidden(g, args, x, y):
+    return {"forbidden": list(g.sort_nodes(criteria.forbidden_set(g, x, y)))}, None, 0
+
+
+def _verdict(verdict):
+    result = {"passed": verdict.passed, "failed_condition": verdict.failed_condition}
+    return result, _witness_json(verdict.witness), 0 if verdict.passed else 1
+
+
+def _check(g, args, x, y, z):
+    return _verdict(criteria.satisfies_gac(criteria.AdjustmentQuery(g, x, y, z)))
+
+
+def _backdoor(g, args, x, y, z):
+    return _verdict(criteria.satisfies_generalized_backdoor(g, x, y, z))
+
+
+def _list(g, args, x, y):
+    sets = criteria.list_adjustment_sets(g, x, y, minimal_only=args.minimal,
+                                         max_size=args.max_size)
+    return [list(g.sort_nodes(z)) for z in sets], None, 0
+
+
+def _mec(g, args):
+    members = mec._class_of(g).members
+    return {
+        "count": len(members),
+        "member_class": members[0].graph_class.value,
+        "nodes": list(g.nodes),
+        "members": [cgtext._edge_statements(m) for m in members],
+    }, None, 0
+
+
+def _project(g, args):
+    mag = mec.latent_project(g, _split_nodes(args.observed) or tuple(g.nodes))
+    return {"nodes": list(mag.nodes), "edges": cgtext._edge_statements(mag)}, None, 0
+
+
+def _verify(g, args, x, y, z):
+    try:
+        reports = sem.verify_adjustment(g, x, y, z, trials=args.trials, seed=args.seed)
+    except NotAmenableError as exc:
+        reports, witness = None, list(exc.witness)
+    x_order = list(g.sort_nodes(frozenset(x)))  # x is known to be in g by now
+    if reports is None:
+        # no set adjusts in a graph that is not amenable; nothing to compare
+        result = {"members": 0, "trials": args.trials, "x_order": x_order,
+                  "max_abs_gap": None, "sound": False, "amenable": False, "reports": []}
+        return result, witness, 1
+    # exact numbers as rational strings: "-3/7", "2", "0"
+    max_gap = max(r.max_abs_gap for r in reports)
+    sound = max_gap == 0
+    result = {
+        "members": 1 + max(r.member for r in reports),
+        "trials": args.trials,
+        "x_order": x_order,
+        "max_abs_gap": str(max_gap),
+        "sound": sound,
+        "amenable": True,
+        "reports": [
+            {
+                "member": r.member,
+                "trial": r.trial,
+                "true_effect": [str(v) for v in r.true_effect],
+                "adjusted_estimate": [str(v) for v in r.adjusted_estimate],
+                "max_abs_gap": str(r.max_abs_gap),
+            }
+            for r in reports
+        ],
+    }
+    return result, None, 0 if sound else 1
+
+
+# help: its help text; module: the deferred module it runs, loaded before
+# the clock starts; sets: "", "XY" or "XYZ", read from -X/-Y/-Z or else the
+# query block; capped: whether the default node cap guards it (its work
+# can grow exponentially with the graph; the decisions run in polynomial
+# time); flags: its own `add_argument` specs; run: its handler.
+_Command = namedtuple("_Command", "help module sets capped flags run")
+
 COMMANDS = {
-    "validate": ("check the class invariants of the graph", mec, False, False, None),
-    "amenable": ("is the graph adjustment amenable for (X, Y)?", criteria, True, False, None),
-    "forbidden": ("nodes that no adjustment set for (X, Y) may contain", criteria, True, False,
-                  None),
-    "check": ("does Z satisfy the generalized adjustment criterion?", criteria, True, True, None),
-    "backdoor": ("does Z satisfy the generalized back-door criterion?", criteria, True, True,
-                 None),
-    "list": ("enumerate all sets satisfying the criterion", criteria, True, False, _list_flags),
-    "mec": ("enumerate the Markov equivalence class members", mec, False, False, None),
-    "project": ("latent-project a DAG onto the observed nodes", mec, False, False,
-                _project_flags),
-    "verify": ("compare adjusted estimates with true effects on random SEMs", sem, True, True,
-               _verify_flags),
+    "validate": _Command("check the class invariants of the graph", mec, "", True, (),
+                         _validate),
+    "amenable": _Command("is the graph adjustment amenable for (X, Y)?", criteria, "XY", False,
+                         (), _amenable),
+    "forbidden": _Command("nodes that no adjustment set for (X, Y) may contain", criteria, "XY",
+                          False, (), _forbidden),
+    "check": _Command("does Z satisfy the generalized adjustment criterion?", criteria, "XYZ",
+                      False, (), _check),
+    "backdoor": _Command("does Z satisfy the generalized back-door criterion?", criteria, "XYZ",
+                         False, (), _backdoor),
+    "list": _Command("enumerate all sets satisfying the criterion", criteria, "XY", True,
+                     (_flag("--minimal", action="store_true", help="inclusion-minimal sets only"),
+                      _flag("--max-size", type=_int_at_least(0), default=None, metavar="K")),
+                     _list),
+    "mec": _Command("enumerate the Markov equivalence class members", mec, "", True, (), _mec),
+    "project": _Command("latent-project a DAG onto the observed nodes", mec, "", False,
+                        (_flag("--observed", default=None, metavar="A,B,C"),), _project),
+    "verify": _Command("compare adjusted estimates with true effects on random SEMs", sem, "XYZ",
+                       True, (_flag("--trials", type=_int_at_least(1), default=20, metavar="N"),
+                              _flag("--seed", type=int, default=0, metavar="N")), _verify),
 }
+_SET_METAVARS = {"X": "A,B", "Y": "C", "Z": "D,E"}
 
 
 def _build_parser(command=None) -> argparse.ArgumentParser:
@@ -81,169 +190,29 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
     metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
     sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
     for name in names:
-        help_text, _, sets, z_flag, extra = COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
+        row = COMMANDS[name]
+        p = sub.add_parser(name, help=row.help)
         p.add_argument("--graph", required=True, metavar="FILE", help=".cg graph file")
         p.add_argument("--max-nodes", type=_int_at_least(0), default=None, metavar="N")
-        if sets:
-            p.add_argument("-X", dest="x", default=None, metavar="A,B")
-            p.add_argument("-Y", dest="y", default=None, metavar="C")
-        if z_flag:
-            p.add_argument("-Z", dest="z", default=None, metavar="D,E")
-        if extra:
-            extra(p)
+        for s in row.sets:
+            p.add_argument(f"-{s}", dest=s.lower(), default=None, metavar=_SET_METAVARS[s])
+        for flag, options in row.flags:
+            p.add_argument(*flag, **options)
     return parser
 
 
-def _split_nodes(text):
-    if text is None:
-        return None
-    return tuple(part for part in (p.strip() for p in text.split(",")) if part)
-
-
-def _resolve_sets(args, query, *, need_z=False):
-    x = _split_nodes(getattr(args, "x", None))
-    y = _split_nodes(getattr(args, "y", None))
-    z = _split_nodes(getattr(args, "z", None)) if need_z else None
-    if x is None and query is not None and query.x is not None:
-        x = query.x
-    if y is None and query is not None and query.y is not None:
-        y = query.y
-    if need_z and z is None:
-        z = query.z if query is not None and query.z is not None else ()
-    if not x or not y:
+def _resolve_sets(sets, args, query) -> list:
+    """The node sets `sets` names, in order, each from its flag or else
+    from the query block; a Z given by neither is empty."""
+    resolved = []
+    for s in sets.lower():
+        nodes = _split_nodes(getattr(args, s))
+        if nodes is None and query is not None:
+            nodes = getattr(query, s)
+        resolved.append(() if nodes is None and s == "z" else nodes)
+    if not resolved[0] or not resolved[1]:
         raise GraphError("X and Y are required (flags or a query block in the file)")
-    return x, y, (z if need_z else None)
-
-
-def _edge_list(g):
-    idx = g.node_index
-    return [
-        cgtext._edge_statement(e, g)
-        for e in sorted(g.edges, key=lambda e: (idx[e.a], idx[e.b]))
-    ]
-
-
-def _witness_json(witness):
-    return list(witness) if isinstance(witness, tuple) else witness
-
-
-def _require_class(g):
-    """Refuse a DAG with a directed cycle and a MAG that is not ancestral
-    or not maximal.
-
-    Both checks run in polynomial time.  The class of a CPDAG or PAG is
-    left to `validate`, whose class checks enumerate the class.
-    """
-    if g.graph_class in (GraphClass.DAG, GraphClass.MAG):
-        validate_graph(g)
-
-
-def _dispatch(args, doc):
-    """Returns (result, witness, exit_code)."""
-    g = args_graph = doc.graph
-    query = doc.query
-    cmd = args.command
-
-    if cmd == "validate":
-        try:
-            validate_graph(g)
-        except SizeCapExceededError:
-            raise
-        except GraphError as exc:
-            return {"valid": False, "reason": type(exc).__name__, "detail": str(exc)}, None, 1
-        return {"valid": True, "nodes": len(g.nodes), "edges": len(g.edges)}, None, 0
-
-    if cmd == "amenable":
-        x, y, _ = _resolve_sets(args, query)
-        violation = criteria.find_amenability_violation(g, x, y)
-        if violation is None:
-            return {"amenable": True}, None, 0
-        return {"amenable": False}, _witness_json(violation), 1
-
-    if cmd == "forbidden":
-        x, y, _ = _resolve_sets(args, query)
-        forb = criteria.forbidden_set(g, x, y)
-        return {"forbidden": list(g.sort_nodes(forb))}, None, 0
-
-    if cmd == "check":
-        x, y, z = _resolve_sets(args, query, need_z=True)
-        verdict = criteria.satisfies_gac(criteria.AdjustmentQuery(g, x, y, z))
-        result = {"passed": verdict.passed, "failed_condition": verdict.failed_condition}
-        return result, _witness_json(verdict.witness), 0 if verdict.passed else 1
-
-    if cmd == "backdoor":
-        x, y, z = _resolve_sets(args, query, need_z=True)
-        verdict = criteria.satisfies_generalized_backdoor(g, x, y, z)
-        result = {"passed": verdict.passed, "failed_condition": verdict.failed_condition}
-        return result, _witness_json(verdict.witness), 0 if verdict.passed else 1
-
-    if cmd == "list":
-        x, y, _ = _resolve_sets(args, query)
-        sets = criteria.list_adjustment_sets(
-            g, x, y, minimal_only=args.minimal, max_size=args.max_size
-        )
-        return [list(g.sort_nodes(z)) for z in sets], None, 0
-
-    if cmd == "mec":
-        if g.graph_class in (GraphClass.CPDAG, GraphClass.DAG):
-            klass = mec.enumerate_dags(g)
-            member_class = "dag"
-        else:
-            klass = mec.enumerate_mags(g)
-            member_class = "mag"
-        return (
-            {
-                "count": len(klass.members),
-                "member_class": member_class,
-                "nodes": list(g.nodes),
-                "members": [_edge_list(m) for m in klass.members],
-            },
-            None,
-            0,
-        )
-
-    if cmd == "project":
-        observed = _split_nodes(args.observed) or tuple(g.nodes)
-        mag = mec.latent_project(g, observed)
-        return {"nodes": list(mag.nodes), "edges": _edge_list(mag)}, None, 0
-
-    if cmd == "verify":
-        x, y, z = _resolve_sets(args, query, need_z=True)
-        try:
-            reports = sem.verify_adjustment(g, x, y, z, trials=args.trials, seed=args.seed)
-        except NotAmenableError as exc:
-            reports, witness = None, list(exc.witness)
-        x_order = list(g.sort_nodes(frozenset(x)))  # x is known to be in g by now
-        if reports is None:
-            # no set adjusts in a graph that is not amenable; nothing to compare
-            result = {"members": 0, "trials": args.trials, "x_order": x_order,
-                      "max_abs_gap": None, "sound": False, "amenable": False, "reports": []}
-            return result, witness, 1
-        # exact numbers as rational strings: "-3/7", "2", "0"
-        max_gap = max(r.max_abs_gap for r in reports)
-        sound = max_gap == 0
-        result = {
-            "members": 1 + max(r.member for r in reports),
-            "trials": args.trials,
-            "x_order": x_order,
-            "max_abs_gap": str(max_gap),
-            "sound": sound,
-            "amenable": True,
-            "reports": [
-                {
-                    "member": r.member,
-                    "trial": r.trial,
-                    "true_effect": [str(v) for v in r.true_effect],
-                    "adjusted_estimate": [str(v) for v in r.adjusted_estimate],
-                    "max_abs_gap": str(r.max_abs_gap),
-                }
-                for r in reports
-            ],
-        }
-        return result, None, 0 if sound else 1
-
-    raise GraphError(f"unknown command {cmd!r}")
+    return resolved
 
 
 def _emit(payload) -> None:
@@ -258,24 +227,26 @@ def run_command(argv) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     command = args.command
-    _load(COMMANDS[command][1])
+    row = COMMANDS[command]
+    _load(row.module)
     started = time.perf_counter()
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:
             text = fh.read()
         doc = cgtext.parse_document(text)
         g = doc.graph
-        cap = args.max_nodes
-        if cap is None and command in ENUMERATING_COMMANDS:
-            cap = DEFAULT_NODE_CAP
+        cap = DEFAULT_NODE_CAP if args.max_nodes is None and row.capped else args.max_nodes
         if cap is not None and len(g.nodes) > cap:
             raise SizeCapExceededError(
                 f"{len(g.nodes)} nodes exceeds the cap of {cap}",
                 cap="nodes", limit=cap, required=len(g.nodes),
             )
-        if command != "validate":
-            _require_class(g)
-        result, witness, code = _dispatch(args, doc)
+        # the class check of a DAG or MAG runs in polynomial time; that of a
+        # CPDAG or PAG enumerates the class and is left to `validate`
+        if command != "validate" and g.graph_class in (GraphClass.DAG, GraphClass.MAG):
+            validate_graph(g)
+        sets = _resolve_sets(row.sets, args, doc.query) if row.sets else ()
+        result, witness, code = row.run(g, args, *sets)
     except SizeCapExceededError as exc:
         print(f"covadjust: {exc}", file=sys.stderr)
         _emit({"format": FORMAT_VERSION, "command": command,
@@ -291,7 +262,7 @@ def run_command(argv) -> int:
     payload = {
         "format": FORMAT_VERSION,
         "command": command,
-        "graph_class": doc.graph.graph_class.value,
+        "graph_class": g.graph_class.value,
         "result": result,
     }
     if witness is not None:

@@ -23,7 +23,7 @@ and the rounds are layers: round k holds the nodes k steps from the
 seeds.  A witness path is read off the layers of the closure the
 decision has already run, by descending from its first node one layer
 at a time (`_descend`).  Acyclicity is the sinks-first (Kahn) order over
-the same masks, `_sinks_first`, and a directed cycle is a walk through
+the same masks, `Graph._sinks_first`, and a directed cycle is a walk through
 the nodes it leaves out.
 
 The visibility of a MAG's or PAG's directed edges is memoized too, but
@@ -314,6 +314,28 @@ class Graph(_Record):
                 (False, False): possible, (False, True): possible_back}
 
     @cached_property
+    def _sinks_first(self) -> list:
+        """Node positions in an order that puts every child before its
+        parents: Kahn's algorithm from the sinks, over the directed step
+        masks.  A node on a directed cycle, or with a directed path into
+        one, is never freed and is left out, so the order holds every
+        position iff the graph has no directed cycle.  Shared: read it,
+        never change it."""
+        children, parents = self._steps[True, False], self._steps[True, True]
+        left = [kids.bit_count() for kids in children]
+        order = [i for i, count in enumerate(left) if not count]
+        for j in order:  # grows while it is read
+            todo = parents[j]
+            while todo:
+                low = todo & -todo
+                todo ^= low
+                i = low.bit_length() - 1
+                left[i] -= 1
+                if not left[i]:
+                    order.append(i)
+        return order
+
+    @cached_property
     def _visible(self) -> dict:
         """The memo of `criteria.is_visible` on a MAG or PAG: (x, y) maps to
         the visibility of the edge x -> y, entered the first time it is asked."""
@@ -323,18 +345,28 @@ class Graph(_Record):
         self._require(node)
         return frozenset(self._marks[node])
 
+    # The accessors below look the pair up once; only a pair without an
+    # edge pays for checking that both are nodes.
+
     def adjacent(self, a: Node, b: Node) -> bool:
-        return b in self._marks[a]
+        if b in self._marks.get(a, ()):
+            return True
+        self._require(a, b)
+        return False
 
     def edge_between(self, a: Node, b: Node):
         """The edge a-b, equal to the one in `edges`, or None."""
-        mark = self._marks[a].get(b)
-        return None if mark is None else Edge(a, b, mark, self._marks[b][a])
+        mark = self._marks.get(a, {}).get(b)
+        if mark is None:
+            self._require(a, b)
+            return None
+        return Edge(a, b, mark, self._marks[b][a])
 
     def mark_at(self, near: Node, far: Node) -> Mark:
         """Mark at the `near` endpoint of the edge near-far."""
-        m = self._marks[near].get(far)
+        m = self._marks.get(near, {}).get(far)
         if m is None:
+            self._require(near, far)
             raise UnknownNodeError(f"no edge between {near} and {far}")
         return m
 
@@ -526,27 +558,6 @@ def possible_ancestors(g: Graph, s) -> frozenset:
     return _reach(g, _as_set(g, s), directed=False, reverse=True)
 
 
-def _sinks_first(g: Graph) -> list:
-    """Node positions in an order that puts every child before its
-    parents: Kahn's algorithm from the sinks, over the directed step masks.
-    A node on a directed cycle, or with a directed path into one, is never
-    freed and is left out, so the order holds every position iff the graph
-    has no directed cycle."""
-    children, parents = g._steps[True, False], g._steps[True, True]
-    left = [kids.bit_count() for kids in children]
-    order = [i for i, count in enumerate(left) if not count]
-    for j in order:  # grows while it is read
-        todo = parents[j]
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            i = low.bit_length() - 1
-            left[i] -= 1
-            if not left[i]:
-                order.append(i)
-    return order
-
-
 def _find_directed_cycle(g: Graph):
     """Return a node list forming a directed cycle, or None.
 
@@ -556,7 +567,7 @@ def _find_directed_cycle(g: Graph):
     depth-first search taking roots and children in declaration order
     meets first.
     """
-    order = _sinks_first(g)
+    order = g._sinks_first
     if len(order) == len(g.nodes):
         return None
     left = (1 << len(g.nodes)) - 1
@@ -616,14 +627,10 @@ def validate_graph(g: Graph) -> None:
         from .paths import require_maximal
 
         require_maximal(g)
-    elif g.graph_class is GraphClass.CPDAG:
-        from .mec import enumerate_dags
+    else:
+        from . import mec
 
-        enumerate_dags(g)
-    elif g.graph_class is GraphClass.PAG:
-        from .mec import enumerate_mags
-
-        enumerate_mags(g)
+        mec._class_of(g)
 
 
 def validate_ancestral(g: Graph) -> None:

@@ -239,6 +239,14 @@ def enumerate_mags(p: Graph) -> EquivalenceClass:
     return EquivalenceClass(p, _class_members(p, GraphClass.MAG))
 
 
+def _class_of(g: Graph) -> EquivalenceClass:
+    """The equivalence class of `g`: DAGs for a DAG or CPDAG, MAGs for a
+    MAG or PAG, where a DAG or MAG is its own class."""
+    if g.graph_class in (GraphClass.DAG, GraphClass.CPDAG):
+        return enumerate_dags(g)
+    return enumerate_mags(g)
+
+
 def latent_project(d: Graph, observed) -> Graph:
     """Project a DAG onto `observed`, yielding the MAG that preserves the
     ancestral and m-separation relationships among the observed nodes.

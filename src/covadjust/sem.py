@@ -17,7 +17,7 @@ between effect and estimate is 0 or it is not: there is no tolerance
 and no sampling noise anywhere.
 
 The integer algebra lives in `covadjust._exact`; its path sums fill in
-from the sinks up, in the order the graph gives (`graphs._sinks_first`),
+from the sinks up, in the order the graph gives (`Graph._sinks_first`),
 so a graph with a directed cycle is refused whatever its weights.  It,
 `fractions` and `random` are imported inside the functions that need
 them, so importing the package (and every CLI command but `verify`)
@@ -45,9 +45,8 @@ from .graphs import (
     _find_directed_cycle,
     _Record,
     _set,
-    _sinks_first,
 )
-from .mec import canonical_dag, enumerate_dags, enumerate_mags
+from .mec import _class_of, canonical_dag
 
 WEIGHTS = (-3, -2, -1, 1, 2, 3)
 NOISE_VARIANCES = (1, 2, 3)
@@ -134,12 +133,12 @@ def random_sem(dag: Graph, seed) -> LinearSEM:
 
 def _weights_sinks_first(sem: LinearSEM):
     """Each position's (child, weight) pairs over the nonzero weights of
-    `sem`, and the positions in the graph's order `_sinks_first`, which
+    `sem`, and the positions in the graph's order `Graph._sinks_first`, which
     puts every child before its parents.  Raises `DirectedCycleError` if
     the graph has a directed cycle, which only a graph built without
     `validate_graph` can hold, whatever the weights on it."""
     g = sem.graph
-    order = _sinks_first(g)
+    order = g._sinks_first
     if len(order) < len(g.nodes):
         raise DirectedCycleError(_find_directed_cycle(g))
     return [[(j, c) for j, c in enumerate(row) if c] for row in sem.coeffs], order
@@ -215,10 +214,8 @@ def adjusted_estimate(sigma, x_idx, y_idx: int, z_idx=()) -> tuple:
 def _member_substrates(g: Graph) -> list:
     """The DAGs the SEMs live on, one per member of [g]: the member itself
     or, for a MAG, its canonical DAG."""
-    if g.graph_class is GraphClass.CPDAG:
-        return list(enumerate_dags(g).members)
-    members = enumerate_mags(g).members if g.graph_class is GraphClass.PAG else [g]
-    return [m if m.graph_class is GraphClass.DAG else canonical_dag(m) for m in members]
+    return [m if m.graph_class is GraphClass.DAG else canonical_dag(m)
+            for m in _class_of(g).members]
 
 
 def trial_seed(seed: int, member: int, trial: int) -> str:

@@ -17,7 +17,6 @@ from covadjust.criteria import AdjustmentVerdict
 from covadjust.errors import MarkNotAllowedError, NotMaximalError, ParseError
 from covadjust.graphs import Edge, Graph, GraphClass, Mark, _Record, _set
 from covadjust.mec import _mark_union, separation_fingerprint, unshielded_colliders
-from covadjust.paths import _open_walk
 
 
 @functools.lru_cache(maxsize=1024)
@@ -516,7 +515,8 @@ def directed_reach_to(g, y, avoid):
 
 def require_maximal_subsets(g):
     """Raise NotMaximalError unless every non-adjacent pair is m-separated
-    by some subset of the other nodes (all 2^(n-2) subsets tried)."""
+    by some subset of the other nodes (all 2^(n-2) subsets tried, each by
+    `m_connected_enumeration`)."""
     adj = edge_table(g)
     for i, a in enumerate(g.nodes):
         for b in g.nodes[i + 1:]:
@@ -524,7 +524,7 @@ def require_maximal_subsets(g):
                 continue
             rest = [n for n in g.nodes if n not in (a, b)]
             if not any(
-                _open_walk(g, frozenset([a]), frozenset([b]), frozenset(zc)) is None
+                not m_connected_enumeration(g, (a,), (b,), zc)
                 for r in range(len(rest) + 1)
                 for zc in itertools.combinations(rest, r)
             ):

@@ -160,6 +160,23 @@ def test_default_cap_guards_only_enumeration(tmp_path, capsys):
     assert code == 3 and payload["error"]["type"] == "SizeCapExceededError"
 
 
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_default_cap_guards_the_rows_marked_capped(tmp_path, capsys, command):
+    # 16 nodes, one over the default cap; --max-nodes 16 lets every command run
+    g = random_dag(random.Random(16), 16, 0.2)
+    f = tmp_path / "dag16.cg"
+    f.write_text(serialize_graph(g) + "query { X = N0; Y = N15 }\n")
+    extra = ["--trials", "2"] if command == "verify" else []
+    code, payload, _ = run(capsys, command, "--graph", str(f), *extra)
+    if cli.COMMANDS[command].capped:
+        assert code == 3 and payload["error"]["cap"] == "nodes", payload
+        assert (payload["error"]["limit"], payload["error"]["required"]) == (15, 16)
+    else:
+        assert code in (0, 1) and "result" in payload, payload
+    code, payload, _ = run(capsys, command, "--graph", str(f), "--max-nodes", "16", *extra)
+    assert code in (0, 1) and "result" in payload, payload
+
+
 CYCLIC_DAG = "graph dag { X -> A A -> B B -> X X -> Y }"
 NON_ANCESTRAL_MAG = "graph mag { X -> Y Y -> W W <-> X }"
 

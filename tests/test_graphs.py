@@ -25,6 +25,14 @@ def test_build_single_edge_dag():
     assert g.mark_at("Y", "X") is Mark.ARROW
 
 
+@pytest.mark.parametrize("accessor", ["adjacent", "edge_between", "mark_at"])
+@pytest.mark.parametrize("pair", [("Q", "A"), ("A", "Q")])
+def test_accessors_name_an_unknown_node(accessor, pair):
+    g = ca.parse_graph("graph mag { A -> B }")
+    with pytest.raises(UnknownNodeError, match="unknown node: Q"):
+        getattr(g, accessor)(*pair)
+
+
 def test_edge_is_the_same_in_both_directions():
     assert Edge.directed("X", "Y") == Edge("Y", "X", Mark.ARROW, Mark.TAIL)
     assert Edge.bidirected("B", "A") == Edge.bidirected("A", "B")

@@ -225,7 +225,7 @@ def _random_digraph(rng):
 
 def test_cycles_and_sinks_first_order_agree_with_the_depth_first_search():
     """`_find_directed_cycle` gives the cycle of the depth-first search it
-    replaced (`oracles.directed_cycle`), `_sinks_first` orders every child
+    replaced (`oracles.directed_cycle`), `Graph._sinks_first` orders every child
     before its parents and holds every node iff there is no cycle, and on
     the acyclic graphs `_find_almost_directed_cycle` gives the oracle's."""
     rng = random.Random("digraphs")
@@ -234,7 +234,7 @@ def test_cycles_and_sinks_first_order_agree_with_the_depth_first_search():
         g = _random_digraph(rng)
         cycle = graphs._find_directed_cycle(g)
         assert cycle == oracles.directed_cycle(g), ca.serialize_graph(g)
-        order = graphs._sinks_first(g)
+        order = g._sinks_first
         place = {g.nodes[i]: k for k, i in enumerate(order)}
         assert (len(order) == len(g.nodes)) == (cycle is None)
         for tail, head in oracles.directed_pairs(g):

@@ -1,14 +1,18 @@
-"""The `--versus OTHER=SRC` check that the hand-run timing tools share."""
+"""The `--versus OTHER=SRC` check that the hand-run timing tools share,
+and the argument lists and output normalisation of `cli_diff`."""
 
 import argparse
 import sys
 
 import pytest
 
+from covadjust import cli
+
 from conftest import REPO_ROOT
 
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 import bench_parse  # noqa: E402
+import cli_diff  # noqa: E402
 
 
 @pytest.mark.parametrize("text", ["parent", "=../parent/src", "parent=", "change=../parent/src"])
@@ -24,3 +28,20 @@ def test_versus_refuses_a_malformed_or_clashing_other(text, capsys):
 def test_versus_splits_at_the_first_equals_sign():
     parser = argparse.ArgumentParser(prog="bench")
     assert bench_parse.versus(parser, "parent=../a=b/src", "change") == ("parent", "../a=b/src")
+
+
+def test_cli_diff_zeroes_elapsed_ms_only():
+    out = '{\n  "result": {"elapsed_ms": "kept"},\n  "elapsed_ms": 12.345\n}\n'
+    assert cli_diff.normalise(out) == out.replace("12.345", "0")
+    assert cli_diff.normalise('"elapsed_ms": 0.5,') == cli_diff.normalise('"elapsed_ms": 81,')
+    assert cli_diff.normalise('"elapsed_ms": 1e-05') == '"elapsed_ms": 0'
+
+
+def test_cli_diff_runs_every_command_of_the_table():
+    lists = cli_diff.argument_lists()
+    assert len(lists) >= 140 and len({tuple(a) for a in lists}) == len(lists)
+    assert set(cli.COMMANDS) == set(cli_diff.COMMANDS)
+    for command in cli.COMMANDS:
+        assert [command, "--help"] in lists and [command] in lists
+        files = {a[2] for a in lists if a[:2] == [command, "--graph"]}
+        assert any((REPO_ROOT / f).is_file() for f in files), command
