@@ -106,7 +106,10 @@ def _mec(g, args):
 
 
 def _project(g, args):
-    mag = mec.latent_project(g, _split_nodes(args.observed) or tuple(g.nodes))
+    observed = _split_nodes(args.observed)
+    if observed == ():
+        raise GraphError("--observed names no node (leave it out to keep every node)")
+    mag = mec.latent_project(g, g.nodes if observed is None else observed)
     return {"nodes": list(mag.nodes), "edges": cgtext._edge_statements(mag)}, None, 0
 
 

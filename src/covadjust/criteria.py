@@ -78,51 +78,57 @@ def is_visible(g: Graph, x, y) -> bool:
     Raises `UnknownNodeError` for an unknown node and
     `NotDirectedEdgeError` unless x -> y is an edge, on every call.
 
-    A MAG's or PAG's edge is searched the first time it is asked; the
-    verdict is kept in the graph's memo `Graph._visible`, which later
-    calls and the criteria read.  The memo is a cache, like a
-    `cached_property`: concurrent readers at worst search one edge twice,
-    and equality, hashing and pickling of the graph never see it.
+    The answer is read off the graph's visibility table, which a MAG or
+    PAG fills for all the edges out of x the first time x is asked about.
     """
     marks = g._marks
     if x not in marks or y not in marks:
         g._require(x, y)
     if marks[x].get(y) is not Mark.TAIL:
         raise NotDirectedEdgeError(f"{x} -> {y} is not an edge")
+    index = g.node_index
+    return bool(_visible_tails(g, index[x]) >> index[y] & 1)
+
+
+def _visible_tails(g: Graph, i: int) -> int:
+    """The mask of the heads of the visible edges out of the node at
+    position i: every directed edge of a DAG or CPDAG, and in a MAG or PAG
+    the entry of the table `Graph._visible_tails`, filled on first use."""
     if g.graph_class in (GraphClass.DAG, GraphClass.CPDAG):
-        return True
-    return _visible(g, x, y)
+        return g._steps[True, False][i]
+    table = g._visible_tails
+    if table[i] is None:
+        table[i] = _visible_heads(g, i)
+    return table[i]
 
 
-def _visible(g: Graph, x, y) -> bool:
-    """`is_visible` of the edge x -> y of a MAG or PAG, from the memo."""
-    memo = g._visible
-    seen = memo.get((x, y))
-    if seen is None:
-        seen = memo[x, y] = _visibility_search(g, x, y)
-    return seen
-
-
-def _visibility_search(g: Graph, x, y) -> bool:
-    """Search for the collider path that makes the edge x -> y visible."""
-    marks = g._marks
-    pa_y = {w for w in marks[y] if marks[w][y] is Mark.TAIL}
-    # the last nodes a collider path into x can step onto from outside:
-    # x and the parents of y joined to x by a <-> chain through parents of y
-    chain = {x}
-    stack = [x]
-    while stack:
-        b = stack.pop()
-        for w, m in marks[b].items():
-            if m is Mark.ARROW and w in pa_y and w not in chain and marks[w][b] is Mark.ARROW:
-                chain.add(w)
-                stack.append(w)
-    at_y = marks[y]
-    return any(
-        v != y and m is Mark.ARROW and v not in at_y
-        for b in chain
-        for v, m in marks[b].items()
-    )
+def _visible_heads(g: Graph, i: int) -> int:
+    """One entry of the visibility table: the mask of the children y of
+    the node at position i for which some node not adjacent to y has an
+    arrowhead into the <-> chain through pa(y) that starts at i."""
+    steps = g._steps
+    into, possible, possible_back = steps["into"], steps[False, False], steps[False, True]
+    parents = steps[True, True]
+    visible = 0
+    todo = steps[True, False][i]
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        y = low.bit_length() - 1
+        # the closure of i over <-> edges into pa(y): a neighbour with an
+        # arrowhead at b is joined to b by <-> unless its own mark is not one
+        chain = frontier = 1 << i
+        arrows = 0  # the nodes with an arrowhead into the chain
+        while frontier:
+            b = (frontier & -frontier).bit_length() - 1
+            arrows |= into[b]
+            new = into[b] & ~possible_back[b] & parents[y] & ~chain
+            chain |= new
+            frontier = (frontier & (frontier - 1)) | new
+        # y is not in `arrows`: the chain's edges to y all have a tail there
+        if arrows & ~(possible[y] | into[y]):
+            visible |= low
+    return visible
 
 
 def _possibly_directed_reach_to(g: Graph, y: frozenset, avoid: frozenset, layers=None) -> int:
@@ -148,28 +154,13 @@ def _amenability_violation(g: Graph, x: frozenset, suffix: int, layers: list):
     closure `_possibly_directed_reach_to(g, y, avoid=x)`, and `layers`, its
     rounds."""
     index = g.node_index
-    nodes = g.nodes
-    steps = g._steps
-    # the first steps of proper possibly directed paths to y, as masks; in
-    # a DAG or CPDAG a directed first edge is visible, in a MAG or PAG it
-    # is asked of the memo
-    possible = steps[False, False]
-    directed = steps[True, False]
-    tails_visible = g.graph_class in (GraphClass.DAG, GraphClass.CPDAG)
+    possible = g._steps[False, False]
     starts = []  # (x node, the mask of the first steps of its violating paths)
     for x_node in g.sort_nodes(x):
         i = index[x_node]
-        tails = directed[i]
-        firsts = possible[i] & suffix  # `suffix` holds no node of x
-        if tails_visible:
-            firsts &= ~tails
-        else:
-            todo = firsts & tails
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                if _visible(g, x_node, nodes[low.bit_length() - 1]):
-                    firsts ^= low
+        # the first steps of proper possibly directed paths to y (`suffix`
+        # holds no node of x) that are no visible edge
+        firsts = possible[i] & suffix & ~_visible_tails(g, i)
         if firsts:
             starts.append((x_node, firsts))
     if not starts:
@@ -210,20 +201,18 @@ def _first(g: Graph, mask: int):
     return g.nodes[(mask & -mask).bit_length() - 1]
 
 
-def _proper_backdoor_exemption(g: Graph, reach: int):
-    """`skip_first` for Cond2: exempts the first edges of proper possibly
-    causal paths from X to Y, leaving the proper back-door graph.  `reach`
-    is the possibly directed closure `_possibly_directed_reach_to(g, Y,
-    avoid=X)`.
+def _proper_backdoor_exemption(g: Graph, x: frozenset, reach: int) -> dict:
+    """The exempt first steps of Cond2, per node of `x`: the first edges of
+    proper possibly causal paths from X to Y, leaving the proper back-door
+    graph.  `reach` is the possibly directed closure
+    `_possibly_directed_reach_to(g, Y, avoid=X)`.
 
     For an amenable graph and Z outside the forbidden set, every proper
     definite status non-causal path is blocked given Z iff every proper
     definite status path in that graph is (Perković et al., JMLR 2018).
     """
-    marks = g._marks
-    index = g.node_index
-    return lambda start, first: (reach >> index[first] & 1
-                                 and marks[start][first] is not Mark.ARROW)
+    index, possible = g.node_index, g._steps[False, False]
+    return {s: possible[index[s]] & reach for s in x}
 
 
 def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
@@ -243,7 +232,7 @@ def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
     bad = _bits(g, z) & _forbidden_set(g, x, reach)
     if bad:
         return AdjustmentVerdict(False, "Cond1", _first(g, bad))
-    open_path = _open_path(g, x, y, z, skip_first=_proper_backdoor_exemption(g, reach))
+    open_path = _open_path(g, x, y, z, _proper_backdoor_exemption(g, x, reach))
     if open_path is not None:
         return AdjustmentVerdict(False, "Cond2", open_path)
     return AdjustmentVerdict(True)
@@ -262,18 +251,11 @@ def satisfies_generalized_backdoor(g: Graph, x, y, z) -> AdjustmentVerdict:
     bad = _bits(g, z) & _reach_bits(g, _bits(g, x), directed=False)
     if bad:
         return AdjustmentVerdict(False, "Cond1", _first(g, bad))
-    marks = g._marks
-    if g.graph_class in (GraphClass.DAG, GraphClass.CPDAG):
-        def first_edge_exempt(start, first):
-            # a tail at start makes the edge start -> first, and it is visible
-            return marks[start][first] is Mark.TAIL
-    else:
-        def first_edge_exempt(start, first):
-            return marks[start][first] is Mark.TAIL and _visible(g, start, first)
-
+    index = g.node_index
     for x_node in g.sort_nodes(x):
         cond = z | (x - {x_node})
-        open_path = _open_path(g, frozenset([x_node]), y, cond, skip_first=first_edge_exempt)
+        exempt = {x_node: _visible_tails(g, index[x_node])}
+        open_path = _open_path(g, frozenset([x_node]), y, cond, exempt)
         if open_path is not None:
             return AdjustmentVerdict(False, "Cond2", open_path)
     return AdjustmentVerdict(True)
@@ -298,12 +280,12 @@ def list_adjustment_sets(g: Graph, x, y, *, minimal_only=False, max_size=None):
     excluded = _forbidden_set(g, x, reach) | _bits(g, x) | _bits(g, y)
     candidates = [n for i, n in enumerate(g.nodes) if not excluded >> i & 1]
     limit = len(candidates) if max_size is None else min(max_size, len(candidates))
-    exempt = _proper_backdoor_exemption(g, reach)
+    exempt = _proper_backdoor_exemption(g, x, reach)
     passing = []
     for size in range(limit + 1):
         for combo in itertools.combinations(candidates, size):
             z = frozenset(combo)
-            if _open_path(g, x, y, z, skip_first=exempt) is None:
+            if _open_path(g, x, y, z, exempt) is None:
                 passing.append(z)
     if minimal_only:
         passing = [z for z in passing if not any(other < z for other in passing)]

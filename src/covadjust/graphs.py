@@ -26,12 +26,12 @@ at a time (`_descend`).  Acyclicity is the sinks-first (Kahn) order over
 the same masks, `Graph._sinks_first`, and a directed cycle is a walk through
 the nodes it leaves out.
 
-The visibility of a MAG's or PAG's directed edges is memoized too, but
-one edge at a time: `Graph._visible` keeps the verdict of each edge the
-first time it is asked.  Like the tables it is a cache in the manner of
-`functools.cached_property`: concurrent readers at worst compute and
-store one value twice, and equality, hashing and pickling read only the
-class, the nodes and the edges, never a cache.
+A MAG's or PAG's visibility table `Graph._visible_tails` holds, per
+node, None until the node is first asked about, then the mask of the
+heads of its visible out-edges.  Like the other tables it is a cache in
+the manner of `functools.cached_property`: concurrent readers at worst
+compute and store one value twice, and equality, hashing and pickling
+read only the class, the nodes and the edges, never a cache.
 """
 
 from __future__ import annotations
@@ -288,30 +288,37 @@ class Graph(_Record):
     def _steps(self) -> dict:
         """The one-step masks of `_reach`: ``_steps[directed, reverse][i]``
         has bit j set when one step of that kind leads from the node at
-        position i to the node at position j."""
+        position i to the node at position j.  ``_steps["into"][i]`` has bit
+        j set when the edge i-j has an arrowhead at i: the other neighbours
+        of i are ``_steps[False, False][i]``."""
         index = self.node_index
         n = len(self.nodes)
         forward, backward = [0] * n, [0] * n  # directed steps
         possible, possible_back = [0] * n, [0] * n
+        into = [0] * n
+        arrow, tail = Mark.ARROW, Mark.TAIL
         circles = False
         for v, row in self._marks.items():
             i = index[v]
             bit_v = 1 << i
+            out = kids = heads = 0  # row i of `possible`, `forward` and `into`
             for w, m in row.items():
-                if m is Mark.ARROW:
-                    continue
                 j = index[w]
-                possible[i] |= 1 << j
+                if m is arrow:
+                    heads |= 1 << j
+                    continue
+                out |= 1 << j
                 possible_back[j] |= bit_v
-                if m is Mark.TAIL:
-                    forward[i] |= 1 << j
+                if m is tail:
+                    kids |= 1 << j
                     backward[j] |= bit_v
                 else:
                     circles = True
+            possible[i], forward[i], into[i] = out, kids, heads
         if not circles:  # every possibly directed step is directed: share the lists
             possible, possible_back = forward, backward
         return {(True, False): forward, (True, True): backward,
-                (False, False): possible, (False, True): possible_back}
+                (False, False): possible, (False, True): possible_back, "into": into}
 
     @cached_property
     def _sinks_first(self) -> list:
@@ -336,10 +343,11 @@ class Graph(_Record):
         return order
 
     @cached_property
-    def _visible(self) -> dict:
-        """The memo of `criteria.is_visible` on a MAG or PAG: (x, y) maps to
-        the visibility of the edge x -> y, entered the first time it is asked."""
-        return {}
+    def _visible_tails(self) -> list:
+        """The visibility table of a MAG or PAG, read and filled by
+        `criteria._visible_tails`: per node position, None until asked, then
+        the mask of the heads of the visible edges out of that node."""
+        return [None] * len(self.nodes)
 
     def neighbors(self, node: Node) -> frozenset:
         self._require(node)

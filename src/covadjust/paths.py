@@ -33,13 +33,14 @@ from .errors import NoPathWitnessError
 from .graphs import Graph, Mark, _bits, _disjoint_sets, _nodes, _reach_bits
 
 
-def _open_walk(g: Graph, x, y, z, skip_first=None, *, an_z=None):
+def _open_walk(g: Graph, x, y, z, exempt=None, *, an_z=None):
     """Shortest open definite status walk from `x` to `y` given `z`, or None.
 
     Breadth-first search over (previous, current) edge states: a state is
     entered at most once, and a step is taken when the local triple rules
     leave its middle node open.  The walk never re-enters `x` and stops at
-    its first node of `y`.  `skip_first(start, first)` exempts first edges.
+    its first node of `y`.  `exempt`, if given, maps each node of `x` to
+    the mask of the nodes its walks may not step to first.
     Neighbours are expanded in declaration order, so the walk rebuilt from
     the parent pointers is the lexicographically first shortest one.
     `an_z` is the mask of An(z); it is computed when not given.  Only its
@@ -54,8 +55,9 @@ def _open_walk(g: Graph, x, y, z, skip_first=None, *, an_z=None):
     parent = {}
     queue = deque()
     for s in g.sort_nodes(x):
+        skip = exempt[s] if exempt else 0
         for w in order[s]:
-            if w in x or (skip_first is not None and skip_first(s, w)):
+            if w in x or skip >> index[w] & 1:
                 continue
             parent[(s, w)] = None
             if w in y:
@@ -117,16 +119,15 @@ def m_connected(g: Graph, x, y, z=()) -> bool:
     return _open_walk(g, x, y, z) is not None
 
 
-def find_open_definite_path(g: Graph, x, y, z, *, skip_first=None):
+def find_open_definite_path(g: Graph, x, y, z):
     """Shortest open definite status path from `x` to `y` given `z`, or None.
 
-    Only the first node of the path is in `x`.  `skip_first(start, first)`
-    exempts first edges from the search; the adjustment criteria, which
-    call the search through `_open_path`, pass the first edges of proper
-    possibly causal paths (GAC) or the visible edges out of `x`
-    (back-door) this way.  The result is the shortest
+    Only the first node of the path is in `x`.  The result is the shortest
     path, ties broken by declaration order.  The sets are checked as in
     `m_connected`: `x` and `y` non-empty, all three pairwise disjoint.
+    The adjustment criteria run the same search through `_open_path`, with
+    the first edges of proper possibly causal paths (GAC) or the visible
+    edges out of `x` (back-door) exempt, as one mask per node of `x`.
 
     The search runs over (previous, current) edge states in polynomial
     time and finds the shortest open walk.  In DAGs and MAGs that walk is
@@ -137,12 +138,12 @@ def find_open_definite_path(g: Graph, x, y, z, *, skip_first=None):
     happen under the preconditions of the adjustment criteria.
     """
     x, y, z = _disjoint_sets(g, x, y, z)
-    return _open_path(g, x, y, z, skip_first)
+    return _open_path(g, x, y, z)
 
 
-def _open_path(g: Graph, x, y, z, skip_first=None):
-    """`find_open_definite_path` on sets that the caller has checked."""
-    walk = _open_walk(g, x, y, z, skip_first)
+def _open_path(g: Graph, x, y, z, exempt=None):
+    """`find_open_definite_path` on checked sets, with `exempt` as `_open_walk` takes it."""
+    walk = _open_walk(g, x, y, z, exempt)
     if walk is not None and len(set(walk)) < len(walk):
         raise NoPathWitnessError(walk)
     return walk

@@ -26,7 +26,7 @@ loads none of them.
 
 from __future__ import annotations
 
-from itertools import chain, compress
+from itertools import chain
 
 from .criteria import find_amenability_violation
 from .errors import (
@@ -58,9 +58,12 @@ class LinearSEM(_Record):
     `coeffs[i][j]` is the weight of the edge nodes[i] -> nodes[j] and must
     be zero off the edge set; `noise_var[i]` is the noise variance of
     nodes[i] and must be positive.  Both hold `int`s only, as tuples.
+    Each row's (child, weight) pairs sit outside `_fields`, so equality,
+    hashing, repr and pickling skip them.
     """
 
-    __slots__ = _fields = ("graph", "coeffs", "noise_var")
+    _fields = ("graph", "coeffs", "noise_var")
+    __slots__ = (*_fields, "_weights")
 
     def __init__(self, graph: Graph, coeffs, noise_var):
         if graph.graph_class is not GraphClass.DAG:
@@ -74,16 +77,18 @@ class LinearSEM(_Record):
         if not set(map(type, chain(noise, *coeffs))) <= {int}:
             raise TypeError("edge weights and noise variances must be integers")
         marks = graph._marks
-        for v, row in zip(nodes, coeffs):
+        weights = [[(j, c) for j, c in enumerate(row) if c] for row in coeffs]
+        for v, pairs in zip(nodes, weights):
             out = marks[v]
-            for w in compress(nodes, row):  # the heads of the nonzero weights
-                if out.get(w) is not Mark.TAIL:
+            for j, _ in pairs:
+                if out.get(nodes[j]) is not Mark.TAIL:
                     raise ValueError("nonzero coefficient off the DAG edge set")
         if noise and min(noise) <= 0:
             raise ValueError("noise variances must be positive")
         _set(self, "graph", graph)
         _set(self, "coeffs", coeffs)
         _set(self, "noise_var", noise)
+        _set(self, "_weights", weights)
 
     def index(self, node) -> int:
         return self.graph.node_index[node]
@@ -141,7 +146,7 @@ def _weights_sinks_first(sem: LinearSEM):
     order = g._sinks_first
     if len(order) < len(g.nodes):
         raise DirectedCycleError(_find_directed_cycle(g))
-    return [[(j, c) for j, c in enumerate(row) if c] for row in sem.coeffs], order
+    return sem._weights, order
 
 
 def _single_y(y) -> tuple:

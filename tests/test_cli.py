@@ -337,6 +337,18 @@ def test_project_command(tmp_path, capsys):
     assert payload["result"]["edges"] == ["X -> Y"]
 
 
+def test_project_refuses_an_empty_observed_flag(tmp_path, capsys):
+    # an empty --observed is refused as -X "" is; leaving it out keeps every node
+    f = tmp_path / "latent.cg"
+    f.write_text("graph dag { L -> X L -> Y X -> Y }")
+    for observed in ("", " , "):
+        code, payload, err = run(capsys, "project", "--graph", str(f), "--observed", observed)
+        assert code == 2 and "--observed" in err
+        assert payload["error"]["type"] == "GraphError" and "result" not in payload
+    code, payload, _ = run(capsys, "project", "--graph", str(f))
+    assert code == 0 and payload["result"]["nodes"] == ["L", "X", "Y"]
+
+
 def test_verify_command(capsys):
     code, payload, _ = run(
         capsys, "verify", "--graph", corpus_path("fig5a"), "--trials", "3", "--seed", "4"

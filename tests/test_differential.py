@@ -2,11 +2,12 @@
 
 Cond2 and the back-door test run one breadth-first search over
 (previous, current) edge states, and `is_visible` a closure over
-bidirected chains, run once per edge and memoized on the graph.  Here
-they are compared with the simple-path search and the collider-path DFS
-kept in `oracles`, on seeded random DAGs, CPDAGs, MAGs and PAGs, and
-every witness is classified and tested for being open by `oracles`
-from the raw edge objects.
+bidirected chains on the graph's masks, run once per node for all its
+out-edges and kept in the graph's visibility table.  Here they are
+compared with the simple-path search and the collider-path DFS kept in
+`oracles`, on seeded random DAGs, CPDAGs, MAGs and PAGs, and every
+witness is classified and tested for being open by `oracles` from the
+raw edge objects.
 """
 
 import itertools
@@ -69,7 +70,7 @@ def _check_witness(g, witness, x, z, *, gac):
 def _visible_first_edge(g):
     def exempt(start, first):
         return (g.mark_at(start, first) is Mark.TAIL and g.mark_at(first, start) is Mark.ARROW
-                and criteria.is_visible(g, start, first))
+                and is_visible_dfs(g, Edge.directed(start, first)))
     return exempt
 
 

@@ -5,10 +5,10 @@ Every search reads marks from `Graph._marks` and every closure runs on
 Here the table is compared with the edge objects, each closure with the
 edge-object loop it replaced (kept in `oracles`), the
 ancestral-separator forms of `require_maximal` and `latent_project` with
-their subset searches, the visibility memo with the collider-path search,
-and a counting guard checks that the decisions never go back through the
-edge objects, build each step table once and search each edge's
-visibility once.
+their subset searches, the visibility table with the collider-path
+search, and a counting guard checks that the decisions never go back
+through the edge objects, build each step table once and fill each
+node's visibility entry once.
 """
 
 import collections
@@ -46,7 +46,7 @@ from covadjust.graphs import (
     _reach,
     _reach_bits,
 )
-from covadjust.paths import require_maximal
+from covadjust.paths import _open_path, require_maximal
 
 import oracles
 from oracles import class_graphs, random_dag
@@ -168,7 +168,9 @@ def test_shielded_circle_triple_is_not_of_definite_status():
         return first == "Y"
 
     shielded = ca.parse_graph("graph pag { X o-o V V o-o Y X o-o Y }")
-    assert ca.find_open_definite_path(shielded, {"X"}, {"Y"}, set(), skip_first=not_first) is None
+    exempt = {"X": _bits(shielded, {"Y"})}
+    assert _open_path(shielded, frozenset({"X"}), frozenset({"Y"}), frozenset(), exempt) is None
+    assert _open_path(shielded, frozenset({"X"}), frozenset({"Y"}), frozenset()) == ("X", "Y")
     assert oracles.simple_path_search(shielded, {"X"}, {"Y"}, set(), skip_first=not_first) is None
     unshielded = ca.parse_graph("graph pag { X o-o V V o-o Y }")
     assert ca.find_open_definite_path(unshielded, {"X"}, {"Y"}, set()) == ("X", "V", "Y")
@@ -348,38 +350,68 @@ def _fresh(g):
     return Graph(g.graph_class, g.nodes, g.edges)
 
 
+def _visible_masks(g):
+    """Per node position, the mask of the heads of the node's visible
+    out-edges by the brute-force search, and every directed edge's answer."""
+    index = g.node_index
+    want = {(t, h): oracles.is_visible_dfs(g, Edge.directed(t, h))
+            for t, h in sorted(oracles.directed_pairs(g))}
+    masks = [0] * len(g.nodes)
+    for (t, h), visible in want.items():
+        masks[index[t]] |= visible << index[h]
+    return masks, want
+
+
 @pytest.mark.parametrize("cls", CLASSES)
 def test_visibility_memo_agrees_with_collider_path_dfs(cls):
-    """`is_visible` on every directed edge against the brute-force search:
-    cold (the first ask of each edge), warm (the memo's answer), and on a
-    fresh copy of the graph after decisions have filled its memo; the
-    node and edge checks still raise on a graph whose memo is full."""
+    """`is_visible` on every directed edge against the brute-force search,
+    and the visibility table `Graph._visible_tails` behind it.  In a MAG
+    or PAG an entry is None until its node is first asked about, and from
+    then on the mask of all the node's visible out-edges, cold and warm;
+    on a fresh copy of the graph, decisions fill entries with the same
+    masks.  A DAG or CPDAG keeps no table.  The node and edge checks
+    still raise on a graph whose table is filled."""
     rng = random.Random(f"memo-{cls}")
+    table_class = cls in ("mag", "pag")
     sizes, answers, filled = [], [], 0
     for g in _visibility_graphs(cls):
         sizes.append(len(g.nodes))
-        edges = sorted(oracles.directed_pairs(g))
-        want = {(t, h): oracles.is_visible_dfs(g, Edge.directed(t, h)) for t, h in edges}
-        for _ in range(2):  # cold, then warm
-            assert {(t, h): ca.is_visible(g, t, h) for t, h in edges} == want
+        index = g.node_index
+        masks, want = _visible_masks(g)
+        edges = list(want)
+        cold = _fresh(g)
+        asked = set()
+        for t, h in edges:  # cold: each node's first ask fills its entry
+            if table_class:
+                table = cold._visible_tails
+                assert all(table[i] is None for i in range(len(g.nodes)) if i not in asked)
+            assert ca.is_visible(cold, t, h) == want[t, h]
+            asked.add(index[t])
+            if table_class:
+                assert cold._visible_tails[index[t]] == masks[index[t]]
+        assert {(t, h): ca.is_visible(cold, t, h) for t, h in edges} == want  # warm
         answers += want.values()
         filled_g = _fresh(g)
-        tails = sorted({t for t, _ in edges}, key=g.node_index.__getitem__)
+        tails = sorted({t for t, _ in edges}, key=index.__getitem__)
         for x in rng.sample(tails, min(20, len(tails))):
-            below = sorted(ca.possible_descendants(g, {x}) - {x}, key=g.node_index.__getitem__)
+            below = sorted(ca.possible_descendants(g, {x}) - {x}, key=index.__getitem__)
             y = rng.choice(below)
             ca.find_amenability_violation(filled_g, {x}, {y})
             try:
                 ca.satisfies_generalized_backdoor(filled_g, {x}, {y}, set())
             except NoPathWitnessError:
                 pass  # a walk that is no path: the wide graphs are outside their class
-        memo = filled_g.__dict__.get("_visible", {})
-        assert memo.items() <= want.items()
-        filled += len(memo)
+        table = filled_g.__dict__.get("_visible_tails")
+        if table_class:
+            table = table or [None] * len(g.nodes)  # no directed edge, nothing asked
+            assert all(entry in (None, mask) for entry, mask in zip(table, masks))
+            filled += sum(entry is not None for entry in table)
+        else:
+            assert table is None and "_visible_tails" not in cold.__dict__
         assert {(t, h): ca.is_visible(filled_g, t, h) for t, h in edges} == want
         # a cache: equality, hashing and pickling ignore it
         assert filled_g == _fresh(g) and hash(filled_g) == hash(_fresh(g))
-        assert "_visible" not in pickle.loads(pickle.dumps(filled_g)).__dict__
+        assert "_visible_tails" not in pickle.loads(pickle.dumps(filled_g)).__dict__
         with pytest.raises(UnknownNodeError):
             ca.is_visible(filled_g, g.nodes[0], "no such node")
         for t, h in edges[:3]:
@@ -390,21 +422,21 @@ def test_visibility_memo_agrees_with_collider_path_dfs(cls):
                 with pytest.raises(NotDirectedEdgeError):
                     ca.is_visible(filled_g, t, far)
     assert max(sizes) >= 70
-    if cls in ("mag", "pag"):
+    if table_class:
         assert answers.count(True) >= 50 and answers.count(False) >= 50
         assert filled >= 50
     else:
-        assert all(answers) and filled == 0  # no search, no memo
+        assert all(answers)
 
 
 def test_visibility_memo_under_concurrent_readers():
     """Threads asking every edge of one fresh graph at once, switching
-    often: a lost or doubled store may repeat a search, never change an
-    answer."""
+    often: a lost or doubled store may repeat a fill, never change an
+    answer or an entry."""
     rng = random.Random("memo-threads")
     g = _wide_graph("mag", 120, rng)
-    edges = sorted(oracles.directed_pairs(g))
-    want = {(t, h): oracles.is_visible_dfs(g, Edge.directed(t, h)) for t, h in edges}
+    masks, want = _visible_masks(g)
+    edges = list(want)
     orders = [rng.sample(edges, len(edges)) for _ in range(8)]
     got = [None] * len(orders)
 
@@ -423,7 +455,8 @@ def test_visibility_memo_under_concurrent_readers():
         sys.setswitchinterval(interval)
     assert not any(w.is_alive() for w in workers)
     assert got == [want] * len(orders)
-    assert g._visible == want
+    tails = {g.node_index[t] for t, _ in edges}
+    assert g._visible_tails == [m if i in tails else None for i, m in enumerate(masks)]
 
 
 # ------------------------------------------------------------ hot-path guard
@@ -464,10 +497,10 @@ def test_decisions_read_the_mark_table_only(monkeypatch):
     steps = functools.cached_property(lambda g: built.append(g) or build(g))
     steps.__set_name__(graphs.Graph, "_steps")
     monkeypatch.setattr(graphs.Graph, "_steps", steps)
-    searched = collections.Counter()  # (graph, x, y) -> visibility searches of x -> y
-    search = criteria._visibility_search
-    monkeypatch.setattr(criteria, "_visibility_search",
-                        lambda g, x, y: searched.update([(id(g), x, y)]) or search(g, x, y))
+    searched = collections.Counter()  # (graph, position) -> fills of its visibility entry
+    fill = criteria._visible_heads
+    monkeypatch.setattr(criteria, "_visible_heads",
+                        lambda g, i: searched.update([(id(g), i)]) or fill(g, i))
     rng = random.Random(25)
     decisions = 0
     failed = set()
@@ -494,5 +527,5 @@ def test_decisions_read_the_mark_table_only(monkeypatch):
     assert counts["Edge"] == 0
     assert counts["sort_nodes"] <= 2 * decisions
     assert built == [g for _, g, _ in cases]  # once per graph, not once per decision
-    assert searched and max(searched.values()) == 1  # once per edge, not once per ask
+    assert searched and max(searched.values()) == 1  # once per node, not once per ask
     assert all((cls, "Cond2") in failed for cls in CLASSES)

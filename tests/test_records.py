@@ -197,6 +197,8 @@ def test_linear_sem_validates_and_freezes_its_arrays():
     assert sem.coeffs == ((0, 2), (0, 0)) and sem.noise_var == (1, 2)
     assert all(type(c) is int for row in sem.coeffs for c in row)
     assert sem == sem and sem.index("B") == 1
+    # the (child, weight) pairs the path sums read, rebuilt by a copy
+    assert sem._weights == copy.copy(sem)._weights == [[(1, 2)], []]
     with pytest.raises(AttributeError, match="cannot assign to field 'coeffs'"):
         sem.coeffs = ((0, 0), (0, 0))
     g = _graph()

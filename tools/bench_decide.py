@@ -1,4 +1,4 @@
-"""Time `satisfies_gac` and Cond0 witnesses on the seeded graphs of `tools/bench_parse.py`.
+"""Time GAC and back-door decisions and Cond0 witnesses on the graphs of `tools/bench_parse.py`.
 
     python3 tools/bench_decide.py --label change
     python3 tools/bench_decide.py --label parent --src ../parent/src
@@ -14,7 +14,8 @@ untimed, so the graph's lazy tables are built, then five times `reps`
 calls are timed (`reps = max(1, 4096 // n)`), and the median run
 divided by `reps` is the row's time per decision.  The row also holds
 each verdict's failed condition, so two runs can be seen to decide the
-same thing.
+same thing.  `satisfies_generalized_backdoor` is timed the same way on
+the same two queries, into `backdoor_rows`.
 
 Each CPDAG, MAG and PAG row also times `find_amenability_violation` on
 one query that is not amenable: the first of up to 100 draws of X and Y
@@ -23,7 +24,7 @@ witness and its time per call (`us_per_witness`), timed as a decision is.
 
 With `--cold` every timed call decides on a fresh copy of the graph,
 built untimed before its run, so whatever a graph builds on first use
-(its step table, its visibility memo) is paid inside the timed call, as
+(its step table, its visibility table) is paid inside the timed call, as
 a one-shot command pays it.
 
 The machine's speed drifts between runs minutes apart, so each timed
@@ -135,6 +136,14 @@ def _row(ca, text, x, y, z, cold, reps):
     return verdict.failed_condition, _time(ca.satisfies_gac, make_args, reps) * 1e6
 
 
+def _backdoor_row(ca, text, x, y, z, cold, reps):
+    """(failed condition, microseconds per back-door decision) of one query."""
+    g = ca.parse_graph(text)
+    verdict = ca.satisfies_generalized_backdoor(g, x, y, z)
+    us = _time(lambda h: ca.satisfies_generalized_backdoor(h, x, y, z), _graphs(ca, g, cold), reps)
+    return verdict.failed_condition, us * 1e6
+
+
 def _witness_query(ca, g, rng):
     """(x, y) of the first of up to 100 draws of `_queries` that is not
     amenable, or None."""
@@ -173,12 +182,13 @@ def main(argv=None):
     first = sides[0][1]
     texts = bench_parse._texts(first, gen)
     rows = {label: [] for label, _, _ in sides}
+    backdoor_rows = {label: [] for label, _, _ in sides}
     witness_rows = {label: [] for label, _, _ in sides}
     k = 0
 
-    def interleaved(measure, table, key, what):
+    def interleaved(name, measure, table, key, what):
         """Put each side's row `measure(ca)` in `table`, the first side
-        first on even calls, and print the rows' `what` and times."""
+        first on even calls, and print `name`, the rows' `what` and times."""
         nonlocal k
         order = sides if k % 2 == 0 else sides[::-1]
         k += 1
@@ -188,7 +198,7 @@ def main(argv=None):
         last = [table[label][-1] for label, _, _ in sides]
         times = "  ".join(f"{label} {row[key]:9.1f} us" for (label, _, _), row in zip(sides, last))
         outcomes = "/".join(sorted({str(row[what] or "pass") for row in last}))
-        print(f"{last[0]['class']:5} n={last[0]['n']:3} {outcomes} {times}", flush=True)
+        print(f"{name:8} {last[0]['class']:5} n={last[0]['n']:3} {outcomes} {times}", flush=True)
 
     for cls, n, text in texts:
         reps = max(1, 4096 // n)
@@ -199,7 +209,14 @@ def main(argv=None):
                 return {"class": cls, "n": n, "z_size": len(z), "failed": failed,
                         "us_per_decision": round(us, 1)}
 
-            interleaved(decide, rows, "us_per_decision", "failed")
+            interleaved("gac", decide, rows, "us_per_decision", "failed")
+
+            def backdoor(ca):
+                failed, us = _backdoor_row(ca, text, x, y, z, args.cold, reps)
+                return {"class": cls, "n": n, "z_size": len(z), "failed": failed,
+                        "us_per_decision": round(us, 1)}
+
+            interleaved("backdoor", backdoor, backdoor_rows, "us_per_decision", "failed")
         pick = None if cls == "dag" else _witness_query(
             first, first.parse_graph(text), random.Random(f"bench-witness-{cls}-{n}"))
         if pick is not None:
@@ -208,18 +225,21 @@ def main(argv=None):
                 return {"class": cls, "n": n, "witness": list(found),
                         "us_per_witness": round(us, 1)}
 
-            interleaved(witness, witness_rows, "us_per_witness", "witness")
+            interleaved("witness", witness, witness_rows, "us_per_witness", "witness")
     for label, _, _ in sides:
         others = [other for other, _, _ in sides if other != label]
         mode = {"cold": args.cold, "interleaved_with": others[0] if others else None}
         bench_parse.record(args.out, label, texts, rows[label],
-                           "satisfies_gac time per decision, and in witness_rows "
+                           "satisfies_gac time per decision, in backdoor_rows "
+                           "satisfies_generalized_backdoor time per decision on the same "
+                           "queries, and in witness_rows "
                            "find_amenability_violation time per call on one query per CPDAG, "
                            "MAG and PAG row that is not amenable (median of 5 runs, each scaled "
                            "to the reference speed of perfbench/calib.py; a cold run decides "
                            "on a fresh graph per call, an interleaved run alternates two "
                            "source trees per row), written by tools/bench_decide.py",
-                           mode=mode, witness_rows=witness_rows[label])
+                           mode=mode, backdoor_rows=backdoor_rows[label],
+                           witness_rows=witness_rows[label])
 
 
 if __name__ == "__main__":
