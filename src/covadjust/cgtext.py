@@ -13,12 +13,15 @@ query, dag, cpdag, mag and pag are reserved.  Whitespace and newlines are
 interchangeable.  Parsing checks structure and mark vocabulary; the
 class-level graph invariants are checked by `covadjust.validate_graph`.
 
-`parse_document` makes one pass.  One regular expression splits the text
-into token texts, each token is classified by its text, and the edge
-statements go straight into the graph's mark table: no `Edge` object is
-built.  Positions are computed only for an error, by scanning the text
-again up to the failing token.  Errors report the line and column of
-their token, and a character that starts no token is reported before any
+`parse_document` makes one pass from text to the graph's mark table.
+Text with whitespace between its tokens is cut by `str.split`, once each
+line is cut at `#` and `{ } = , ;` are padded with spaces.  Text that
+leaves a word which is not a whole token (`A->B`, a stray character) is
+cut by `_TOKEN_RE`, which gives the same tokens.  Each edge statement
+writes its two marks straight into the table: no `Edge` is built.
+Positions are computed only for an error, by scanning the text again up
+to the failing token.  Errors report the line and column of their
+token, and a character that starts no token is reported before any
 syntax error.
 """
 
@@ -28,7 +31,7 @@ import re
 from itertools import islice
 
 from .errors import GraphError, MarkNotAllowedError, ParseError
-from .graphs import Edge, Graph, GraphClass, Mark, _Record, _set
+from .graphs import _ALLOWED_MARKS, Edge, Graph, GraphClass, Mark, _Record, _set
 
 _EDGE_OPS = {
     "->": (Mark.TAIL, Mark.ARROW),
@@ -40,6 +43,12 @@ _EDGE_OPS = {
 }
 _RESERVED = frozenset({"graph", "query", "dag", "cpdag", "mag", "pag"})
 _CLASSES = {c.value: c for c in GraphClass}
+# class -> the operators whose marks it allows, with those marks
+_CLASS_OPS = {
+    c: {op: marks for op, marks in _EDGE_OPS.items()
+        if marks in _ALLOWED_MARKS[c] and (op != "--" or c is GraphClass.CPDAG)}
+    for c in GraphClass
+}
 _NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
 # A token is a node name iff it is none of these and its first character
 # is in `_NAME_START`.  Test these first: the operators o-o and o-> start
@@ -54,8 +63,11 @@ _TOKEN_RE = re.compile(
     r"\s*(?:#[^\n]*\s*)*(<->|o->|<-o|o-o|->|--|[A-Za-z_][A-Za-z0-9_]*|[{}=,;]|\Z|.)",
     re.DOTALL,
 )
+_PUNCTUATION = "{}=,;"
 # The one-character texts of valid tokens; any other one is a bad character.
-_ONE_CHAR_TOKENS = _NAME_START | frozenset("{}=,;")
+_ONE_CHAR_TOKENS = _NAME_START | frozenset(_PUNCTUATION)
+# The whole tokens besides the names (ASCII identifiers)
+_FIXED_TOKENS = frozenset({*_EDGE_OPS, *_PUNCTUATION})
 
 
 class Query(_Record):
@@ -119,9 +131,26 @@ def _not_a_node(tokens: list, i: int) -> _Fault:
     return _unexpected(tokens, i, "a node name")
 
 
+def _split_tokens(text: str) -> list | None:
+    """`_TOKEN_RE.findall(text)` up to its first empty text, the end, cut
+    by whitespace instead; None if a word is not a whole token."""
+    words = text
+    if "#" in words:  # a comment runs to the next "\n", as in `_TOKEN_RE`
+        words = "\n".join([line.partition("#")[0] for line in words.split("\n")])
+    for mark in _PUNCTUATION:
+        if mark in words:
+            words = words.replace(mark, f" {mark} ")
+    words = words.split()
+    for word in set(words):
+        if word not in _FIXED_TOKENS and not (word.isascii() and word.isidentifier()):
+            return None
+    words.append("")
+    return words
+
+
 def parse_document(text: str) -> GraphDocument:
     """Parse a .cg document into a graph and its optional query block."""
-    tokens = _TOKEN_RE.findall(text)
+    tokens = _split_tokens(text) or _TOKEN_RE.findall(text)
     try:
         return _parse_tokens(tokens)
     except _Fault as fault:
@@ -144,44 +173,61 @@ def _parse_tokens(tokens: list) -> GraphDocument:
         raise _unexpected(tokens, 1, "a graph class (dag|cpdag|mag|pag)")
     if tokens[2] != "{":
         raise _unexpected(tokens, 2, "{")
-    alias_ok = graph_class is GraphClass.CPDAG
-    # name -> its first mention: that fixes the order, and every later
-    # mention is replaced by it, so the graph holds one string per node.
-    # A token found here was checked as a name when it was entered.
-    nodes = {}
-    rows = []
+    ops = _CLASS_OPS[graph_class]
+    # `marks` becomes `Graph._marks`.  `held` maps a name to its first
+    # mention, which stands for every later one (one string per node),
+    # and to its row; a name in `held` was checked when it was entered.
+    # `refused` holds edge faults, raised once the block's syntax holds.
+    marks = {}
+    held = {}
+    refused = []
     i = 3
     first = tokens[3]
     while first != "}":
-        held = nodes.get(first)
-        if held is None:
+        entry = held.get(first)
+        if entry is None:
             if first in _NOT_NODES or first[0] not in _NAME_START:
                 raise _not_a_node(tokens, i)
-            nodes[first] = first
+            row = marks[first] = {}
+            held[first] = first, row
         else:
-            first = held
+            first, row = entry
         op = tokens[i + 1]
-        marks = _EDGE_OPS.get(op)
-        if marks is None:
+        pair = ops.get(op)
+        if pair is None and op not in _EDGE_OPS:
             i += 1
         else:
-            if op == "--" and not alias_ok:
+            if pair is None and op == "--":
                 raise _Fault(i + 1, "'--' is only allowed in CPDAG files",
                              error=MarkNotAllowedError)
             second = tokens[i + 2]
-            held = nodes.get(second)
-            if held is None:
+            entry = held.get(second)
+            if entry is None:
                 if second in _NOT_NODES or second[0] not in _NAME_START:
                     raise _not_a_node(tokens, i + 2)
-                nodes[second] = second
-            elif held is first:
+                other = marks[second] = {}
+                held[second] = second, other
+            elif entry[0] is first:
                 raise _Fault(i + 2, "self loop")
             else:
-                second = held
-            rows.append((first, second, *marks))
+                second, other = entry
+            if pair is None:
+                refused.append((first, second, *_EDGE_OPS[op]))
+            else:
+                mark = row.get(second)
+                if mark is None:
+                    row[second], other[first] = pair
+                elif mark is not pair[0] or other[first] is not pair[1]:
+                    refused.append((first, second, *pair))
             i += 3
         first = tokens[i]
-    graph = Graph._from_rows(graph_class, tuple(nodes), rows)
+    if refused:  # each is a fault: raise the first in name order, as `Graph(...)` does
+        entered = [(v, w, m, marks[w][v]) for v, row in marks.items() for w, m in row.items()]
+        Graph._from_rows(graph_class, tuple(marks), entered + refused)
+    graph = Graph.__new__(Graph)
+    _set(graph, "graph_class", graph_class)
+    _set(graph, "nodes", tuple(marks))
+    _set(graph, "_marks", marks)
 
     query = None
     i += 1

@@ -19,17 +19,30 @@ from covadjust.graphs import Edge, Graph, GraphClass, Mark, _Record, _set
 from covadjust.mec import _mark_union, separation_fingerprint, unshielded_colliders
 
 
-@functools.lru_cache(maxsize=1024)
+# id(g) -> (g, edge_table(g)) for the last `_EDGE_TABLE_SIZE` graphs
+# entered, oldest first.  Keyed on identity, not equality: an equality
+# key makes each lookup of a new graph compare its edge set with that of
+# every equal graph held.  Holding `g` keeps its id from being reused.
+_EDGE_TABLES = {}
+_EDGE_TABLE_SIZE = 1024
+
+
 def edge_table(g):
     """`edge_table(g)[v]` maps each neighbour w of v, in declaration order,
     to the edge object v-w.  Built from `g.edges`, so the oracles do not
     read the library's mark table."""
-    idx = {n: i for i, n in enumerate(g.nodes)}
-    table = {n: [] for n in g.nodes}
-    for e in g.edges:
-        table[e.a].append((e.b, e))
-        table[e.b].append((e.a, e))
-    return {n: dict(sorted(row, key=lambda item: idx[item[0]])) for n, row in table.items()}
+    held = _EDGE_TABLES.get(id(g))
+    if held is None:
+        idx = {n: i for i, n in enumerate(g.nodes)}
+        table = {n: [] for n in g.nodes}
+        for e in g.edges:
+            table[e.a].append((e.b, e))
+            table[e.b].append((e.a, e))
+        if len(_EDGE_TABLES) >= _EDGE_TABLE_SIZE:
+            del _EDGE_TABLES[next(iter(_EDGE_TABLES))]
+        held = _EDGE_TABLES[id(g)] = g, {
+            n: dict(sorted(row, key=lambda item: idx[item[0]])) for n, row in table.items()}
+    return held[1]
 
 
 def directed_pairs(g):

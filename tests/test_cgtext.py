@@ -6,6 +6,7 @@ import random
 import pytest
 
 import covadjust as ca
+from covadjust import cgtext
 from covadjust.cgtext import Query
 from covadjust.cli import run_command
 from covadjust.errors import DuplicateEdgeError, GraphError, MarkNotAllowedError, ParseError
@@ -405,3 +406,113 @@ def test_round_trip_on_random_texts(cls):
         again = ca.parse_document(canonical)
         assert again == doc
         assert ca.serialize_document(again) == canonical
+
+
+# ------------------------------------------------------ the two token routes
+
+# Pieces of fuzzed texts: whole tokens; whitespace that `str.split` and
+# the `\s` of a regular expression both know, besides the ASCII kinds
+# (NBSP, U+2028, U+0085, U+3000, U+001C); comments; and pieces that are
+# no token or that glue to their neighbours: a BOM, U+200B (no
+# whitespace to either), a lone "-", "<" or ">", and so on.
+FUZZ_TOKENS = ["graph", "query", "dag", "pag", "A", "B7", "_z", "o", "X", "Y",
+               "->", "<->", "o-o", "o->", "<-o", "--", "{", "}", "=", ",", ";"]
+FUZZ_SPACES = [" ", " ", " ", "\n", "\t", "\r\n", "\xa0", "\u2028", "\x85", "\u3000",
+               "\x1c", "\x0b"]
+FUZZ_OTHERS = ["# note -> {", "#", "# x\r\n", "\ufeff", "\u200b", "-", "<", ">", "@", "é", "9"]
+FUZZ_PIECES = FUZZ_TOKENS + FUZZ_SPACES + FUZZ_OTHERS
+FUZZ_WEIGHTS = [6] * len(FUZZ_TOKENS) + [10] * len(FUZZ_SPACES) + [1] * len(FUZZ_OTHERS)
+
+
+def _regex_tokens(text):
+    """`_TOKEN_RE.findall(text)` up to and with its first empty text."""
+    tokens = cgtext._TOKEN_RE.findall(text)
+    return tokens[:tokens.index("") + 1]
+
+
+def test_split_route_agrees_with_the_token_regex_on_fuzzed_texts():
+    """Wherever the whitespace split gives tokens, they are the regular
+    expression's; texts it refuses go to the regular expression."""
+    rng = random.Random("split-route")
+    routes = collections.Counter()
+    covered = collections.Counter()
+    mismatches = []
+    for _ in range(100_000):
+        text = "".join(rng.choices(FUZZ_PIECES, FUZZ_WEIGHTS, k=rng.randint(1, 24)))
+        split = cgtext._split_tokens(text)
+        if split is None:
+            routes["regex"] += 1
+            continue
+        routes["split"] += 1
+        if split != _regex_tokens(text):
+            mismatches.append(text)
+        covered.update(piece for piece in ("\xa0", "\u2028", "\x85", "\r\n", "#") if piece in text)
+    assert mismatches == []
+    assert routes["split"] >= 30_000 and routes["regex"] >= 30_000, routes
+    assert min(covered[piece] for piece in ("\xa0", "\u2028", "\x85", "\r\n", "#")) >= 1_000, covered
+    # a BOM, U+200B or a stray character sends a text to the regular
+    # expression; so does an operator glued to a name
+    for text in ("\ufeffgraph dag { }", "graph dag { A\u200b }", "graph dag { A ~> B }",
+                 "graph dag { A->B }", "graph dag { A o->B }", "graph dag { A@ }"):
+        assert cgtext._split_tokens(text) is None, text
+
+
+def test_split_route_takes_corpus_and_serialized_texts():
+    texts = [(CORPUS_DIR / f"{name}.cg").read_text(encoding="utf-8") for name in CORPUS_NAMES]
+    texts.append(_wide_text(100, "split-route"))
+    for cls in ("dag", "cpdag", "mag", "pag"):
+        for g in class_graphs(cls, 1, 30):
+            names = g.nodes
+            texts.append(ca.serialize_graph(g))
+            texts.append(ca.serialize_graph(g, Query(x=names[:1], y=names[1:2], z=names[2:])))
+    for text in texts:
+        assert cgtext._split_tokens(text) == _regex_tokens(text), text
+
+
+def _two_pass(text):
+    """The graph of a valid `text` by two passes: its edge rows in text
+    order, then `Graph._from_rows` over its names in order of first
+    mention, each name the object of its first mention."""
+    tokens = cgtext._TOKEN_RE.findall(text)
+    names, rows = {}, []
+    i = 3
+    while tokens[i] != "}":
+        a = names.setdefault(tokens[i], tokens[i])
+        marks = cgtext._EDGE_OPS.get(tokens[i + 1])
+        if marks is None:
+            i += 1
+        else:
+            rows.append((a, names.setdefault(tokens[i + 2], tokens[i + 2]), *marks))
+            i += 3
+    return Graph._from_rows(GraphClass(tokens[1]), tuple(names), rows)
+
+
+@pytest.mark.parametrize("cls", ["dag", "cpdag", "mag", "pag"])
+def test_one_pass_table_follows_first_mention(cls):
+    """What graph equality cannot see: the table's nodes and each row's
+    neighbours are in order of first mention in the text, as the two-pass
+    route enters them, and each node is one `str` object."""
+    rng = random.Random(f"first-mention-{cls}")
+    routes = collections.Counter()
+    for k, g in enumerate(class_graphs(cls, 2, 40)):
+        statements = [_statement(rng, e, g.graph_class) for e in g.edges]
+        statements += [rng.choice(statements) for _ in range(len(statements) // 3)]  # repeats
+        statements += [[v] for v in g.nodes]
+        rng.shuffle(statements)
+        words = ["graph", cls, "{", *(w for st in statements for w in st), "}"]
+        # in every other text the operators are glued to their names where
+        # that keeps the tokens (A->B, A o->B), which sends the text to the
+        # regular expression
+        text = "".join(w + ("" if k % 2 and (w in cgtext._EDGE_OPS or after[:1] in "<-")
+                            else _gap(rng))
+                       for w, after in zip(words, words[1:] + ["}"]))
+        routes["split" if cgtext._split_tokens(text) else "regex"] += 1
+        parsed, want = ca.parse_graph(text), _two_pass(text)
+        assert parsed == want and parsed.nodes == want.nodes
+        assert list(parsed._marks) == list(want._marks) == list(parsed.nodes)
+        for v, row in want._marks.items():
+            assert list(parsed._marks[v].items()) == list(row.items())
+        by_name = {v: v for v in parsed.nodes}
+        for v, row in parsed._marks.items():
+            assert v is by_name[v] and all(w is by_name[w] for w in row)
+    assert routes["split"] >= 20 and routes["regex"] >= 15, routes

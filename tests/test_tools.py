@@ -1,14 +1,17 @@
 """The `--versus OTHER=SRC` check that the hand-run timing tools share,
-and the argument lists and output normalisation of `cli_diff`."""
+the text forms `bench_parse` times, and the argument lists and output
+normalisation of `cli_diff`."""
 
 import argparse
 import sys
 
 import pytest
 
-from covadjust import cli
+import covadjust as ca
+from covadjust import cgtext, cli
 
 from conftest import REPO_ROOT
+from oracles import class_graphs
 
 sys.path.insert(0, str(REPO_ROOT / "tools"))
 import bench_parse  # noqa: E402
@@ -45,3 +48,22 @@ def test_cli_diff_runs_every_command_of_the_table():
         assert [command, "--help"] in lists and [command] in lists
         files = {a[2] for a in lists if a[:2] == [command, "--graph"]}
         assert any((REPO_ROOT / f).is_file() for f in files), command
+
+
+def test_bench_parse_forms_take_both_token_routes():
+    """The three forms of a text parse to one graph; the commented form
+    is cut by whitespace like the plain one, the unspaced form by the
+    regular expression."""
+    for cls in ("dag", "cpdag", "mag", "pag"):
+        for g in class_graphs(cls, 1, 10):
+            if not g.edges:
+                continue
+            forms = dict(bench_parse._forms(ca.serialize_graph(g)))
+            assert set(forms) == {"plain", "comments", "unspaced"}
+            assert forms["comments"].count("#") == forms["plain"].count("\n") + 1
+            assert cgtext._split_tokens(forms["plain"]) is not None
+            assert cgtext._split_tokens(forms["comments"]) is not None
+            assert cgtext._split_tokens(forms["unspaced"]) is None
+            for text in forms.values():
+                parsed = ca.parse_graph(text)
+                assert parsed == g and parsed._marks == g._marks

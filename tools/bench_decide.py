@@ -48,7 +48,6 @@ the mode of the run.
 from __future__ import annotations
 
 import argparse
-import importlib
 import os
 import random
 import statistics
@@ -58,33 +57,6 @@ import time
 import bench_parse
 
 ROOT = bench_parse.ROOT
-
-
-def _load(src):
-    """The `covadjust` package of the source directory `src` and its
-    modules, taken out of `sys.modules` so that another source directory's
-    package can be loaded beside it (`_use` puts them back)."""
-    src = os.path.abspath(src)
-    sys.path.insert(0, src)
-    try:
-        ca = importlib.import_module("covadjust")
-    finally:
-        sys.path.remove(src)
-    if not os.path.abspath(ca.__file__).startswith(src + os.sep):
-        raise SystemExit(f"covadjust was imported from {ca.__file__}, not {src}")
-    return ca, _unload()
-
-
-def _unload():
-    return {name: sys.modules.pop(name) for name in list(sys.modules)
-            if name == "covadjust" or name.startswith("covadjust.")}
-
-
-def _use(modules):
-    """Make `modules` the `covadjust` package that imports inside the
-    library's functions resolve to."""
-    _unload()
-    sys.modules.update(modules)
 
 
 def _queries(ca, g, rng):
@@ -174,11 +146,11 @@ def main(argv=None):
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
     import gen
 
-    sides = [(args.label, *_load(args.src))]
+    sides = [(args.label, *bench_parse._load(args.src))]
     if args.versus is not None:
         other, src = bench_parse.versus(parser, args.versus, args.label)
-        sides.append((other, *_load(src)))
-    _use(sides[0][2])
+        sides.append((other, *bench_parse._load(src)))
+    bench_parse._use(sides[0][2])
     first = sides[0][1]
     texts = bench_parse._texts(first, gen)
     rows = {label: [] for label, _, _ in sides}
@@ -193,7 +165,7 @@ def main(argv=None):
         order = sides if k % 2 == 0 else sides[::-1]
         k += 1
         for label, ca, modules in order:
-            _use(modules)
+            bench_parse._use(modules)
             table[label].append(measure(ca))
         last = [table[label][-1] for label, _, _ in sides]
         times = "  ".join(f"{label} {row[key]:9.1f} us" for (label, _, _), row in zip(sides, last))
