@@ -5,12 +5,14 @@ with a criterion that is both sound and complete, and certifies the
 decisions at desk scale by enumerating Markov equivalence classes and
 comparing against an exact linear structural equation oracle.
 
-``import covadjust`` runs only `errors`, `graphs` and `cgtext`.  The
-other modules (`paths`, `criteria`, `mec`, `sem`) are deferred: each is
-in ``sys.modules`` from the start, and its code runs once, on the first
-read of one of its attributes or of a package-level name it defines
-(``covadjust.satisfies_gac``).  The first read runs it under a lock, so
-threads that reach a deferred module together see it run once and
+``import covadjust`` runs only `errors`, `model` and `cgtext`: enough to
+parse and write .cg text.  The other modules (`graphs`, `paths`,
+`criteria`, `mec`, `sem`) are deferred: each is in ``sys.modules`` from
+the start, and its code runs once, on the first read of one of its
+attributes or of a package-level name it defines
+(``covadjust.satisfies_gac``); `graphs` also runs when a graph first
+builds one of its search tables.  The first read runs it under a lock,
+so threads that reach a deferred module together see it run once and
 whole.
 """
 
@@ -20,28 +22,6 @@ import threading
 import types
 
 from . import errors
-from .cgtext import (
-    GraphDocument,
-    Query,
-    parse_document,
-    parse_graph,
-    serialize_document,
-    serialize_graph,
-)
-from .graphs import (
-    Edge,
-    Graph,
-    GraphClass,
-    Mark,
-    ancestors,
-    build_graph,
-    children,
-    descendants,
-    parents,
-    possible_ancestors,
-    possible_descendants,
-    validate_graph,
-)
 
 # Module metadata, which the import system, `repr()` and `vars()` read;
 # reading it leaves a deferred module unrun.
@@ -101,13 +81,28 @@ def _defer(name):
     return module
 
 
+# `graphs` is deferred before `model` runs, which reads it as the
+# package's attribute
+graphs = _defer("graphs")
 paths = _defer("paths")
 criteria = _defer("criteria")
 mec = _defer("mec")
 sem = _defer("sem")
 
+from .cgtext import (  # noqa: E402
+    GraphDocument,
+    Query,
+    parse_document,
+    parse_graph,
+    serialize_document,
+    serialize_graph,
+)
+from .model import Edge, Graph, GraphClass, Mark  # noqa: E402
+
 # package-level name -> the deferred module that defines it
 _DEFERRED_NAMES = {
+    **dict.fromkeys(("ancestors", "build_graph", "children", "descendants", "parents",
+                     "possible_ancestors", "possible_descendants", "validate_graph"), "graphs"),
     **dict.fromkeys(("find_open_definite_path", "m_connected"), "paths"),
     **dict.fromkeys(("AdjustmentQuery", "AdjustmentVerdict", "find_amenability_violation",
                      "forbidden_set", "is_amenable", "is_visible", "list_adjustment_sets",
@@ -136,7 +131,6 @@ def __dir__():
 __version__ = "0.1.0"
 
 # the eager names, then every deferred one
-__all__ = sorted(["Edge", "Graph", "GraphClass", "GraphDocument", "Mark", "Query", "ancestors",
-                  "build_graph", "children", "descendants", "errors", "parents", "parse_document",
-                  "parse_graph", "possible_ancestors", "possible_descendants",
-                  "serialize_document", "serialize_graph", "validate_graph", *_DEFERRED_NAMES])
+__all__ = sorted(["Edge", "Graph", "GraphClass", "GraphDocument", "Mark", "Query", "errors",
+                  "parse_document", "parse_graph", "serialize_document", "serialize_graph",
+                  *_DEFERRED_NAMES])

@@ -17,7 +17,7 @@ class-level graph invariants are checked by `covadjust.validate_graph`.
 Text with whitespace between its tokens is cut by `str.split`, once each
 line is cut at `#` and `{ } = , ;` are padded with spaces.  Text that
 leaves a word which is not a whole token (`A->B`, a stray character) is
-cut by `_TOKEN_RE`, which gives the same tokens.  Each edge statement
+cut by `_TOKEN`, which gives the same tokens.  Each edge statement
 writes its two marks straight into the table: no `Edge` is built.
 Positions are computed only for an error, by scanning the text again up
 to the failing token.  Errors report the line and column of their
@@ -31,7 +31,7 @@ import re
 from itertools import islice
 
 from .errors import GraphError, MarkNotAllowedError, ParseError
-from .graphs import _ALLOWED_MARKS, Edge, Graph, GraphClass, Mark, _Record, _set
+from .model import _ALLOWED_MARKS, Graph, GraphClass, Mark, _Record, _set
 
 _EDGE_OPS = {
     "->": (Mark.TAIL, Mark.ARROW),
@@ -58,11 +58,9 @@ _NOT_NODES = frozenset({*_RESERVED, *_EDGE_OPS, ""})
 # punctuation mark, the end of the text or, failing all of those, one
 # bad character.  The match always succeeds, so `findall` walks the whole
 # text without gaps and returns each token's text; the end of the text
-# is the empty text, and every other text names its kind.
-_TOKEN_RE = re.compile(
-    r"\s*(?:#[^\n]*\s*)*(<->|o->|<-o|o-o|->|--|[A-Za-z_][A-Za-z0-9_]*|[{}=,;]|\Z|.)",
-    re.DOTALL,
-)
+# is the empty text, and every other text names its kind; `re` compiles
+# it on first use.
+_TOKEN = r"(?s)\s*(?:#[^\n]*\s*)*(<->|o->|<-o|o-o|->|--|[A-Za-z_][A-Za-z0-9_]*|[{}=,;]|\Z|.)"
 _PUNCTUATION = "{}=,;"
 # The one-character texts of valid tokens; any other one is a bad character.
 _ONE_CHAR_TOKENS = _NAME_START | frozenset(_PUNCTUATION)
@@ -108,7 +106,7 @@ def _located(text: str, tokens: list, fault: _Fault | None) -> GraphError | None
             break
     if fault is None:
         return None
-    offset = next(islice(_TOKEN_RE.finditer(text), fault.index, None)).start(1)
+    offset = next(islice(re.finditer(_TOKEN, text), fault.index, None)).start(1)
     line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
     if fault.error is ParseError:
         return ParseError(fault.message, line, col, fault.expected)
@@ -132,14 +130,17 @@ def _not_a_node(tokens: list, i: int) -> _Fault:
 
 
 def _split_tokens(text: str) -> list | None:
-    """`_TOKEN_RE.findall(text)` up to its first empty text, the end, cut
+    """`re.findall(_TOKEN, text)` up to its first empty text, the end, cut
     by whitespace instead; None if a word is not a whole token."""
     words = text
-    if "#" in words:  # a comment runs to the next "\n", as in `_TOKEN_RE`
+    if "#" in words:  # a comment runs to the next "\n", as in `_TOKEN`
         words = "\n".join([line.partition("#")[0] for line in words.split("\n")])
     for mark in _PUNCTUATION:
         if mark in words:
             words = words.replace(mark, f" {mark} ")
+    at = words.find("-")  # an operator's; it ends one place on, unless glued (A->B)
+    if at >= 0 and words[at + 2:at + 3].strip():
+        return None
     words = words.split()
     for word in set(words):
         if word not in _FIXED_TOKENS and not (word.isascii() and word.isidentifier()):
@@ -150,7 +151,7 @@ def _split_tokens(text: str) -> list | None:
 
 def parse_document(text: str) -> GraphDocument:
     """Parse a .cg document into a graph and its optional query block."""
-    tokens = _split_tokens(text) or _TOKEN_RE.findall(text)
+    tokens = _split_tokens(text) or re.findall(_TOKEN, text)
     try:
         return _parse_tokens(tokens)
     except _Fault as fault:
@@ -276,50 +277,40 @@ def _parse_query(tokens: list, i: int) -> tuple:
         parts[key] = tuple(names)
 
 
+def __getattr__(name):  # `_TOKEN_RE`, compiled
+    if name != "_TOKEN_RE":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return re.compile(_TOKEN)
+
+
 def parse_graph(text: str) -> Graph:
     return parse_document(text).graph
-
-
-def _edge_statement(e: Edge, g: Graph) -> str:
-    idx = g.node_index
-    if idx[e.a] <= idx[e.b]:
-        p, q, mp, mq = e.a, e.b, e.mark_a, e.mark_b
-    else:
-        p, q, mp, mq = e.b, e.a, e.mark_b, e.mark_a
-    # normalize so the operator reads left to right: -> not <-, o-> not <-o
-    if (mp, mq) in ((Mark.ARROW, Mark.TAIL), (Mark.ARROW, Mark.CIRCLE)):
-        p, q, mp, mq = q, p, mq, mp
-    if (mp, mq) == (Mark.TAIL, Mark.ARROW):
-        op = "->"
-    elif (mp, mq) == (Mark.ARROW, Mark.ARROW):
-        op = "<->"
-    elif (mp, mq) == (Mark.CIRCLE, Mark.CIRCLE):
-        op = "--" if g.graph_class is GraphClass.CPDAG else "o-o"
-    else:
-        op = "o->"
-    return f"{p} {op} {q}"
 
 
 def _edge_statements(g: Graph) -> list:
     """The statement of each edge, edges ordered by the declaration
     positions of their name-ordered endpoints."""
     idx = g.node_index
-    return [_edge_statement(e, g) for e in sorted(g.edges, key=lambda e: (idx[e.a], idx[e.b]))]
+    ops = {marks: op for op, marks in _CLASS_OPS[g.graph_class].items()}  # CPDAG: o-o is --
+    statements = []
+    for e in sorted(g.edges, key=lambda e: (idx[e.a], idx[e.b])):
+        p, q, mp, mq = e.a, e.b, e.mark_a, e.mark_b
+        if idx[p] > idx[q]:
+            p, q, mp, mq = q, p, mq, mp
+        if mp is Mark.ARROW and mq is not Mark.ARROW:  # -> not <-, o-> not <-o
+            p, q, mp, mq = q, p, mq, mp
+        statements.append(f"{p} {ops[mp, mq]} {q}")
+    return statements
 
 
 def serialize_graph(g: Graph, query: Query | None = None) -> str:
     """Canonical text form; `parse_document` of the result is the identity
     on (class, node order, edges, query)."""
-    lines = [f"graph {g.graph_class.value} {{"]
-    for n in g.nodes:
-        lines.append(f"  {n}")
-    lines.extend(f"  {statement}" for statement in _edge_statements(g))
-    lines.append("}")
+    lines = [f"graph {g.graph_class.value} {{", *(f"  {n}" for n in g.nodes),
+             *(f"  {statement}" for statement in _edge_statements(g)), "}"]
     if query is not None:
-        parts = []
-        for key, val in (("X", query.x), ("Y", query.y), ("Z", query.z)):
-            if val is not None:
-                parts.append(f"{key} = {', '.join(val)}")
+        parts = [f"{key} = {', '.join(val)}"
+                 for key, val in (("X", query.x), ("Y", query.y), ("Z", query.z)) if val is not None]
         lines.append(f"query {{ {'; '.join(parts)} }}")
     return "\n".join(lines) + "\n"
 

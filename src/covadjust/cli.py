@@ -18,9 +18,9 @@ import sys
 import time
 from collections import namedtuple
 
-from . import _load, cgtext, criteria, mec, sem
+from . import _load, cgtext, criteria, graphs, mec, sem
 from .errors import GraphError, NotAmenableError, SizeCapExceededError
-from .graphs import GraphClass, validate_graph
+from .model import GraphClass
 
 FORMAT_VERSION = 2
 DEFAULT_NODE_CAP = 15
@@ -57,7 +57,7 @@ def _witness_json(witness):
 
 def _validate(g, args):
     try:
-        validate_graph(g)
+        graphs.validate_graph(g)
     except SizeCapExceededError:
         raise
     except GraphError as exc:
@@ -247,7 +247,7 @@ def run_command(argv) -> int:
         # the class check of a DAG or MAG runs in polynomial time; that of a
         # CPDAG or PAG enumerates the class and is left to `validate`
         if command != "validate" and g.graph_class in (GraphClass.DAG, GraphClass.MAG):
-            validate_graph(g)
+            graphs.validate_graph(g)
         sets = _resolve_sets(row.sets, args, doc.query) if row.sets else ()
         result, witness, code = row.run(g, args, *sets)
     except SizeCapExceededError as exc:

@@ -1,22 +1,17 @@
-"""Partial mixed graphs with per-endpoint edge marks.
+"""The graph kernel: the search tables, the closures, the cycle finders
+and the class checks over `covadjust.model.Graph`.
 
-A graph here is one of four classes: DAG, CPDAG, MAG or PAG.  Each edge
-carries a mark (tail, arrowhead or circle) at each endpoint, so a directed
-edge X -> Y is (tail at X, arrow at Y), a bidirected edge X <-> Y is
-(arrow, arrow), a non-directed edge X o-o Y is (circle, circle) and a
-partially directed edge X o-> Y is (circle, arrow).  CPDAG undirected
-edges are stored as (circle, circle); tail-tail and tail-circle edges are
-rejected everywhere because selection variables are out of scope.
-
-Graphs are immutable after construction and all operations are pure
-functions, so everything in this package is safe for concurrent reads.
+This module is deferred: ``import covadjust`` registers it, and its code
+runs on first use, such as a graph's first table or a closure.  It
+re-exports the model's names (`Graph`, `Edge`, `Mark`, `GraphClass`), so
+``covadjust.graphs.Graph`` is ``covadjust.model.Graph``.
 
 Every search reads the mark table `Graph._marks`.  The closures (the
 ancestors, descendants and their possible forms) run on one more table,
-built from it on first use: for each kind of step `_reach` takes, one
-bit mask per node of the nodes one step away, where bit i stands for
-the node at position i of `Graph.nodes`.  A closure is then a fixpoint
-over integers, and the criteria keep their closures as masks.
+built from it on first use (`_steps`): for each kind of step `_reach`
+takes, one bit mask per node of the nodes one step away, where bit i
+stands for the node at position i of `Graph.nodes`.  A closure is then a
+fixpoint over integers, and the criteria keep their closures as masks.
 
 That fixpoint is the one traversal.  It runs in breadth-first rounds,
 and the rounds are layers: round k holds the nodes k steps from the
@@ -28,392 +23,94 @@ the nodes it leaves out.
 
 A MAG's or PAG's visibility table `Graph._visible_tails` holds, per
 node, None until the node is first asked about, then the mask of the
-heads of its visible out-edges.  Like the other tables it is a cache in
-the manner of `functools.cached_property`: concurrent readers at worst
-compute and store one value twice, and equality, hashing and pickling
-read only the class, the nodes and the edges, never a cache.
+heads of its visible out-edges.  Each table is built here by the
+function of its name and kept on the graph as a
+`functools.cached_property`: concurrent readers at worst compute and
+store one value twice, and equality, hashing and pickling read only the
+class, the nodes and the edges, never a table.
 """
 
 from __future__ import annotations
-
-from collections.abc import Iterable
-from enum import Enum
-from functools import cached_property
-from operator import attrgetter
 
 from .errors import (
     AlmostDirectedCycleError,
     ClassMismatchError,
     DirectedCycleError,
-    DuplicateEdgeError,
     EmptyXOrYError,
-    MarkNotAllowedError,
     SetsNotDisjointError,
-    UnknownNodeError,
 )
-
-Node = str
-NodeSet = frozenset
+from .model import _ALLOWED_MARKS, Edge, Graph, GraphClass, Mark, _Record, _set  # noqa: F401
 
 
-class Mark(Enum):
-    """Edge mark at one endpoint: tail, arrowhead or circle (unknown)."""
-
-    TAIL = "-"
-    ARROW = ">"
-    CIRCLE = "o"
-
-    # Members are singletons compared by identity, so the identity hash is
-    # consistent with equality and avoids the Python-level `Enum.__hash__`.
-    __hash__ = object.__hash__
+def _ordered_neighbors(g: Graph) -> dict:
+    """Each node's neighbours in declaration order."""
+    key = g.node_index.__getitem__
+    return {n: tuple(sorted(row, key=key)) for n, row in g._marks.items()}
 
 
-class GraphClass(Enum):
-    DAG = "dag"
-    CPDAG = "cpdag"
-    MAG = "mag"
-    PAG = "pag"
-
-    __hash__ = object.__hash__
-
-
-# Mark pairs allowed per class, as unordered {frozenset of (mark_a, mark_b)}.
-_DIRECTED = frozenset({(Mark.TAIL, Mark.ARROW), (Mark.ARROW, Mark.TAIL)})
-_BIDIRECTED = frozenset({(Mark.ARROW, Mark.ARROW)})
-_NONDIRECTED = frozenset({(Mark.CIRCLE, Mark.CIRCLE)})
-_PARTIAL = frozenset({(Mark.CIRCLE, Mark.ARROW), (Mark.ARROW, Mark.CIRCLE)})
-
-_ALLOWED_MARKS = {
-    GraphClass.DAG: _DIRECTED,
-    GraphClass.CPDAG: _DIRECTED | _NONDIRECTED,
-    GraphClass.MAG: _DIRECTED | _BIDIRECTED,
-    GraphClass.PAG: _DIRECTED | _BIDIRECTED | _NONDIRECTED | _PARTIAL,
-}
-
-
-_set = object.__setattr__  # how a record's `__init__` stores its fields
-
-
-class _Record:
-    """Base of the package's immutable records.
-
-    A subclass names its fields, in constructor order, in `__slots__` and
-    `_fields` (two or more), and stores each one with `_set` in its own
-    `__init__`.  The base supplies the rest without generating code:
-    equality and hashing over the field tuple (`NotImplemented` against
-    any other type), the repr ``Name(field=value, ...)``, an
-    `AttributeError` on assigning or deleting an attribute, and copy and
-    pickle by calling the class on the field values again, which reruns
-    the checks of `__init__`.
-    """
-
-    __slots__ = ()
-    _fields = ()
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._values = attrgetter(*cls._fields)  # instance -> field tuple
-        cls.__match_args__ = cls._fields
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            values = self._values
-            return values(self) == values(other)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self._values(self))
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{self.__class__.__qualname__}({fields})"
-
-    def __reduce__(self):
-        return self.__class__, self._values(self)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-
-class Edge(_Record):
-    """One edge with a mark at each endpoint.
-
-    Endpoints are stored in lexicographic order so that the same edge
-    written in either direction compares equal.
-    """
-
-    __slots__ = _fields = ("a", "b", "mark_a", "mark_b")
-
-    def __init__(self, a: Node, b: Node, mark_a: Mark, mark_b: Mark):
-        if a == b:
-            raise MarkNotAllowedError(f"self loop at {a}")
-        if a > b:
-            a, b, mark_a, mark_b = b, a, mark_b, mark_a
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "mark_a", mark_a)
-        _set(self, "mark_b", mark_b)
-
-    # Written out rather than inherited: every graph hashes its edges into
-    # its edge set, and plain attribute reads beat the generic getter.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.mark_a, self.mark_b) == (
-                other.a, other.b, other.mark_a, other.mark_b)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.mark_a, self.mark_b))
-
-    @staticmethod
-    def directed(tail: Node, head: Node) -> "Edge":
-        """tail -> head"""
-        return Edge(tail, head, Mark.TAIL, Mark.ARROW)
-
-    @staticmethod
-    def bidirected(a: Node, b: Node) -> "Edge":
-        """a <-> b"""
-        return Edge(a, b, Mark.ARROW, Mark.ARROW)
-
-    @staticmethod
-    def undirected(a: Node, b: Node) -> "Edge":
-        """a o-o b (also the storage for CPDAG undirected edges)"""
-        return Edge(a, b, Mark.CIRCLE, Mark.CIRCLE)
-
-    @staticmethod
-    def partial(circle: Node, head: Node) -> "Edge":
-        """circle o-> head"""
-        return Edge(circle, head, Mark.CIRCLE, Mark.ARROW)
-
-    def mark_at(self, node: Node) -> Mark:
-        if node == self.a:
-            return self.mark_a
-        if node == self.b:
-            return self.mark_b
-        raise UnknownNodeError(f"{node} is not an endpoint of {self.a}-{self.b}")
-
-    def other(self, node: Node) -> Node:
-        return self.b if node == self.a else self.a
-
-    def is_directed(self) -> bool:
-        ma, mb = self.mark_a, self.mark_b
-        return (ma is Mark.TAIL and mb is Mark.ARROW) or (ma is Mark.ARROW and mb is Mark.TAIL)
-
-    def is_bidirected(self) -> bool:
-        return self.mark_a is Mark.ARROW and self.mark_b is Mark.ARROW
-
-    def tail_node(self) -> Node:
-        """Source of a directed edge."""
-        if not self.is_directed():
-            raise MarkNotAllowedError(f"{self} is not a directed edge")
-        return self.a if self.mark_a is Mark.TAIL else self.b
-
-
-class Graph(_Record):
-    """Immutable partial mixed graph with a class tag.
-
-    Construction checks structural invariants only (distinct node names,
-    known endpoints, one edge per pair, class mark vocabulary).  The
-    class-level invariants that need graph algorithms (acyclicity,
-    ancestrality, maximality, equivalence-class round trips) are enforced
-    by :func:`build_graph`.
-
-    Node order is the declaration order and is used to sort every
-    set-valued output deterministically.  Every search reads the mark
-    table `_marks`.  A graph built by ``Graph(graph_class, nodes, edges)``
-    keeps the edge set it was given; one parsed from text holds only the
-    mark table, and its `edges` are derived from it on first use.
-    """
-
-    _fields = ("graph_class", "nodes", "edges")
-    # the dict holds `edges`, the mark table and the cached tables
-    __slots__ = ("graph_class", "nodes", "__dict__")
-
-    def __init__(self, graph_class: GraphClass, nodes: tuple, edges: frozenset):
-        edges = frozenset(edges)
-        rows = [*map(Edge._values, edges)]  # (a, b, mark_a, mark_b) of each edge
-        self._enter(graph_class, tuple(nodes), rows)
-        _set(self, "edges", edges)
-
-    @classmethod
-    def _from_rows(cls, graph_class: GraphClass, nodes: tuple, rows: list) -> "Graph":
-        """The graph of ``(a, b, mark_a, mark_b)`` edge rows, checked as
-        ``Graph(...)`` checks its edges; an identical repeated row counts
-        once.  No `Edge` is built until `edges` is read."""
-        g = cls.__new__(cls)
-        g._enter(graph_class, nodes, rows)
-        return g
-
-    def _enter(self, graph_class: GraphClass, nodes: tuple, rows: list) -> None:
-        """Check the rows and store the class, the nodes and the mark table."""
-        # `_marks[v][w]` is the mark at `v` of the edge v-w.  Since
-        # tail-tail and tail-circle edges are rejected, a tail at `v` means
-        # the edge is v -> w.
-        marks = {n: {} for n in nodes}
-        if len(marks) != len(nodes):
-            dup = sorted({n for n in nodes if nodes.count(n) > 1})
-            raise DuplicateEdgeError(f"duplicate node declaration: {', '.join(dup)}")
-        try:
-            _fill_marks(marks, rows, graph_class)
-        except (UnknownNodeError, DuplicateEdgeError, MarkNotAllowedError):
-            # the rows come in set or text order: report the first fault in name order
-            by_name = sorted(((a, b, ma, mb) if a < b else (b, a, mb, ma) for a, b, ma, mb in rows),
-                             key=lambda r: (r[0], r[1], r[2].value, r[3].value))
-            _fill_marks({n: {} for n in nodes}, by_name, graph_class)
-            raise
-        _set(self, "graph_class", graph_class)
-        _set(self, "nodes", nodes)
-        _set(self, "_marks", marks)
-
-    @cached_property
-    def edges(self) -> frozenset:
-        marks = self._marks
-        return frozenset(Edge(a, b, m, marks[b][a])
-                         for a, row in marks.items() for b, m in row.items() if a < b)
-
-    @cached_property
-    def node_index(self) -> dict:
-        return {n: i for i, n in enumerate(self.nodes)}
-
-    @cached_property
-    def _ordered_neighbors(self) -> dict:
-        """Each node's neighbours in declaration order."""
-        key = self.node_index.__getitem__
-        return {n: tuple(sorted(row, key=key)) for n, row in self._marks.items()}
-
-    @cached_property
-    def _steps(self) -> dict:
-        """The one-step masks of `_reach`: ``_steps[directed, reverse][i]``
-        has bit j set when one step of that kind leads from the node at
-        position i to the node at position j.  ``_steps["into"][i]`` has bit
-        j set when the edge i-j has an arrowhead at i: the other neighbours
-        of i are ``_steps[False, False][i]``."""
-        index = self.node_index
-        n = len(self.nodes)
-        forward, backward = [0] * n, [0] * n  # directed steps
-        possible, possible_back = [0] * n, [0] * n
-        into = [0] * n
-        arrow, tail = Mark.ARROW, Mark.TAIL
-        circles = False
-        for v, row in self._marks.items():
-            i = index[v]
-            bit_v = 1 << i
-            out = kids = heads = 0  # row i of `possible`, `forward` and `into`
-            for w, m in row.items():
-                j = index[w]
-                if m is arrow:
-                    heads |= 1 << j
-                    continue
-                out |= 1 << j
-                possible_back[j] |= bit_v
-                if m is tail:
-                    kids |= 1 << j
-                    backward[j] |= bit_v
-                else:
-                    circles = True
-            possible[i], forward[i], into[i] = out, kids, heads
-        if not circles:  # every possibly directed step is directed: share the lists
-            possible, possible_back = forward, backward
-        return {(True, False): forward, (True, True): backward,
-                (False, False): possible, (False, True): possible_back, "into": into}
-
-    @cached_property
-    def _sinks_first(self) -> list:
-        """Node positions in an order that puts every child before its
-        parents: Kahn's algorithm from the sinks, over the directed step
-        masks.  A node on a directed cycle, or with a directed path into
-        one, is never freed and is left out, so the order holds every
-        position iff the graph has no directed cycle.  Shared: read it,
-        never change it."""
-        children, parents = self._steps[True, False], self._steps[True, True]
-        left = [kids.bit_count() for kids in children]
-        order = [i for i, count in enumerate(left) if not count]
-        for j in order:  # grows while it is read
-            todo = parents[j]
-            while todo:
-                low = todo & -todo
-                todo ^= low
-                i = low.bit_length() - 1
-                left[i] -= 1
-                if not left[i]:
-                    order.append(i)
-        return order
-
-    @cached_property
-    def _visible_tails(self) -> list:
-        """The visibility table of a MAG or PAG, read and filled by
-        `criteria._visible_tails`: per node position, None until asked, then
-        the mask of the heads of the visible edges out of that node."""
-        return [None] * len(self.nodes)
-
-    def neighbors(self, node: Node) -> frozenset:
-        self._require(node)
-        return frozenset(self._marks[node])
-
-    # The accessors below look the pair up once; only a pair without an
-    # edge pays for checking that both are nodes.
-
-    def adjacent(self, a: Node, b: Node) -> bool:
-        if b in self._marks.get(a, ()):
-            return True
-        self._require(a, b)
-        return False
-
-    def edge_between(self, a: Node, b: Node):
-        """The edge a-b, equal to the one in `edges`, or None."""
-        mark = self._marks.get(a, {}).get(b)
-        if mark is None:
-            self._require(a, b)
-            return None
-        return Edge(a, b, mark, self._marks[b][a])
-
-    def mark_at(self, near: Node, far: Node) -> Mark:
-        """Mark at the `near` endpoint of the edge near-far."""
-        m = self._marks.get(near, {}).get(far)
-        if m is None:
-            self._require(near, far)
-            raise UnknownNodeError(f"no edge between {near} and {far}")
-        return m
-
-    def sort_nodes(self, nodes: Iterable[Node]) -> tuple:
-        """Sort by declaration order (the deterministic reporting order)."""
-        return tuple(sorted(nodes, key=self.node_index.__getitem__))
-
-    def _require(self, *nodes: Node):
-        for n in nodes:
-            if n not in self.node_index:
-                raise UnknownNodeError(f"unknown node: {n}")
-
-
-def _fill_marks(marks: dict, rows, graph_class: GraphClass) -> None:
-    """Enter each ``(a, b, mark_a, mark_b)`` row in `marks`; a row the
-    table already holds is skipped.  Raises on the first faulty row."""
-    allowed = _ALLOWED_MARKS[graph_class]
-    for a, b, ma, mb in rows:
-        row_a = marks.get(a)
-        row_b = marks.get(b)
-        if row_a is None or row_b is None:
-            raise UnknownNodeError(f"edge endpoint not declared: {a}-{b}")
-        held = row_a.get(b)
-        if held is not None:
-            if held is ma and row_b[a] is mb:
+def _steps(g: Graph) -> dict:
+    """The one-step masks of `_reach`: ``_steps[directed, reverse][i]``
+    has bit j set when one step of that kind leads from the node at
+    position i to the node at position j.  ``_steps["into"][i]`` has bit
+    j set when the edge i-j has an arrowhead at i: the other neighbours
+    of i are ``_steps[False, False][i]``."""
+    index = g.node_index
+    n = len(g.nodes)
+    forward, backward = [0] * n, [0] * n  # directed steps
+    possible, possible_back = [0] * n, [0] * n
+    into = [0] * n
+    arrow, tail = Mark.ARROW, Mark.TAIL
+    circles = False
+    for v, row in g._marks.items():
+        i = index[v]
+        bit_v = 1 << i
+        out = kids = heads = 0  # row i of `possible`, `forward` and `into`
+        for w, m in row.items():
+            j = index[w]
+            if m is arrow:
+                heads |= 1 << j
                 continue
-            raise DuplicateEdgeError(f"more than one edge between {a} and {b}")
-        if (ma, mb) not in allowed:
-            raise MarkNotAllowedError(
-                f"edge {a} {_edge_glyph(ma, mb)} {b} not allowed in a {graph_class.value}"
-            )
-        row_a[b] = ma
-        row_b[a] = mb
+            out |= 1 << j
+            possible_back[j] |= bit_v
+            if m is tail:
+                kids |= 1 << j
+                backward[j] |= bit_v
+            else:
+                circles = True
+        possible[i], forward[i], into[i] = out, kids, heads
+    if not circles:  # every possibly directed step is directed: share the lists
+        possible, possible_back = forward, backward
+    return {(True, False): forward, (True, True): backward,
+            (False, False): possible, (False, True): possible_back, "into": into}
 
 
-def _edge_glyph(mark_a: Mark, mark_b: Mark) -> str:
-    left = {Mark.TAIL: "-", Mark.ARROW: "<", Mark.CIRCLE: "o"}[mark_a]
-    right = {Mark.TAIL: "-", Mark.ARROW: ">", Mark.CIRCLE: "o"}[mark_b]
-    return f"{left}-{right}"
+def _sinks_first(g: Graph) -> list:
+    """Node positions in an order that puts every child before its
+    parents: Kahn's algorithm from the sinks, over the directed step
+    masks.  A node on a directed cycle, or with a directed path into
+    one, is never freed and is left out, so the order holds every
+    position iff the graph has no directed cycle.  Shared: read it,
+    never change it."""
+    children, parents = g._steps[True, False], g._steps[True, True]
+    left = [kids.bit_count() for kids in children]
+    order = [i for i, count in enumerate(left) if not count]
+    for j in order:  # grows while it is read
+        todo = parents[j]
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            i = low.bit_length() - 1
+            left[i] -= 1
+            if not left[i]:
+                order.append(i)
+    return order
+
+
+def _visible_tails(g: Graph) -> list:
+    """The visibility table of a MAG or PAG, read and filled by
+    `criteria._visible_tails`: per node position, None until asked, then
+    the mask of the heads of the visible edges out of that node."""
+    return [None] * len(g.nodes)
 
 
 def _as_set(g: Graph, nodes) -> frozenset:

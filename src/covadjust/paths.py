@@ -157,16 +157,41 @@ def require_maximal(g: Graph) -> None:
     so each pair takes one search.  An(Z) and An({a, b}) hold the same
     nodes outside {a, b}, since every ancestor of a or b other than a and
     b is in Z, so the search is handed An({a, b}).
+
+    A pair is inseparable only if an inducing path joins it, and every
+    inducing path is a collider walk a *-> c1 <-> ... <-> ck <-* b (ibid.,
+    Thm 4.2).  So the search runs only on the pairs such a walk joins: per
+    node a, one closure over the bidirected edges from the nodes its edges
+    point into gives the colliders, and their arrowheads the other ends b.
+    Pairs are tried in node order, so the first inseparable pair raised is
+    the one a search of every pair meets first.
     """
     from .errors import NotMaximalError
 
+    steps = g._steps
+    into = steps["into"]  # bit j of into[i]: the edge i-j has an arrowhead at i
+    spouses = [heads & ~parents for heads, parents in zip(into, steps[True, True])]
     nodes = g.nodes
     for i, a in enumerate(nodes):
-        for j in range(i + 1, len(nodes)):
-            b = nodes[j]
-            if g.adjacent(a, b):
-                continue
-            ab = 1 << i | 1 << j
+        colliders = todo = steps[True, False][i] | spouses[i]  # c1, then c2 ... ck
+        ends = 0  # the b with some ck <-* b
+        while todo:
+            new = 0
+            while todo:
+                low = todo & -todo
+                c = low.bit_length() - 1
+                new |= spouses[c]
+                ends |= into[c]
+                todo ^= low
+            todo = new & ~colliders
+            colliders |= todo
+        # the later nodes b, not adjacent to a
+        ends &= ~(steps[False, False][i] | into[i]) & -(2 << i)
+        while ends:
+            low = ends & -ends
+            ends ^= low
+            b = nodes[low.bit_length() - 1]
+            ab = 1 << i | low
             an = _reach_bits(g, ab, directed=True, reverse=True)
             z = _nodes(g, an & ~ab)
             if _open_walk(g, frozenset([a]), frozenset([b]), z, an_z=an) is not None:

@@ -544,6 +544,25 @@ def require_maximal_subsets(g):
                 raise NotMaximalError((a, b))
 
 
+def require_maximal_every_pair(g):
+    """`paths.require_maximal` as it was before its pruning: one search
+    on every non-adjacent pair, given An({a, b}) minus {a, b}."""
+    from covadjust.graphs import _nodes, _reach_bits
+    from covadjust.paths import _open_walk
+
+    nodes = g.nodes
+    for i, a in enumerate(nodes):
+        for j in range(i + 1, len(nodes)):
+            b = nodes[j]
+            if g.adjacent(a, b):
+                continue
+            ab = 1 << i | 1 << j
+            an = _reach_bits(g, ab, directed=True, reverse=True)
+            z = _nodes(g, an & ~ab)
+            if _open_walk(g, frozenset([a]), frozenset([b]), z, an_z=an) is not None:
+                raise NotMaximalError((a, b))
+
+
 def latent_project_subsets(d, observed):
     """The latent projection of a DAG: observed a and b are adjacent iff no
     subset of the other observed nodes d-separates them (by moralization);

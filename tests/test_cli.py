@@ -473,9 +473,9 @@ def test_check_command_does_not_load_numpy():
 
 
 @pytest.mark.parametrize("command, runs", [
-    *((cmd, {"paths", "criteria"})
+    *((cmd, {"graphs", "paths", "criteria"})
       for cmd in ("amenable", "forbidden", "check", "backdoor", "list")),
-    *((cmd, {"paths", "mec"}) for cmd in ("validate", "mec", "project")),
+    *((cmd, {"graphs", "paths", "mec"}) for cmd in ("validate", "mec", "project")),
     ("verify", set(DEFERRED)),
 ])
 def test_each_command_runs_only_its_modules(tmp_path, command, runs):
@@ -495,6 +495,23 @@ def test_each_command_runs_only_its_modules(tmp_path, command, runs):
         f" sorted(set(ran) & set({DEFERRED})), len(ran) == len(set(ran)))"
     )
     assert out.strip() == f"True [] {sorted(runs)} True"
+
+
+def test_help_runs_no_deferred_module():
+    # run as `python -m covadjust --help` runs it
+    out = run_with_src(
+        "-c",
+        RUN_LOG + "import contextlib, io, runpy\n"
+        "sys.argv = ['covadjust', '--help']\n"
+        "with contextlib.redirect_stdout(io.StringIO()) as text:\n"
+        "    try:\n"
+        "        runpy.run_module('covadjust', run_name='__main__', alter_sys=True)\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(code, text.getvalue().startswith('usage: covadjust'), sorted(ran))"
+    )
+    modules = sorted(["__init__", "__main__", "errors", "model", "cgtext", "cli"])
+    assert out.strip() == f"0 True {modules}"
 
 
 def test_verify_process_loads_no_numpy():

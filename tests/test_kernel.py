@@ -177,8 +177,9 @@ def test_shielded_circle_triple_is_not_of_definite_status():
     assert ca.find_open_definite_path(unshielded, {"X"}, {"Y"}, {"V"}) is None
 
 
-def _random_ancestral(rng, n):
-    """Directed edges along a random order, then bidirected edges between
+def _random_ancestral(rng, n, directed=0.3, bidirected=0.6):
+    """Directed edges along a random order, each with chance `directed`,
+    then bidirected edges, each with chance `bidirected`, between
     non-adjacent pairs of which neither is an ancestor of the other.  Half
     the time four nodes get the inducing path A <-> B <-> C <-> D with
     B -> D and C -> A, which leaves non-adjacent A and D inseparable;
@@ -187,11 +188,11 @@ def _random_ancestral(rng, n):
     order = list(names)
     rng.shuffle(order)
     edges = [Edge.directed(order[i], order[j])
-             for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+             for i in range(n) for j in range(i + 1, n) if rng.random() < directed]
     dag = Graph(GraphClass.DAG, names, frozenset(edges))
     for a, b in itertools.combinations(names, 2):
         if (dag.adjacent(a, b) or a in ca.ancestors(dag, {b}) or b in ca.ancestors(dag, {a})
-                or rng.random() > 0.6):
+                or rng.random() > bidirected):
             continue
         edges.append(Edge.bidirected(a, b))
     if n >= 4 and rng.random() < 0.5:
@@ -269,6 +270,24 @@ def test_require_maximal_agrees_with_subset_search():
         assert got == _maximality(oracles.require_maximal_subsets, g)
         outcomes.append(got is None)
     assert outcomes.count(True) >= 100 and outcomes.count(False) >= 100
+
+
+def test_pruned_maximality_search_agrees_with_every_pair_search():
+    """`require_maximal` searches only the pairs a collider walk joins; on
+    sparse ancestral graphs of 8 to 60 nodes it raises the pair the search
+    of every non-adjacent pair (`oracles.require_maximal_every_pair`)
+    raises, or passes where that passes."""
+    rng = random.Random("pruned-maximality")
+    outcomes = collections.Counter()
+    for _ in range(320):
+        n = rng.randint(8, 60)
+        g = _random_ancestral(rng, n, rng.uniform(1, 3) / n, rng.uniform(0.5, 4) / n)
+        if g is None:
+            continue
+        got = _maximality(require_maximal, g)
+        assert got == _maximality(oracles.require_maximal_every_pair, g), ca.serialize_graph(g)
+        outcomes["maximal" if got is None else "non-maximal"] += 1
+    assert outcomes["non-maximal"] >= 100 and outcomes["maximal"] >= 100, outcomes
 
 
 def test_latent_project_agrees_with_subset_search():

@@ -65,7 +65,43 @@ def test_records_of_deferred_modules_pickle_into_a_fresh_process(tmp_path):
     )
     again, ran = out.split(maxsplit=1)
     assert pickle.loads(bytes.fromhex(again)) == records
-    assert ran.strip() == str(sorted(["__init__", "errors", "graphs", "cgtext", *DEFERRED]))
+    assert ran.strip() == str(sorted(["__init__", "errors", "model", "cgtext", *DEFERRED]))
+
+
+def test_parsing_and_writing_run_only_the_model_and_the_parser():
+    # in a fresh process: every corpus figure parsed and written again
+    out = run_with_src(
+        "-c",
+        RUN_LOG + "import glob\n"
+        "import covadjust\n"
+        "for path in sorted(glob.glob('corpus/*.cg')):\n"
+        "    with open(path, encoding='utf-8') as fh:\n"
+        "        doc = covadjust.parse_document(fh.read())\n"
+        "    covadjust.serialize_graph(doc.graph, doc.query)\n"
+        "print(sorted(ran))"
+    )
+    assert out.strip() == str(sorted(["__init__", "errors", "model", "cgtext"]))
+
+
+# `(parse_graph("graph pag { A o-> B B <-> C C -> D D o-o E }"), Edge.partial("A", "B"),
+# Mark.CIRCLE, GraphClass.PAG)`, pickled when these classes were defined in
+# `covadjust.graphs`, which the pickle names
+PICKLED_IN_GRAPHS = bytes.fromhex(
+    "800495d500000000000000288c10636f7661646a7573742e677261706873948c05477261706894939468008c"
+    "0a4772617068436c6173739493948c037061679485945294288c0141948c0142948c0143948c0144948c0145"
+    "9474942868008c044564676594939428680b680c68008c044d61726b9493948c016f94859452946814749452"
+    "94680f2868086809681468118c013e948594529474945294680f28680a680b68118c012d9485945294681974"
+    "945294680f286809680a6819681974945294919487945294680f2868088c0142946814681974945294681468"
+    "0774942e"
+)
+
+
+def test_pickles_that_name_the_graphs_module_still_load():
+    g, edge, mark, graph_class = pickle.loads(PICKLED_IN_GRAPHS)
+    want = ca.parse_graph("graph pag { A o-> B B <-> C C -> D D o-o E }")
+    assert g == want and g.nodes == want.nodes and g._marks == want._marks
+    assert edge == ca.Edge.partial("A", "B")
+    assert mark is ca.Mark.CIRCLE and graph_class is ca.GraphClass.PAG
 
 
 def test_concurrent_first_use_runs_each_module_once():

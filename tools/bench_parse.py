@@ -18,6 +18,17 @@ whitespace, the third by the parser's regular expression.  A form's
 time is five runs, each parsing the text `max(1, 4096 // n)` times, and
 the median run divided by that count is the row's time per parse.
 
+The script also times the benchmark's set-up: a fresh process imports
+`covadjust` and parses every input of the `cli-corpus` workload (the
+corpus figures and `perfbench/inputs`), timed inside the process from
+before the import to after the last parse (`setup_ms`, and `import_ms`
+for the import alone).  That is `SETUP_RUNS` processes per source tree,
+alternating the trees under `--versus`, and one more, under an audit
+hook, that lists the `covadjust` modules whose code ran.  The processes
+inherit the environment, so with `PYTHONDONTWRITEBYTECODE=1` each one
+compiles every module it runs.  They go to `setup_rows` (one row per
+process) and `setup_modules`, beside the parse rows.
+
 `--src` names the source directory the `covadjust` package is imported
 from, so one checkout can time another.  `--versus OTHER=SRC` loads a
 second `covadjust` package from the source directory SRC into the same
@@ -42,6 +53,7 @@ import platform
 import random
 import re
 import statistics
+import subprocess
 import sys
 import time
 
@@ -49,6 +61,41 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (8, 16, 32, 64, 128, 256, 512)
 CLASSES = ("dag", "cpdag", "mag", "pag")
 RUNS = 5
+SETUP_RUNS = 15
+
+# Defines `log`, an audit hook that adds to `ran` the name of each
+# `covadjust` module whose code runs: it sees the module code `exec` runs.
+RUN_LOG = r"""
+import json, os, sys
+ran = set()
+def log(event, args):
+    code = args[0] if event == "exec" else None
+    if getattr(code, "co_name", None) == "<module>":
+        folder, file = os.path.split(code.co_filename)
+        if os.path.basename(folder) == "covadjust":
+            ran.add("covadjust" + ("" if file == "__init__.py" else "." + file[:-3]))
+"""
+
+# Imports the package and parses the files named in argv[2:], then prints
+# the times; with argv[1] == "modules", under the audit hook, it prints
+# the modules whose code ran instead.
+SETUP = RUN_LOG + r"""
+import time
+if sys.argv[1] == "modules":
+    sys.addaudithook(log)
+texts = []
+for path in sys.argv[2:]:
+    with open(path, encoding="utf-8") as fh:
+        texts.append(fh.read())
+t0 = time.perf_counter()
+import covadjust
+t1 = time.perf_counter()
+for text in texts:
+    covadjust.parse_document(text)
+t2 = time.perf_counter()
+print(json.dumps(sorted(ran) if sys.argv[1] == "modules"
+                 else {"setup_ms": (t2 - t0) * 1e3, "import_ms": (t1 - t0) * 1e3}))
+"""
 
 
 def _texts(ca, gen):
@@ -93,6 +140,23 @@ def _time(parse, text, reps):
     return statistics.median(runs) / reps
 
 
+def _setup(src, mode, files):
+    proc = subprocess.run([sys.executable, "-c", SETUP, mode, *files], cwd=ROOT,
+                          env=dict(os.environ, PYTHONPATH=os.path.abspath(src)),
+                          capture_output=True, text=True, check=True)
+    return json.loads(proc.stdout)
+
+
+def _setup_runs(sides, files):
+    """label -> (one row per set-up process, the modules whose code ran)."""
+    rows = {label: [] for label, _ in sides}
+    for run in range(SETUP_RUNS):
+        for label, src in sides if run % 2 == 0 else sides[::-1]:
+            row = {key: round(ms, 3) for key, ms in _setup(src, "time", files).items()}
+            rows[label].append({"run": run, **row})
+    return {label: (rows[label], _setup(src, "modules", files)) for label, src in sides}
+
+
 def _load(src):
     """The `covadjust` package of the source directory `src` and its
     modules, taken out of `sys.modules` so that another source directory's
@@ -129,12 +193,18 @@ def main(argv=None):
     parser.add_argument("--out", default=os.path.join(ROOT, "BENCH_parse.json"))
     args = parser.parse_args(argv)
     sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    import corpus
     import gen
 
-    sides = [(args.label, *_load(args.src))]
+    trees = [(args.label, args.src)]
     if args.versus is not None:
-        other, src = versus(parser, args.versus, args.label)
-        sides.append((other, *_load(src)))
+        trees.append(versus(parser, args.versus, args.label))
+    setups = _setup_runs(trees, corpus.input_files())
+    for label, (setup_rows, modules) in setups.items():
+        ms = [row["setup_ms"] for row in setup_rows]
+        print(f"{label:8} set-up {statistics.median(ms):7.2f} ms (median of {len(ms)}),"
+              f" {len(modules)} modules: {' '.join(modules)}", flush=True)
+    sides = [(label, *_load(src)) for label, src in trees]
     _use(sides[0][2])
     texts = [(cls, n, form, text)
              for cls, n, plain in _texts(sides[0][1], gen) for form, text in _forms(plain)]
@@ -160,8 +230,11 @@ def main(argv=None):
         record(args.out, label, [(cls, n, text) for cls, n, _, text in texts], rows[label],
                "parse_document time per parse (median of 5 runs) of each text as written, "
                "with a comment on every line and with unspaced operators (an interleaved "
-               "run alternates two source trees per row), written by tools/bench_parse.py",
-               mode={"interleaved_with": others[0] if others else None})
+               "run alternates two source trees per row), and in setup_rows the time of "
+               "fresh processes that import covadjust and parse every cli-corpus input, "
+               "written by tools/bench_parse.py",
+               mode={"interleaved_with": others[0] if others else None},
+               setup_rows=setups[label][0], setup_modules=setups[label][1])
 
 
 def versus(parser, text, label):

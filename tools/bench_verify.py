@@ -80,17 +80,9 @@ print(json.dumps({"first_call_ms": times[0] * 1e3, "call_ms": statistics.median(
 
 
 # Runs `python -m covadjust` with argv and then writes, as the last line
-# of stderr, the sorted names of the covadjust modules whose code ran: an
-# audit hook sees the module code that `exec` runs.
-MODULES_RAN = r"""
-import json, os, runpy, sys
-ran = set()
-def log(event, args):
-    code = args[0] if event == "exec" else None
-    if getattr(code, "co_name", None) == "<module>":
-        folder, file = os.path.split(code.co_filename)
-        if os.path.basename(folder) == "covadjust":
-            ran.add("covadjust" + ("" if file == "__init__.py" else "." + file[:-3]))
+# of stderr, the sorted names of the covadjust modules whose code ran.
+MODULES_RAN = bench_parse.RUN_LOG + r"""
+import runpy
 sys.addaudithook(log)
 sys.argv = ["covadjust", *sys.argv[1:]]
 try:
