@@ -5,15 +5,16 @@ with a criterion that is both sound and complete, and certifies the
 decisions at desk scale by enumerating Markov equivalence classes and
 comparing against an exact linear structural equation oracle.
 
-``import covadjust`` runs only `errors`, `model` and `cgtext`: enough to
-parse and write .cg text.  The other modules (`graphs`, `paths`,
-`criteria`, `mec`, `sem`) are deferred: each is in ``sys.modules`` from
-the start, and its code runs once, on the first read of one of its
-attributes or of a package-level name it defines
-(``covadjust.satisfies_gac``); `graphs` also runs when a graph first
-builds one of its search tables.  The first read runs it under a lock,
-so threads that reach a deferred module together see it run once and
-whole.
+``import covadjust`` runs only `errors`, `model` and `cgtext`: the mark
+table and the parser, enough to parse .cg text.  The other modules
+(`graphs`, `paths`, `criteria`, `mec`, `sem`) are deferred: each is in
+``sys.modules`` from the start, and its code runs once, on the first
+read of one of its attributes or of a package-level name it defines
+(``covadjust.satisfies_gac``, ``covadjust.Edge``).  `graphs` also runs
+when a graph is built from edges, first reads its `edges` or builds one
+of its search tables, and when a graph is written as .cg text.  The
+first read runs a module under a lock, so threads that reach a deferred
+module together see it run once and whole.
 """
 
 import importlib.util
@@ -81,28 +82,22 @@ def _defer(name):
     return module
 
 
-# `graphs` is deferred before `model` runs, which reads it as the
-# package's attribute
+# `graphs` is deferred before `model` and `cgtext` run, which read it as
+# the package's attribute
 graphs = _defer("graphs")
 paths = _defer("paths")
 criteria = _defer("criteria")
 mec = _defer("mec")
 sem = _defer("sem")
 
-from .cgtext import (  # noqa: E402
-    GraphDocument,
-    Query,
-    parse_document,
-    parse_graph,
-    serialize_document,
-    serialize_graph,
-)
-from .model import Edge, Graph, GraphClass, Mark  # noqa: E402
+from .cgtext import GraphDocument, Query, parse_document, parse_graph  # noqa: E402
+from .model import Graph, GraphClass, Mark  # noqa: E402
 
 # package-level name -> the deferred module that defines it
 _DEFERRED_NAMES = {
-    **dict.fromkeys(("ancestors", "build_graph", "children", "descendants", "parents",
-                     "possible_ancestors", "possible_descendants", "validate_graph"), "graphs"),
+    **dict.fromkeys(("Edge", "ancestors", "build_graph", "children", "descendants", "parents",
+                     "possible_ancestors", "possible_descendants", "serialize_document",
+                     "serialize_graph", "validate_graph"), "graphs"),
     **dict.fromkeys(("find_open_definite_path", "m_connected"), "paths"),
     **dict.fromkeys(("AdjustmentQuery", "AdjustmentVerdict", "find_amenability_violation",
                      "forbidden_set", "is_amenable", "is_visible", "list_adjustment_sets",
@@ -131,6 +126,5 @@ def __dir__():
 __version__ = "0.1.0"
 
 # the eager names, then every deferred one
-__all__ = sorted(["Edge", "Graph", "GraphClass", "GraphDocument", "Mark", "Query", "errors",
-                  "parse_document", "parse_graph", "serialize_document", "serialize_graph",
-                  *_DEFERRED_NAMES])
+__all__ = sorted(["Graph", "GraphClass", "GraphDocument", "Mark", "Query", "errors",
+                  "parse_document", "parse_graph", *_DEFERRED_NAMES])

@@ -23,13 +23,16 @@ Positions are computed only for an error, by scanning the text again up
 to the failing token.  Errors report the line and column of their
 token, and a character that starts no token is reported before any
 syntax error.
-"""
 
-from __future__ import annotations
+The writer, `serialize_graph` and `serialize_document`, reads `Edge`s
+and runs in the deferred module `covadjust.graphs`; this module serves
+both names from there, so parsing alone never runs `graphs`.
+"""
 
 import re
 from itertools import islice
 
+from . import graphs  # deferred (see `covadjust/__init__.py`): holds the writer
 from .errors import GraphError, MarkNotAllowedError, ParseError
 from .model import _ALLOWED_MARKS, Graph, GraphClass, Mark, _Record, _set
 
@@ -277,43 +280,14 @@ def _parse_query(tokens: list, i: int) -> tuple:
         parts[key] = tuple(names)
 
 
-def __getattr__(name):  # `_TOKEN_RE`, compiled
-    if name != "_TOKEN_RE":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    return re.compile(_TOKEN)
+def __getattr__(name):
+    # `_TOKEN_RE`, compiled, and the writer, which runs in `graphs` beside `Edge`
+    if name == "_TOKEN_RE":
+        return re.compile(_TOKEN)
+    if name in ("serialize_graph", "serialize_document"):
+        return getattr(graphs, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def parse_graph(text: str) -> Graph:
     return parse_document(text).graph
-
-
-def _edge_statements(g: Graph) -> list:
-    """The statement of each edge, edges ordered by the declaration
-    positions of their name-ordered endpoints."""
-    idx = g.node_index
-    ops = {marks: op for op, marks in _CLASS_OPS[g.graph_class].items()}  # CPDAG: o-o is --
-    statements = []
-    for e in sorted(g.edges, key=lambda e: (idx[e.a], idx[e.b])):
-        p, q, mp, mq = e.a, e.b, e.mark_a, e.mark_b
-        if idx[p] > idx[q]:
-            p, q, mp, mq = q, p, mq, mp
-        if mp is Mark.ARROW and mq is not Mark.ARROW:  # -> not <-, o-> not <-o
-            p, q, mp, mq = q, p, mq, mp
-        statements.append(f"{p} {ops[mp, mq]} {q}")
-    return statements
-
-
-def serialize_graph(g: Graph, query: Query | None = None) -> str:
-    """Canonical text form; `parse_document` of the result is the identity
-    on (class, node order, edges, query)."""
-    lines = [f"graph {g.graph_class.value} {{", *(f"  {n}" for n in g.nodes),
-             *(f"  {statement}" for statement in _edge_statements(g)), "}"]
-    if query is not None:
-        parts = [f"{key} = {', '.join(val)}"
-                 for key, val in (("X", query.x), ("Y", query.y), ("Z", query.z)) if val is not None]
-        lines.append(f"query {{ {'; '.join(parts)} }}")
-    return "\n".join(lines) + "\n"
-
-
-def serialize_document(doc: GraphDocument) -> str:
-    return serialize_graph(doc.graph, doc.query)

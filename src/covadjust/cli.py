@@ -5,20 +5,27 @@ stderr.  Exit codes: 0 success / criterion satisfied, 1 criterion not
 satisfied, 2 usage or parse error (including violated preconditions),
 3 enumeration cap exceeded.
 
-A row of `COMMANDS` defines a command: its help text, the deferred module
+A row of `COMMANDS` defines a command: its help text, the deferred modules
 it runs, the sets it reads, whether the default node cap guards it, its
 own flags and its handler.  `run_command` takes every step from the row.
+
+argparse is imported and a parser built only when the arguments need
+one.  `_fast_args` reads the plain form, the command and then exact
+flags of the row's specs, each at most once and each with its value as
+the next argument, into the namespace argparse would give.  Anything
+else (help, abbreviations, ``--flag=value``, a repeated flag, a value
+that starts with "-", a value the flag's type refuses, a missing
+required flag) goes to the parser of `_build_parser`, which stays the one
+authority for every message and exit code.
 """
 
-from __future__ import annotations
-
-import argparse
 import json
 import sys
 import time
+import types
 from collections import namedtuple
 
-from . import _load, cgtext, criteria, graphs, mec, sem
+from . import _load, cgtext, criteria, graphs, mec, paths, sem
 from .errors import GraphError, NotAmenableError, SizeCapExceededError
 from .model import GraphClass
 
@@ -30,6 +37,8 @@ def _int_at_least(low):
     def count(text):
         value = int(text)
         if value < low:
+            import argparse
+
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
         return value
 
@@ -101,7 +110,7 @@ def _mec(g, args):
         "count": len(members),
         "member_class": members[0].graph_class.value,
         "nodes": list(g.nodes),
-        "members": [cgtext._edge_statements(m) for m in members],
+        "members": [graphs._edge_statements(m) for m in members],
     }, None, 0
 
 
@@ -110,7 +119,7 @@ def _project(g, args):
     if observed == ():
         raise GraphError("--observed names no node (leave it out to keep every node)")
     mag = mec.latent_project(g, g.nodes if observed is None else observed)
-    return {"nodes": list(mag.nodes), "edges": cgtext._edge_statements(mag)}, None, 0
+    return {"nodes": list(mag.nodes), "edges": graphs._edge_statements(mag)}, None, 0
 
 
 def _verify(g, args, x, y, z):
@@ -148,41 +157,55 @@ def _verify(g, args, x, y, z):
     return result, None, 0 if sound else 1
 
 
-# help: its help text; module: the deferred module it runs, loaded before
+# help: its help text; modules: the deferred modules it runs, loaded before
 # the clock starts; sets: "", "XY" or "XYZ", read from -X/-Y/-Z or else the
 # query block; capped: whether the default node cap guards it (its work
 # can grow exponentially with the graph; the decisions run in polynomial
 # time); flags: its own `add_argument` specs; run: its handler.
-_Command = namedtuple("_Command", "help module sets capped flags run")
+_Command = namedtuple("_Command", "help modules sets capped flags run")
 
 COMMANDS = {
-    "validate": _Command("check the class invariants of the graph", mec, "", True, (),
+    "validate": _Command("check the class invariants of the graph", (mec,), "", True, (),
                          _validate),
-    "amenable": _Command("is the graph adjustment amenable for (X, Y)?", criteria, "XY", False,
-                         (), _amenable),
-    "forbidden": _Command("nodes that no adjustment set for (X, Y) may contain", criteria, "XY",
-                          False, (), _forbidden),
-    "check": _Command("does Z satisfy the generalized adjustment criterion?", criteria, "XYZ",
-                      False, (), _check),
-    "backdoor": _Command("does Z satisfy the generalized back-door criterion?", criteria, "XYZ",
-                         False, (), _backdoor),
-    "list": _Command("enumerate all sets satisfying the criterion", criteria, "XY", True,
+    "amenable": _Command("is the graph adjustment amenable for (X, Y)?", (criteria,), "XY",
+                         False, (), _amenable),
+    "forbidden": _Command("nodes that no adjustment set for (X, Y) may contain", (criteria,),
+                          "XY", False, (), _forbidden),
+    "check": _Command("does Z satisfy the generalized adjustment criterion?", (criteria, paths),
+                      "XYZ", False, (), _check),
+    "backdoor": _Command("does Z satisfy the generalized back-door criterion?", (criteria, paths),
+                         "XYZ", False, (), _backdoor),
+    "list": _Command("enumerate all sets satisfying the criterion", (criteria, paths), "XY", True,
                      (_flag("--minimal", action="store_true", help="inclusion-minimal sets only"),
                       _flag("--max-size", type=_int_at_least(0), default=None, metavar="K")),
                      _list),
-    "mec": _Command("enumerate the Markov equivalence class members", mec, "", True, (), _mec),
-    "project": _Command("latent-project a DAG onto the observed nodes", mec, "", False,
+    "mec": _Command("enumerate the Markov equivalence class members", (mec,), "", True, (),
+                    _mec),
+    "project": _Command("latent-project a DAG onto the observed nodes", (mec,), "", False,
                         (_flag("--observed", default=None, metavar="A,B,C"),), _project),
-    "verify": _Command("compare adjusted estimates with true effects on random SEMs", sem, "XYZ",
-                       True, (_flag("--trials", type=_int_at_least(1), default=20, metavar="N"),
-                              _flag("--seed", type=int, default=0, metavar="N")), _verify),
+    "verify": _Command("compare adjusted estimates with true effects on random SEMs", (sem,),
+                       "XYZ", True,
+                       (_flag("--trials", type=_int_at_least(1), default=20, metavar="N"),
+                        _flag("--seed", type=int, default=0, metavar="N")), _verify),
 }
 _SET_METAVARS = {"X": "A,B", "Y": "C", "Z": "D,E"}
 
 
-def _build_parser(command=None) -> argparse.ArgumentParser:
+def _flag_specs(row):
+    """The `add_argument` specs of a command's flags: those of every
+    command, then the sets it reads, then its own."""
+    yield _flag("--graph", required=True, metavar="FILE", help=".cg graph file")
+    yield _flag("--max-nodes", type=_int_at_least(0), default=None, metavar="N")
+    for s in row.sets:
+        yield _flag(f"-{s}", dest=s.lower(), default=None, metavar=_SET_METAVARS[s])
+    yield from row.flags
+
+
+def _build_parser(command=None):
     """The parser of every command, or, for a known `command`, of that
     command alone, which parses and reports its arguments the same way."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="covadjust",
         description="Adjustment set decisions in DAGs, CPDAGs, MAGs and PAGs.",
@@ -195,13 +218,65 @@ def _build_parser(command=None) -> argparse.ArgumentParser:
     for name in names:
         row = COMMANDS[name]
         p = sub.add_parser(name, help=row.help)
-        p.add_argument("--graph", required=True, metavar="FILE", help=".cg graph file")
-        p.add_argument("--max-nodes", type=_int_at_least(0), default=None, metavar="N")
-        for s in row.sets:
-            p.add_argument(f"-{s}", dest=s.lower(), default=None, metavar=_SET_METAVARS[s])
-        for flag, options in row.flags:
+        for flag, options in _flag_specs(row):
             p.add_argument(*flag, **options)
     return parser
+
+
+# the `add_argument` options `_fast_args` reads; a spec with any other
+# option, or another action than these, leaves its command to argparse
+_FAST_OPTIONS = frozenset({"action", "default", "dest", "help", "metavar", "required", "type"})
+_FAST_ACTIONS = {"store": None, "store_true": False}  # action -> its default default
+
+
+def _fast_args(argv):
+    """The namespace ``_build_parser(argv[0]).parse_args(argv)`` gives, read
+    without argparse, or None where argparse must read `argv`.
+
+    Read are a command and then flags of its specs, each written out in
+    full and at most once, each value the next argument, which does not
+    start with "-" and which the spec's `type` converts without error, and
+    every required flag.
+    """
+    row = COMMANDS.get(argv[0]) if argv else None
+    if row is None:
+        return None
+    args = {"command": argv[0]}
+    flags = {}  # flag -> (dest, whether it takes a value, its type)
+    required = set()
+    for names, options in _flag_specs(row):
+        action = options.get("action", "store")
+        if action not in _FAST_ACTIONS or not _FAST_OPTIONS.issuperset(options):
+            return None
+        # argparse's dest: the first long flag, else the first, without
+        # its dashes and with "_" for "-"
+        dest = options.get("dest") or next(
+            (n for n in names if n.startswith("--")), names[0]).lstrip("-").replace("-", "_")
+        args[dest] = options.get("default", _FAST_ACTIONS[action])
+        flags.update(dict.fromkeys(names, (dest, action == "store", options.get("type"))))
+        if options.get("required"):
+            required.add(dest)
+    given = set()
+    i = 1
+    while i < len(argv):
+        dest, takes_value, convert = flags.get(argv[i], (None, None, None))
+        if dest is None or dest in given:
+            return None
+        given.add(dest)
+        if not takes_value:
+            args[dest] = True
+            i += 1
+            continue
+        if i + 1 == len(argv) or argv[i + 1].startswith("-"):
+            return None
+        try:
+            args[dest] = argv[i + 1] if convert is None else convert(argv[i + 1])
+        except Exception:  # argparse reports it, or raises it
+            return None
+        i += 2
+    if not required <= given:
+        return None
+    return types.SimpleNamespace(**args)
 
 
 def _resolve_sets(sets, args, query) -> list:
@@ -224,14 +299,16 @@ def _emit(payload) -> None:
 
 def run_command(argv) -> int:
     argv = list(argv)
-    parser = _build_parser(argv[0] if argv else None)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    args = _fast_args(argv)
+    if args is None:
+        try:
+            args = _build_parser(argv[0] if argv else None).parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     command = args.command
     row = COMMANDS[command]
-    _load(row.module)
+    for module in row.modules:
+        _load(module)
     started = time.perf_counter()
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:

@@ -14,10 +14,9 @@ those classes.  `satisfies_generalized_backdoor` implements the earlier,
 sufficient-only back-door style criterion for comparison.
 """
 
-from __future__ import annotations
-
 import itertools
 
+from . import paths  # deferred: runs on the first Cond2 search
 from .errors import NotDirectedEdgeError
 from .graphs import (
     Graph,
@@ -31,7 +30,6 @@ from .graphs import (
     _Record,
     _set,
 )
-from .paths import _open_path
 
 
 class AdjustmentQuery(_Record):
@@ -232,7 +230,7 @@ def satisfies_gac(query: AdjustmentQuery) -> AdjustmentVerdict:
     bad = _bits(g, z) & _forbidden_set(g, x, reach)
     if bad:
         return AdjustmentVerdict(False, "Cond1", _first(g, bad))
-    open_path = _open_path(g, x, y, z, _proper_backdoor_exemption(g, x, reach))
+    open_path = paths._open_path(g, x, y, z, _proper_backdoor_exemption(g, x, reach))
     if open_path is not None:
         return AdjustmentVerdict(False, "Cond2", open_path)
     return AdjustmentVerdict(True)
@@ -255,7 +253,7 @@ def satisfies_generalized_backdoor(g: Graph, x, y, z) -> AdjustmentVerdict:
     for x_node in g.sort_nodes(x):
         cond = z | (x - {x_node})
         exempt = {x_node: _visible_tails(g, index[x_node])}
-        open_path = _open_path(g, frozenset([x_node]), y, cond, exempt)
+        open_path = paths._open_path(g, frozenset([x_node]), y, cond, exempt)
         if open_path is not None:
             return AdjustmentVerdict(False, "Cond2", open_path)
     return AdjustmentVerdict(True)
@@ -285,7 +283,7 @@ def list_adjustment_sets(g: Graph, x, y, *, minimal_only=False, max_size=None):
     for size in range(limit + 1):
         for combo in itertools.combinations(candidates, size):
             z = frozenset(combo)
-            if _open_path(g, x, y, z, exempt) is None:
+            if paths._open_path(g, x, y, z, exempt) is None:
                 passing.append(z)
     if minimal_only:
         passing = [z for z in passing if not any(other < z for other in passing)]

@@ -1,10 +1,19 @@
-"""The graph kernel: the search tables, the closures, the cycle finders
-and the class checks over `covadjust.model.Graph`.
+"""The graph kernel: edges and their entry into a graph, the .cg writer,
+the search tables, the closures, the cycle finders and the class checks
+over `covadjust.model.Graph`.
 
 This module is deferred: ``import covadjust`` registers it, and its code
-runs on first use, such as a graph's first table or a closure.  It
-re-exports the model's names (`Graph`, `Edge`, `Mark`, `GraphClass`), so
-``covadjust.graphs.Graph`` is ``covadjust.model.Graph``.
+runs on first use, such as building a graph from edges, reading its
+`edges`, writing it as .cg text, its first table or a closure.  It holds
+the `Edge` record and re-exports the model's names (`Graph`, `Mark`,
+`GraphClass`), so ``covadjust.graphs.Graph`` is ``covadjust.model.Graph``.
+
+Edge entry checks ``(a, b, mark_a, mark_b)`` rows into the mark table
+(`_enter`): ``Graph(...)`` enters the rows of its `Edge` set, and
+`Graph._from_rows` takes rows as they are.  The parser writes its marks
+into the table itself and calls `Graph._from_rows` only to report a
+faulty edge.  The writer (`serialize_graph`) reads the edges back out of
+the table.
 
 Every search reads the mark table `Graph._marks`.  The closures (the
 ancestors, descendants and their possible forms) run on one more table,
@@ -30,16 +39,199 @@ store one value twice, and equality, hashing and pickling read only the
 class, the nodes and the edges, never a table.
 """
 
-from __future__ import annotations
-
+from .cgtext import _CLASS_OPS, GraphDocument, Query
 from .errors import (
     AlmostDirectedCycleError,
     ClassMismatchError,
     DirectedCycleError,
+    DuplicateEdgeError,
     EmptyXOrYError,
+    MarkNotAllowedError,
     SetsNotDisjointError,
+    UnknownNodeError,
 )
-from .model import _ALLOWED_MARKS, Edge, Graph, GraphClass, Mark, _Record, _set  # noqa: F401
+from .model import _ALLOWED_MARKS, Graph, GraphClass, Mark, Node, _Record, _set  # noqa: F401
+
+
+class Edge(_Record):
+    """One edge with a mark at each endpoint.
+
+    Endpoints are stored in lexicographic order so that the same edge
+    written in either direction compares equal.
+    """
+
+    __slots__ = _fields = ("a", "b", "mark_a", "mark_b")
+
+    def __init__(self, a: Node, b: Node, mark_a: Mark, mark_b: Mark):
+        if a == b:
+            raise MarkNotAllowedError(f"self loop at {a}")
+        if a > b:
+            a, b, mark_a, mark_b = b, a, mark_b, mark_a
+        _set(self, "a", a)
+        _set(self, "b", b)
+        _set(self, "mark_a", mark_a)
+        _set(self, "mark_b", mark_b)
+
+    # Written out rather than inherited: every graph hashes its edges into
+    # its edge set, and plain attribute reads beat the generic getter.
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.a, self.b, self.mark_a, self.mark_b) == (
+                other.a, other.b, other.mark_a, other.mark_b)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash((self.a, self.b, self.mark_a, self.mark_b))
+
+    @staticmethod
+    def directed(tail: Node, head: Node) -> "Edge":
+        """tail -> head"""
+        return Edge(tail, head, Mark.TAIL, Mark.ARROW)
+
+    @staticmethod
+    def bidirected(a: Node, b: Node) -> "Edge":
+        """a <-> b"""
+        return Edge(a, b, Mark.ARROW, Mark.ARROW)
+
+    @staticmethod
+    def undirected(a: Node, b: Node) -> "Edge":
+        """a o-o b (also the storage for CPDAG undirected edges)"""
+        return Edge(a, b, Mark.CIRCLE, Mark.CIRCLE)
+
+    @staticmethod
+    def partial(circle: Node, head: Node) -> "Edge":
+        """circle o-> head"""
+        return Edge(circle, head, Mark.CIRCLE, Mark.ARROW)
+
+    def mark_at(self, node: Node) -> Mark:
+        if node == self.a:
+            return self.mark_a
+        if node == self.b:
+            return self.mark_b
+        raise UnknownNodeError(f"{node} is not an endpoint of {self.a}-{self.b}")
+
+    def other(self, node: Node) -> Node:
+        return self.b if node == self.a else self.a
+
+    def is_directed(self) -> bool:
+        ma, mb = self.mark_a, self.mark_b
+        return (ma is Mark.TAIL and mb is Mark.ARROW) or (ma is Mark.ARROW and mb is Mark.TAIL)
+
+    def is_bidirected(self) -> bool:
+        return self.mark_a is Mark.ARROW and self.mark_b is Mark.ARROW
+
+    def tail_node(self) -> Node:
+        """Source of a directed edge."""
+        if not self.is_directed():
+            raise MarkNotAllowedError(f"{self} is not a directed edge")
+        return self.a if self.mark_a is Mark.TAIL else self.b
+
+
+def _enter_edges(g: Graph, graph_class: GraphClass, nodes, edges) -> None:
+    """``Graph(graph_class, nodes, edges)``: enter the rows of the edge set
+    and keep the set as the graph's `edges`."""
+    edges = frozenset(edges)
+    _enter(g, graph_class, tuple(nodes), [*map(Edge._values, edges)])
+    _set(g, "edges", edges)
+
+
+def _enter(g: Graph, graph_class: GraphClass, nodes: tuple, rows: list) -> None:
+    """Check the rows and store the class, the nodes and the mark table."""
+    # `_marks[v][w]` is the mark at `v` of the edge v-w.  Since
+    # tail-tail and tail-circle edges are rejected, a tail at `v` means
+    # the edge is v -> w.
+    marks = {n: {} for n in nodes}
+    if len(marks) != len(nodes):
+        dup = sorted({n for n in nodes if nodes.count(n) > 1})
+        raise DuplicateEdgeError(f"duplicate node declaration: {', '.join(dup)}")
+    try:
+        _fill_marks(marks, rows, graph_class)
+    except (UnknownNodeError, DuplicateEdgeError, MarkNotAllowedError):
+        # the rows come in set or text order: report the first fault in name order
+        by_name = sorted(((a, b, ma, mb) if a < b else (b, a, mb, ma) for a, b, ma, mb in rows),
+                         key=lambda r: (r[0], r[1], r[2].value, r[3].value))
+        _fill_marks({n: {} for n in nodes}, by_name, graph_class)
+        raise
+    _set(g, "graph_class", graph_class)
+    _set(g, "nodes", nodes)
+    _set(g, "_marks", marks)
+
+
+def _fill_marks(marks: dict, rows, graph_class: GraphClass) -> None:
+    """Enter each ``(a, b, mark_a, mark_b)`` row in `marks`; a row the
+    table already holds is skipped.  Raises on the first faulty row."""
+    allowed = _ALLOWED_MARKS[graph_class]
+    for a, b, ma, mb in rows:
+        row_a = marks.get(a)
+        row_b = marks.get(b)
+        if row_a is None or row_b is None:
+            raise UnknownNodeError(f"edge endpoint not declared: {a}-{b}")
+        held = row_a.get(b)
+        if held is not None:
+            if held is ma and row_b[a] is mb:
+                continue
+            raise DuplicateEdgeError(f"more than one edge between {a} and {b}")
+        if (ma, mb) not in allowed:
+            raise MarkNotAllowedError(
+                f"edge {a} {_edge_glyph(ma, mb)} {b} not allowed in a {graph_class.value}"
+            )
+        row_a[b] = ma
+        row_b[a] = mb
+
+
+def _edge_glyph(mark_a: Mark, mark_b: Mark) -> str:
+    left = {Mark.TAIL: "-", Mark.ARROW: "<", Mark.CIRCLE: "o"}[mark_a]
+    right = {Mark.TAIL: "-", Mark.ARROW: ">", Mark.CIRCLE: "o"}[mark_b]
+    return f"{left}-{right}"
+
+
+def _edges(g: Graph) -> frozenset:
+    """`Graph.edges` of a graph that holds only its mark table."""
+    marks = g._marks
+    return frozenset(Edge(a, b, m, marks[b][a])
+                     for a, row in marks.items() for b, m in row.items() if a < b)
+
+
+def _edge_between(g: Graph, a: Node, b: Node):
+    """`Graph.edge_between`: the pair is looked up once; only a pair
+    without an edge pays for checking that both are nodes."""
+    mark = g._marks.get(a, {}).get(b)
+    if mark is None:
+        g._require(a, b)
+        return None
+    return Edge(a, b, mark, g._marks[b][a])
+
+
+def _edge_statements(g: Graph) -> list:
+    """The statement of each edge, edges ordered by the declaration
+    positions of their name-ordered endpoints."""
+    idx = g.node_index
+    ops = {marks: op for op, marks in _CLASS_OPS[g.graph_class].items()}  # CPDAG: o-o is --
+    statements = []
+    for e in sorted(g.edges, key=lambda e: (idx[e.a], idx[e.b])):
+        p, q, mp, mq = e.a, e.b, e.mark_a, e.mark_b
+        if idx[p] > idx[q]:
+            p, q, mp, mq = q, p, mq, mp
+        if mp is Mark.ARROW and mq is not Mark.ARROW:  # -> not <-, o-> not <-o
+            p, q, mp, mq = q, p, mq, mp
+        statements.append(f"{p} {ops[mp, mq]} {q}")
+    return statements
+
+
+def serialize_graph(g: Graph, query: Query | None = None) -> str:
+    """Canonical text form; `parse_document` of the result is the identity
+    on (class, node order, edges, query)."""
+    lines = [f"graph {g.graph_class.value} {{", *(f"  {n}" for n in g.nodes),
+             *(f"  {statement}" for statement in _edge_statements(g)), "}"]
+    if query is not None:
+        parts = [f"{key} = {', '.join(val)}"
+                 for key, val in (("X", query.x), ("Y", query.y), ("Z", query.z)) if val is not None]
+        lines.append(f"query {{ {'; '.join(parts)} }}")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_document(doc: GraphDocument) -> str:
+    return serialize_graph(doc.graph, doc.query)
 
 
 def _ordered_neighbors(g: Graph) -> dict:

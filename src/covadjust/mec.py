@@ -10,8 +10,6 @@ iff their m-separation fingerprints agree.  Latent projection takes one
 d-separation search per pair.
 """
 
-from __future__ import annotations
-
 import itertools
 
 from .errors import (

@@ -13,22 +13,24 @@ functions, so everything in this package is safe for concurrent reads.
 
 This module is the model alone: the marks, the classes, the records, and
 the graph's data, its mark table `Graph._marks` and the accessors that
-read it.  It is all that parsing and writing .cg text need, so it runs on
-``import covadjust``.  The tables the searches read (the step masks, the
-sinks-first order, the neighbour order, the visibility table) are built
-on first use by the deferred module `covadjust.graphs`, which also holds
-the closures, the cycle finders and the class checks.
+read it.  It is all that parsing .cg text needs, so it runs on ``import
+covadjust``.  Everything else runs on first use in the deferred module
+`covadjust.graphs`: the `Edge` record, the checks that enter edges into a
+graph (``Graph(...)``, `Graph._from_rows`), the edge set of a parsed
+graph, the .cg writer, the tables the searches read (the step masks, the
+sinks-first order, the neighbour order, the visibility table), the
+closures, the cycle finders and the class checks.  ``covadjust.model.Edge``
+still names the edge record, which pickles written when it lived here
+name.
 """
-
-from __future__ import annotations
 
 from collections.abc import Iterable
 from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 
-from . import graphs  # deferred (see `covadjust/__init__.py`): runs on a graph's first table
-from .errors import DuplicateEdgeError, MarkNotAllowedError, UnknownNodeError
+from . import graphs  # deferred (see `covadjust/__init__.py`): runs on first use
+from .errors import UnknownNodeError
 
 Node = str
 
@@ -115,80 +117,6 @@ class _Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
 
-class Edge(_Record):
-    """One edge with a mark at each endpoint.
-
-    Endpoints are stored in lexicographic order so that the same edge
-    written in either direction compares equal.
-    """
-
-    __slots__ = _fields = ("a", "b", "mark_a", "mark_b")
-
-    def __init__(self, a: Node, b: Node, mark_a: Mark, mark_b: Mark):
-        if a == b:
-            raise MarkNotAllowedError(f"self loop at {a}")
-        if a > b:
-            a, b, mark_a, mark_b = b, a, mark_b, mark_a
-        _set(self, "a", a)
-        _set(self, "b", b)
-        _set(self, "mark_a", mark_a)
-        _set(self, "mark_b", mark_b)
-
-    # Written out rather than inherited: every graph hashes its edges into
-    # its edge set, and plain attribute reads beat the generic getter.
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.a, self.b, self.mark_a, self.mark_b) == (
-                other.a, other.b, other.mark_a, other.mark_b)
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.a, self.b, self.mark_a, self.mark_b))
-
-    @staticmethod
-    def directed(tail: Node, head: Node) -> "Edge":
-        """tail -> head"""
-        return Edge(tail, head, Mark.TAIL, Mark.ARROW)
-
-    @staticmethod
-    def bidirected(a: Node, b: Node) -> "Edge":
-        """a <-> b"""
-        return Edge(a, b, Mark.ARROW, Mark.ARROW)
-
-    @staticmethod
-    def undirected(a: Node, b: Node) -> "Edge":
-        """a o-o b (also the storage for CPDAG undirected edges)"""
-        return Edge(a, b, Mark.CIRCLE, Mark.CIRCLE)
-
-    @staticmethod
-    def partial(circle: Node, head: Node) -> "Edge":
-        """circle o-> head"""
-        return Edge(circle, head, Mark.CIRCLE, Mark.ARROW)
-
-    def mark_at(self, node: Node) -> Mark:
-        if node == self.a:
-            return self.mark_a
-        if node == self.b:
-            return self.mark_b
-        raise UnknownNodeError(f"{node} is not an endpoint of {self.a}-{self.b}")
-
-    def other(self, node: Node) -> Node:
-        return self.b if node == self.a else self.a
-
-    def is_directed(self) -> bool:
-        ma, mb = self.mark_a, self.mark_b
-        return (ma is Mark.TAIL and mb is Mark.ARROW) or (ma is Mark.ARROW and mb is Mark.TAIL)
-
-    def is_bidirected(self) -> bool:
-        return self.mark_a is Mark.ARROW and self.mark_b is Mark.ARROW
-
-    def tail_node(self) -> Node:
-        """Source of a directed edge."""
-        if not self.is_directed():
-            raise MarkNotAllowedError(f"{self} is not a directed edge")
-        return self.a if self.mark_a is Mark.TAIL else self.b
-
-
 class Graph(_Record):
     """Immutable partial mixed graph with a class tag.
 
@@ -202,7 +130,9 @@ class Graph(_Record):
     set-valued output deterministically.  Every search reads the mark
     table `_marks`.  A graph built by ``Graph(graph_class, nodes, edges)``
     keeps the edge set it was given; one parsed from text holds only the
-    mark table, and its `edges` are derived from it on first use.
+    mark table, and its `edges` are derived from it on first use.  Edge
+    entry, the edge set and `edge_between` are one-line calls into
+    `covadjust.graphs`, which holds `Edge`.
     """
 
     _fields = ("graph_class", "nodes", "edges")
@@ -210,10 +140,7 @@ class Graph(_Record):
     __slots__ = ("graph_class", "nodes", "__dict__")
 
     def __init__(self, graph_class: GraphClass, nodes: tuple, edges: frozenset):
-        edges = frozenset(edges)
-        rows = [*map(Edge._values, edges)]  # (a, b, mark_a, mark_b) of each edge
-        self._enter(graph_class, tuple(nodes), rows)
-        _set(self, "edges", edges)
+        graphs._enter_edges(self, graph_class, nodes, edges)
 
     @classmethod
     def _from_rows(cls, graph_class: GraphClass, nodes: tuple, rows: list) -> "Graph":
@@ -221,35 +148,12 @@ class Graph(_Record):
         ``Graph(...)`` checks its edges; an identical repeated row counts
         once.  No `Edge` is built until `edges` is read."""
         g = cls.__new__(cls)
-        g._enter(graph_class, nodes, rows)
+        graphs._enter(g, graph_class, nodes, rows)
         return g
-
-    def _enter(self, graph_class: GraphClass, nodes: tuple, rows: list) -> None:
-        """Check the rows and store the class, the nodes and the mark table."""
-        # `_marks[v][w]` is the mark at `v` of the edge v-w.  Since
-        # tail-tail and tail-circle edges are rejected, a tail at `v` means
-        # the edge is v -> w.
-        marks = {n: {} for n in nodes}
-        if len(marks) != len(nodes):
-            dup = sorted({n for n in nodes if nodes.count(n) > 1})
-            raise DuplicateEdgeError(f"duplicate node declaration: {', '.join(dup)}")
-        try:
-            _fill_marks(marks, rows, graph_class)
-        except (UnknownNodeError, DuplicateEdgeError, MarkNotAllowedError):
-            # the rows come in set or text order: report the first fault in name order
-            by_name = sorted(((a, b, ma, mb) if a < b else (b, a, mb, ma) for a, b, ma, mb in rows),
-                             key=lambda r: (r[0], r[1], r[2].value, r[3].value))
-            _fill_marks({n: {} for n in nodes}, by_name, graph_class)
-            raise
-        _set(self, "graph_class", graph_class)
-        _set(self, "nodes", nodes)
-        _set(self, "_marks", marks)
 
     @cached_property
     def edges(self) -> frozenset:
-        marks = self._marks
-        return frozenset(Edge(a, b, m, marks[b][a])
-                         for a, row in marks.items() for b, m in row.items() if a < b)
+        return graphs._edges(self)
 
     @cached_property
     def node_index(self) -> dict:
@@ -288,11 +192,7 @@ class Graph(_Record):
 
     def edge_between(self, a: Node, b: Node):
         """The edge a-b, equal to the one in `edges`, or None."""
-        mark = self._marks.get(a, {}).get(b)
-        if mark is None:
-            self._require(a, b)
-            return None
-        return Edge(a, b, mark, self._marks[b][a])
+        return graphs._edge_between(self, a, b)
 
     def mark_at(self, near: Node, far: Node) -> Mark:
         """Mark at the `near` endpoint of the edge near-far."""
@@ -312,29 +212,7 @@ class Graph(_Record):
                 raise UnknownNodeError(f"unknown node: {n}")
 
 
-def _fill_marks(marks: dict, rows, graph_class: GraphClass) -> None:
-    """Enter each ``(a, b, mark_a, mark_b)`` row in `marks`; a row the
-    table already holds is skipped.  Raises on the first faulty row."""
-    allowed = _ALLOWED_MARKS[graph_class]
-    for a, b, ma, mb in rows:
-        row_a = marks.get(a)
-        row_b = marks.get(b)
-        if row_a is None or row_b is None:
-            raise UnknownNodeError(f"edge endpoint not declared: {a}-{b}")
-        held = row_a.get(b)
-        if held is not None:
-            if held is ma and row_b[a] is mb:
-                continue
-            raise DuplicateEdgeError(f"more than one edge between {a} and {b}")
-        if (ma, mb) not in allowed:
-            raise MarkNotAllowedError(
-                f"edge {a} {_edge_glyph(ma, mb)} {b} not allowed in a {graph_class.value}"
-            )
-        row_a[b] = ma
-        row_b[a] = mb
-
-
-def _edge_glyph(mark_a: Mark, mark_b: Mark) -> str:
-    left = {Mark.TAIL: "-", Mark.ARROW: "<", Mark.CIRCLE: "o"}[mark_a]
-    right = {Mark.TAIL: "-", Mark.ARROW: ">", Mark.CIRCLE: "o"}[mark_b]
-    return f"{left}-{right}"
+def __getattr__(name):  # `Edge`, which pickles written when it was defined here name
+    if name != "Edge":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return graphs.Edge

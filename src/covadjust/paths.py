@@ -25,8 +25,6 @@ checks it against exhaustive enumeration of definite status paths,
 classified and tested for blocking by `tests/oracles.py` alone.
 """
 
-from __future__ import annotations
-
 from collections import deque
 
 from .errors import NoPathWitnessError

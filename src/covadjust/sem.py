@@ -24,8 +24,6 @@ them, so importing the package (and every CLI command but `verify`)
 loads none of them.
 """
 
-from __future__ import annotations
-
 from itertools import chain
 
 from .criteria import find_amenability_violation

@@ -251,6 +251,77 @@ def test_one_command_parser_parses_and_reports_alike(capsys, command):
         assert seen[:2] == seen[2:], argv
 
 
+# Arguments the fast path must leave to argparse, mixed into exact flags
+# and plain values: abbreviations, attached values, help, "--", negative
+# numbers, a flag without its value, flags of other commands or of none
+NEAR_MISSES = ("--grap", "--graph=F.cg", "--min", "-XA", "-h", "--help", "--", "-3", "-1",
+               "--bogus", "-", "--max", "--seed=2", "-Y=B", "--trials", "--minimal", "-Z")
+VALUES = ("F.cg", "", "A,B", " A", "0", "1", "3", "x", "1e3", "\u0663", "list", "-0")
+
+
+def argparse_args(argv):
+    """`vars()` of the namespace of the parser `run_command` builds for
+    `argv`, or None if it exits."""
+    try:
+        return vars(cli._build_parser(argv[0] if argv else None).parse_args(argv))
+    except SystemExit:
+        return None
+
+
+def test_fast_arguments_are_argparse_arguments(capsys):
+    """Over generated argument lists, the fast path either declines or
+    gives the namespace argparse gives."""
+    rng = random.Random(24)
+    read = declined = 0
+    for command in [*cli.COMMANDS, "bogus"]:
+        row = cli.COMMANDS.get(command, cli.COMMANDS["verify"])
+        flags = [names[0] for names, _ in cli._flag_specs(row)]
+        for _ in range(120):
+            argv = [command] if rng.random() < 0.95 else []
+            for flag in rng.sample(flags, rng.randrange(len(flags) + 1)):
+                if rng.random() < 0.8:
+                    argv += [flag, rng.choice(VALUES)]
+                else:
+                    argv.append(rng.choice(NEAR_MISSES + VALUES))
+            if rng.random() < 0.6 and "--graph" not in argv:
+                argv[1:1] = ["--graph", "F.cg"]
+            fast = cli._fast_args(argv)
+            want = argparse_args(argv)
+            capsys.readouterr()
+            if fast is None:
+                declined += 1
+            else:
+                read += 1
+                assert vars(fast) == want, argv
+    assert read > 150 and declined > 300
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--grap", "F.cg"], ["check", "--graph=F.cg"], ["list", "--graph", "F.cg", "--min"],
+    ["check", "--graph", "F.cg", "-XA"], ["check", "--graph", "F.cg", "--graph", "G.cg"],
+    ["verify", "--graph", "F.cg", "--seed", "-3"], ["verify", "--graph", "F.cg", "--trials", "0"],
+    ["check", "--graph", "F.cg", "--"], ["check", "-h"], ["check"], ["bogus", "--graph", "F.cg"],
+    ["list", "--graph", "F.cg", "--minimal", "x"], [],
+])
+def test_fast_arguments_decline_what_argparse_reads_otherwise(argv):
+    assert cli._fast_args(argv) is None
+
+
+def test_plain_arguments_build_no_parser():
+    out = run_with_src(
+        "-c",
+        "import io, sys, contextlib\n"
+        "from covadjust import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [cli.run_command(['list', '--graph', 'corpus/fig1a.cg', '--minimal',"
+        " '--max-size', '2', '-X', 'X'])]\n"
+        "    loaded = ['argparse' in sys.modules, 'locale' in sys.modules]\n"
+        "    codes.append(cli.run_command(['list', '--graph=corpus/fig1a.cg']))\n"
+        "print(codes, loaded, 'argparse' in sys.modules)"
+    )
+    assert out.strip() == "[0, 0] [False, False] True"
+
+
 def test_negative_node_cap_is_a_usage_error(capsys):
     code, payload, err = run(capsys, "check", "--graph", corpus_path("fig1a"), "--max-nodes", "-1")
     assert code == 2 and payload is None
@@ -473,8 +544,9 @@ def test_check_command_does_not_load_numpy():
 
 
 @pytest.mark.parametrize("command, runs", [
-    *((cmd, {"graphs", "paths", "criteria"})
-      for cmd in ("amenable", "forbidden", "check", "backdoor", "list")),
+    # amenability and the forbidden set search no path: `paths` stays unrun
+    *((cmd, {"graphs", "criteria"}) for cmd in ("amenable", "forbidden")),
+    *((cmd, {"graphs", "paths", "criteria"}) for cmd in ("check", "backdoor", "list")),
     *((cmd, {"graphs", "paths", "mec"}) for cmd in ("validate", "mec", "project")),
     ("verify", set(DEFERRED)),
 ])

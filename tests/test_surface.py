@@ -69,18 +69,23 @@ def test_records_of_deferred_modules_pickle_into_a_fresh_process(tmp_path):
 
 
 def test_parsing_and_writing_run_only_the_model_and_the_parser():
-    # in a fresh process: every corpus figure parsed and written again
+    # in a fresh process: every corpus figure parsed, then written again;
+    # the writer reads `Edge`s, which live in `graphs`
     out = run_with_src(
         "-c",
         RUN_LOG + "import glob\n"
         "import covadjust\n"
+        "docs = []\n"
         "for path in sorted(glob.glob('corpus/*.cg')):\n"
         "    with open(path, encoding='utf-8') as fh:\n"
-        "        doc = covadjust.parse_document(fh.read())\n"
+        "        docs.append(covadjust.parse_document(fh.read()))\n"
+        "parsed = sorted(ran)\n"
+        "for doc in docs:\n"
         "    covadjust.serialize_graph(doc.graph, doc.query)\n"
-        "print(sorted(ran))"
+        "print(parsed, sorted(ran))"
     )
-    assert out.strip() == str(sorted(["__init__", "errors", "model", "cgtext"]))
+    model = sorted(["__init__", "errors", "model", "cgtext"])
+    assert out.strip() == f"{model} {sorted([*model, 'graphs'])}"
 
 
 # `(parse_graph("graph pag { A o-> B B <-> C C -> D D o-o E }"), Edge.partial("A", "B"),
@@ -102,6 +107,38 @@ def test_pickles_that_name_the_graphs_module_still_load():
     assert g == want and g.nodes == want.nodes and g._marks == want._marks
     assert edge == ca.Edge.partial("A", "B")
     assert mark is ca.Mark.CIRCLE and graph_class is ca.GraphClass.PAG
+
+
+# `(Graph(GraphClass.MAG, ("A", "B", "C", "D"), {Edge.directed("A", "B"),
+# Edge.bidirected("B", "C"), Edge.directed("D", "C")}), Edge.partial("A", "B"))`,
+# pickled when `Edge` was defined in `covadjust.model`, which the pickle names
+PICKLED_IN_MODEL = bytes.fromhex(
+    "800495ba000000000000008c0f636f7661646a7573742e6d6f64656c948c05477261706894939468008c0a47"
+    "72617068436c6173739493948c036d61679485945294288c0141948c0142948c0143948c0144947494286800"
+    "8c0445646765949394286808680968008c044d61726b9493948c012d948594529468108c013e948594529474"
+    "945294680e28680a680b6816681374945294680e286809680a6816681674945294919487945294680e286808"
+    "680968108c016f948594529468167494529486942e"
+)
+
+
+def test_pickles_that_name_the_model_edge_still_load():
+    g, edge = pickle.loads(PICKLED_IN_MODEL)
+    want = ca.Graph(ca.GraphClass.MAG, ("A", "B", "C", "D"),
+                    {ca.Edge.directed("A", "B"), ca.Edge.bidirected("B", "C"),
+                     ca.Edge.directed("D", "C")})
+    assert g == want and g.nodes == want.nodes and g._marks == want._marks
+    assert edge == ca.Edge.partial("A", "B") and type(edge) is ca.Edge
+    assert all(type(e) is ca.Edge for e in g.edges)
+
+
+def test_edge_and_the_writer_live_in_the_graphs_module():
+    from covadjust import cgtext, graphs, model
+    from covadjust.cgtext import serialize_graph
+
+    assert ca.Edge is graphs.Edge is model.Edge
+    assert ca.Edge.__module__ == "covadjust.graphs"
+    assert serialize_graph is cgtext.serialize_graph is ca.serialize_graph is graphs.serialize_graph
+    assert cgtext.serialize_document is ca.serialize_document is graphs.serialize_document
 
 
 def test_concurrent_first_use_runs_each_module_once():

@@ -57,6 +57,7 @@ import time
 import bench_parse
 
 ROOT = bench_parse.ROOT
+RUNS = 5
 
 
 def _queries(ca, g, rng):
@@ -71,13 +72,13 @@ def _queries(ca, g, rng):
 
 
 def _time(fn, make_args, reps):
-    """Per call: the median of `bench_parse.RUNS` runs, each calling `fn`
+    """Per call: the median of `RUNS` runs, each calling `fn`
     on the `reps` arguments `make_args(reps)` builds untimed before it and
     scaled to the reference machine speed."""
     import calib
 
     runs = []
-    for _ in range(bench_parse.RUNS):
+    for _ in range(RUNS):
         args = make_args(reps)
         before = calib.probe()
         t0 = time.perf_counter()

@@ -15,8 +15,9 @@ comment at the end of every line (`comments`), and with the spaces
 around the edge operators dropped where that keeps the tokens, as in
 `A->B` and `A o->B` (`unspaced`).  The first two are cut into tokens by
 whitespace, the third by the parser's regular expression.  A form's
-time is five runs, each parsing the text `max(1, 4096 // n)` times, and
-the median run divided by that count is the row's time per parse.
+time is the fastest of `ROUNDS` runs, each parsing the text
+`max(1, 4096 // n)` times, divided by that count: on a shared machine
+the minimum is the run least disturbed by other work.
 
 The script also times the benchmark's set-up: a fresh process imports
 `covadjust` and parses every input of the `cli-corpus` workload (the
@@ -32,9 +33,10 @@ process) and `setup_modules`, beside the parse rows.
 `--src` names the source directory the `covadjust` package is imported
 from, so one checkout can time another.  `--versus OTHER=SRC` loads a
 second `covadjust` package from the source directory SRC into the same
-process and times both packages on every row, back to back, the first
-package first on even rows and second on odd rows, so the machine's
-drift between runs minutes apart stays out of the comparison; the rows
+process and times both packages on every row, round by round, the
+first package first in even rounds and second in odd ones (starting
+with the other package on odd rows), so the machine's drift between
+runs minutes apart stays out of the comparison; the rows
 of the second package go under the label OTHER.  The inputs are always
 drawn with the package of `--src`.  The result goes under the label
 into the JSON file given by `--out` (default `BENCH_parse.json`), beside
@@ -60,7 +62,7 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SIZES = (8, 16, 32, 64, 128, 256, 512)
 CLASSES = ("dag", "cpdag", "mag", "pag")
-RUNS = 5
+ROUNDS = 12
 SETUP_RUNS = 15
 
 # Defines `log`, an audit hook that adds to `ran` the name of each
@@ -131,13 +133,11 @@ def _forms(text):
 
 
 def _time(parse, text, reps):
-    runs = []
-    for _ in range(RUNS):
-        t0 = time.perf_counter()
-        for _ in range(reps):
-            parse(text)
-        runs.append(time.perf_counter() - t0)
-    return statistics.median(runs) / reps
+    """Seconds per parse of one run of `reps` parses."""
+    t0 = time.perf_counter()
+    for _ in range(reps):
+        parse(text)
+    return (time.perf_counter() - t0) / reps
 
 
 def _setup(src, mode, files):
@@ -211,8 +211,7 @@ def main(argv=None):
     rows = {label: [] for label, _, _ in sides}
     plain = {}  # label -> the graph of the row's plain form
     for k, (cls, n, form, text) in enumerate(texts):
-        times = []
-        for label, ca, modules in sides if k % 2 == 0 else sides[::-1]:
+        for label, ca, modules in sides:
             _use(modules)
             graph = ca.parse_graph(text)
             if form == "plain":
@@ -220,17 +219,24 @@ def main(argv=None):
             elif graph != plain[label] or graph._marks != plain[label]._marks:
                 raise SystemExit(f"the {form} form of {cls} n={n} parses to another graph")
             edges = sum(map(len, graph._marks.values())) // 2
-            us = _time(ca.parse_document, text, max(1, 4096 // n)) * 1e6
+        best = {}
+        for r in range(ROUNDS):
+            for label, ca, modules in sides if (k + r) % 2 == 0 else sides[::-1]:
+                _use(modules)
+                seconds = _time(ca.parse_document, text, max(1, 4096 // n))
+                best[label] = min(best.get(label, seconds), seconds)
+        for label, _, _ in sides:
             rows[label].append({"class": cls, "n": n, "form": form, "edges": edges,
-                                "bytes": len(text), "us_per_parse": round(us, 1)})
-            times.append(f"{label} {us:9.1f} us")
-        print(f"{cls:5} n={n:3} {form:8} edges={edges:4} {'  '.join(times)}", flush=True)
+                                "bytes": len(text), "us_per_parse": round(best[label] * 1e6, 1)})
+        times = "  ".join(f"{label} {best[label] * 1e6:9.1f} us" for label, _, _ in sides)
+        print(f"{cls:5} n={n:3} {form:8} edges={edges:4} {times}", flush=True)
     for label, _, _ in sides:
         others = [other for other, _, _ in sides if other != label]
         record(args.out, label, [(cls, n, text) for cls, n, _, text in texts], rows[label],
-               "parse_document time per parse (median of 5 runs) of each text as written, "
-               "with a comment on every line and with unspaced operators (an interleaved "
-               "run alternates two source trees per row), and in setup_rows the time of "
+               f"parse_document time per parse (fastest of {ROUNDS} runs) of each text as "
+               "written, with a comment on every line and with unspaced operators (an "
+               "interleaved run alternates two source trees round by round), and in "
+               "setup_rows the time of "
                "fresh processes that import covadjust and parse every cli-corpus input, "
                "written by tools/bench_parse.py",
                mode={"interleaved_with": others[0] if others else None},

@@ -14,7 +14,11 @@ The lists are the benchmark's `cli-corpus` round
 `project` on the benchmark's DAGs and the fail-closed probes), then, for
 each command, its `--help`, a run without `--graph`, an unrecognised
 flag, a missing file, `--max-nodes 3`, `-X ""` and `-Z ""`; and also
-`--help`, no command, an unknown command and `verify -Y Y,A`.
+`--help`, no command, an unknown command and `verify -Y Y,A`.  Last come
+lists that the command line's fast path leaves to argparse: an
+abbreviated flag (`--grap`, `--min`), `--graph=FILE`, an attached value
+(`-XA`), a repeated `--graph`, a negative value (`--seed -3`), a value
+out of range (`--trials 0`), `--` and `-h`.
 """
 
 from __future__ import annotations
@@ -50,6 +54,11 @@ def argument_lists() -> list:
                   [*graph, "-X", ""], [*graph, "-Z", ""]]
     lists += [["--help"], [], ["bogus", "--graph", FIGURE],
               ["verify", "--graph", FIGURE, "-Y", "Y,A"]]
+    check = ["check", "--graph", FIGURE]
+    lists += [["check", "--grap", FIGURE], ["check", f"--graph={FIGURE}"],
+              ["list", "--graph", FIGURE, "--min"], [*check, "-XA"], [*check, "--graph", FIGURE],
+              ["verify", "--graph", FIGURE, "--seed", "-3", "--trials", "2"],
+              ["verify", "--graph", FIGURE, "--trials", "0"], [*check, "--"], [*check, "-h"]]
     return lists
 
 
