@@ -281,9 +281,7 @@ def _parse_query(tokens: list, i: int) -> tuple:
 
 
 def __getattr__(name):
-    # `_TOKEN_RE`, compiled, and the writer, which runs in `graphs` beside `Edge`
-    if name == "_TOKEN_RE":
-        return re.compile(_TOKEN)
+    # the writer, which runs in `graphs` beside `Edge`
     if name in ("serialize_graph", "serialize_document"):
         return getattr(graphs, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

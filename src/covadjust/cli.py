@@ -5,9 +5,11 @@ stderr.  Exit codes: 0 success / criterion satisfied, 1 criterion not
 satisfied, 2 usage or parse error (including violated preconditions),
 3 enumeration cap exceeded.
 
-A row of `COMMANDS` defines a command: its help text, the deferred modules
-it runs, the sets it reads, whether the default node cap guards it, its
-own flags and its handler.  `run_command` takes every step from the row.
+A row of `COMMANDS` defines a command: its help text, the sets it reads,
+whether the default node cap guards it, its own flags and its handler.
+`run_command` takes every step from the row.  `elapsed_ms` runs from
+reading the graph file to the result, so it includes the first run of
+each deferred module (`covadjust/__init__.py`) the command reads.
 
 argparse is imported and a parser built only when the arguments need
 one.  `_fast_args` reads the plain form, the command and then exact
@@ -25,7 +27,7 @@ import time
 import types
 from collections import namedtuple
 
-from . import _load, cgtext, criteria, graphs, mec, paths, sem
+from . import cgtext, criteria, graphs, mec, sem
 from .errors import GraphError, NotAmenableError, SizeCapExceededError
 from .model import GraphClass
 
@@ -157,34 +159,30 @@ def _verify(g, args, x, y, z):
     return result, None, 0 if sound else 1
 
 
-# help: its help text; modules: the deferred modules it runs, loaded before
-# the clock starts; sets: "", "XY" or "XYZ", read from -X/-Y/-Z or else the
-# query block; capped: whether the default node cap guards it (its work
+# help: its help text; sets: "", "XY" or "XYZ", read from -X/-Y/-Z or else
+# the query block; capped: whether the default node cap guards it (its work
 # can grow exponentially with the graph; the decisions run in polynomial
 # time); flags: its own `add_argument` specs; run: its handler.
-_Command = namedtuple("_Command", "help modules sets capped flags run")
+_Command = namedtuple("_Command", "help sets capped flags run")
 
 COMMANDS = {
-    "validate": _Command("check the class invariants of the graph", (mec,), "", True, (),
-                         _validate),
-    "amenable": _Command("is the graph adjustment amenable for (X, Y)?", (criteria,), "XY",
-                         False, (), _amenable),
-    "forbidden": _Command("nodes that no adjustment set for (X, Y) may contain", (criteria,),
-                          "XY", False, (), _forbidden),
-    "check": _Command("does Z satisfy the generalized adjustment criterion?", (criteria, paths),
-                      "XYZ", False, (), _check),
-    "backdoor": _Command("does Z satisfy the generalized back-door criterion?", (criteria, paths),
-                         "XYZ", False, (), _backdoor),
-    "list": _Command("enumerate all sets satisfying the criterion", (criteria, paths), "XY", True,
+    "validate": _Command("check the class invariants of the graph", "", True, (), _validate),
+    "amenable": _Command("is the graph adjustment amenable for (X, Y)?", "XY", False, (),
+                         _amenable),
+    "forbidden": _Command("nodes that no adjustment set for (X, Y) may contain", "XY", False, (),
+                          _forbidden),
+    "check": _Command("does Z satisfy the generalized adjustment criterion?", "XYZ", False, (),
+                      _check),
+    "backdoor": _Command("does Z satisfy the generalized back-door criterion?", "XYZ", False, (),
+                         _backdoor),
+    "list": _Command("enumerate all sets satisfying the criterion", "XY", True,
                      (_flag("--minimal", action="store_true", help="inclusion-minimal sets only"),
                       _flag("--max-size", type=_int_at_least(0), default=None, metavar="K")),
                      _list),
-    "mec": _Command("enumerate the Markov equivalence class members", (mec,), "", True, (),
-                    _mec),
-    "project": _Command("latent-project a DAG onto the observed nodes", (mec,), "", False,
+    "mec": _Command("enumerate the Markov equivalence class members", "", True, (), _mec),
+    "project": _Command("latent-project a DAG onto the observed nodes", "", False,
                         (_flag("--observed", default=None, metavar="A,B,C"),), _project),
-    "verify": _Command("compare adjusted estimates with true effects on random SEMs", (sem,),
-                       "XYZ", True,
+    "verify": _Command("compare adjusted estimates with true effects on random SEMs", "XYZ", True,
                        (_flag("--trials", type=_int_at_least(1), default=20, metavar="N"),
                         _flag("--seed", type=int, default=0, metavar="N")), _verify),
 }
@@ -201,22 +199,16 @@ def _flag_specs(row):
     yield from row.flags
 
 
-def _build_parser(command=None):
-    """The parser of every command, or, for a known `command`, of that
-    command alone, which parses and reports its arguments the same way."""
+def _build_parser():
+    """The parser of every command."""
     import argparse
 
     parser = argparse.ArgumentParser(
         prog="covadjust",
         description="Adjustment set decisions in DAGs, CPDAGs, MAGs and PAGs.",
     )
-    names = [command] if command in COMMANDS else list(COMMANDS)
-    # with one command, the metavar keeps them all in the usage line of a
-    # top-level error ("unrecognized arguments")
-    metavar = "{" + ",".join(COMMANDS) + "}" if len(names) == 1 else None
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name in names:
-        row = COMMANDS[name]
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, row in COMMANDS.items():
         p = sub.add_parser(name, help=row.help)
         for flag, options in _flag_specs(row):
             p.add_argument(*flag, **options)
@@ -230,7 +222,7 @@ _FAST_ACTIONS = {"store": None, "store_true": False}  # action -> its default de
 
 
 def _fast_args(argv):
-    """The namespace ``_build_parser(argv[0]).parse_args(argv)`` gives, read
+    """The namespace ``_build_parser().parse_args(argv)`` gives, read
     without argparse, or None where argparse must read `argv`.
 
     Read are a command and then flags of its specs, each written out in
@@ -302,13 +294,11 @@ def run_command(argv) -> int:
     args = _fast_args(argv)
     if args is None:
         try:
-            args = _build_parser(argv[0] if argv else None).parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     command = args.command
     row = COMMANDS[command]
-    for module in row.modules:
-        _load(module)
     started = time.perf_counter()
     try:
         with open(args.graph, "r", encoding="utf-8") as fh:

@@ -264,7 +264,9 @@ def list_adjustment_sets(g: Graph, x, y, *, minimal_only=False, max_size=None):
 
     Candidates exclude X, Y and the forbidden set (anything else fails
     condition (1) outright).  With `minimal_only`, keeps only sets no
-    proper subset of which also satisfies the criterion.  Returns an
+    proper subset of which also satisfies the criterion: since every
+    proper subset comes earlier, a candidate holding a set already kept
+    is skipped unsearched, and one that passes is minimal.  Returns an
     empty list when the graph is not amenable: no adjustment set exists.
     Raises `ValueError` for a negative `max_size`, which no set meets.
     """
@@ -283,8 +285,8 @@ def list_adjustment_sets(g: Graph, x, y, *, minimal_only=False, max_size=None):
     for size in range(limit + 1):
         for combo in itertools.combinations(candidates, size):
             z = frozenset(combo)
+            if minimal_only and any(kept <= z for kept in passing):
+                continue
             if paths._open_path(g, x, y, z, exempt) is None:
                 passing.append(z)
-    if minimal_only:
-        passing = [z for z in passing if not any(other < z for other in passing)]
     return passing

@@ -32,13 +32,14 @@ the nodes it leaves out.
 
 A MAG's or PAG's visibility table `Graph._visible_tails` holds, per
 node, None until the node is first asked about, then the mask of the
-heads of its visible out-edges.  Each table is built here by the
-function of its name and kept on the graph as a
+heads of its visible out-edges.  The other tables are built here by the
+function of their name.  Each is kept on the graph as a
 `functools.cached_property`: concurrent readers at worst compute and
 store one value twice, and equality, hashing and pickling read only the
 class, the nodes and the edges, never a table.
 """
 
+from . import mec, paths  # deferred: the class checks of CPDAGs, PAGs and MAGs
 from .cgtext import _CLASS_OPS, GraphDocument, Query
 from .errors import (
     AlmostDirectedCycleError,
@@ -298,13 +299,6 @@ def _sinks_first(g: Graph) -> list:
     return order
 
 
-def _visible_tails(g: Graph) -> list:
-    """The visibility table of a MAG or PAG, read and filled by
-    `criteria._visible_tails`: per node position, None until asked, then
-    the mask of the heads of the visible edges out of that node."""
-    return [None] * len(g.nodes)
-
-
 def _as_set(g: Graph, nodes) -> frozenset:
     """`nodes`, one name or an iterable of names, as a node set.
 
@@ -521,12 +515,8 @@ def validate_graph(g: Graph) -> None:
             raise DirectedCycleError(cycle)
     elif g.graph_class is GraphClass.MAG:
         validate_ancestral(g)
-        from .paths import require_maximal
-
-        require_maximal(g)
+        paths.require_maximal(g)
     else:
-        from . import mec
-
         mec._class_of(g)
 
 

@@ -18,10 +18,9 @@ covadjust``.  Everything else runs on first use in the deferred module
 `covadjust.graphs`: the `Edge` record, the checks that enter edges into a
 graph (``Graph(...)``, `Graph._from_rows`), the edge set of a parsed
 graph, the .cg writer, the tables the searches read (the step masks, the
-sinks-first order, the neighbour order, the visibility table), the
-closures, the cycle finders and the class checks.  ``covadjust.model.Edge``
-still names the edge record, which pickles written when it lived here
-name.
+sinks-first order, the neighbour order), the closures, the cycle finders
+and the class checks.  ``covadjust.model.Edge`` still names the edge
+record, which pickles written when it lived here name.
 """
 
 from collections.abc import Iterable
@@ -159,7 +158,8 @@ class Graph(_Record):
     def node_index(self) -> dict:
         return {n: i for i, n in enumerate(self.nodes)}
 
-    # The tables of the searches, each built by its namesake in `graphs`.
+    # The tables of the searches, each but the last built by its namesake
+    # in `graphs`.
 
     @cached_property
     def _ordered_neighbors(self) -> dict:
@@ -175,7 +175,10 @@ class Graph(_Record):
 
     @cached_property
     def _visible_tails(self) -> list:
-        return graphs._visible_tails(self)
+        """The visibility table of a MAG or PAG, read and filled by
+        `criteria._visible_tails`: per node position, None until asked,
+        then the mask of the heads of the visible edges out of that node."""
+        return [None] * len(self.nodes)
 
     def neighbors(self, node: Node) -> frozenset:
         self._require(node)

@@ -27,7 +27,7 @@ classified and tested for blocking by `tests/oracles.py` alone.
 
 from collections import deque
 
-from .errors import NoPathWitnessError
+from .errors import NoPathWitnessError, NotMaximalError
 from .graphs import Graph, Mark, _bits, _disjoint_sets, _nodes, _reach_bits
 
 
@@ -112,7 +112,13 @@ def _rebuild(parent, state) -> tuple:
 
 
 def m_connected(g: Graph, x, y, z=()) -> bool:
-    """Whether some definite status path between `x` and `y` is open given `z`."""
+    """Whether some definite status path between `x` and `y` is open given `z`.
+
+    Decided by the shortest open walk (`_open_walk`), which is exact on a
+    graph that holds the invariants of its declared class.  On a graph
+    that does not, it can report a connection that no definite status
+    path gives.  `find_open_definite_path` returns a path as a witness.
+    """
     x, y, z = _disjoint_sets(g, x, y, z)
     return _open_walk(g, x, y, z) is not None
 
@@ -164,8 +170,6 @@ def require_maximal(g: Graph) -> None:
     Pairs are tried in node order, so the first inseparable pair raised is
     the one a search of every pair meets first.
     """
-    from .errors import NotMaximalError
-
     steps = g._steps
     into = steps["into"]  # bit j of into[i]: the edge i-j has an arrowhead at i
     spouses = [heads & ~parents for heads, parents in zip(into, steps[True, True])]

@@ -18,12 +18,12 @@ and no sampling noise anywhere.
 
 The integer algebra lives in `covadjust._exact`; its path sums fill in
 from the sinks up, in the order the graph gives (`Graph._sinks_first`),
-so a graph with a directed cycle is refused whatever its weights.  It,
-`fractions` and `random` are imported inside the functions that need
-them, so importing the package (and every CLI command but `verify`)
-loads none of them.
+so a graph with a directed cycle is refused whatever its weights.  It
+and `fractions` are imported inside the functions that need them, so
+running this module (to unpickle a `LinearSEM`, say) loads neither.
 """
 
+import random
 from itertools import chain
 
 from .criteria import find_amenability_violation
@@ -121,13 +121,14 @@ def random_sem(dag: Graph, seed) -> LinearSEM:
     """
     if dag.graph_class is not GraphClass.DAG:
         raise ClassMismatchError("random_sem needs a DAG")
-    import random
-
     rng = random.Random(seed)
-    index, marks = dag.node_index, dag._marks
     n = len(dag.nodes)
-    edges = [(i, index[w]) for i, v in enumerate(dag.nodes)
-             for w in dag._ordered_neighbors[v] if marks[v][w] is Mark.TAIL]
+    edges = []
+    for i, kids in enumerate(dag._steps[True, False]):
+        while kids:  # lowest bit first: children in declaration order
+            low = kids & -kids
+            kids ^= low
+            edges.append((i, low.bit_length() - 1))
     coeffs = [[0] * n for _ in range(n)]
     for (i, j), b in zip(edges, rng.choices(WEIGHTS, k=len(edges))):
         coeffs[i][j] = b

@@ -604,6 +604,13 @@ def satisfies_ac(g, x, y, z):
     return AdjustmentVerdict(True) if path is None else AdjustmentVerdict(False, "Cond2", path)
 
 
+def minimal_sets(sets):
+    """The sets of `sets` with no proper subset in `sets`, in their order:
+    the pairwise filter that `list_adjustment_sets(minimal_only=True)`
+    replaced."""
+    return [z for z in sets if not any(other < z for other in sets)]
+
+
 def directed_cycle(g):
     """A directed cycle as a node list, or None: the first back edge of a
     depth-first search that takes roots and children in declaration order."""

@@ -2,6 +2,7 @@ import collections
 import copy
 import pickle
 import random
+import re
 
 import pytest
 
@@ -425,8 +426,8 @@ FUZZ_WEIGHTS = [6] * len(FUZZ_TOKENS) + [10] * len(FUZZ_SPACES) + [1] * len(FUZZ
 
 
 def _regex_tokens(text):
-    """`_TOKEN_RE.findall(text)` up to and with its first empty text."""
-    tokens = cgtext._TOKEN_RE.findall(text)
+    """`re.findall(_TOKEN, text)` up to and with its first empty text."""
+    tokens = re.findall(cgtext._TOKEN, text)
     return tokens[:tokens.index("") + 1]
 
 
@@ -473,7 +474,7 @@ def _two_pass(text):
     """The graph of a valid `text` by two passes: its edge rows in text
     order, then `Graph._from_rows` over its names in order of first
     mention, each name the object of its first mention."""
-    tokens = cgtext._TOKEN_RE.findall(text)
+    tokens = re.findall(cgtext._TOKEN, text)
     names, rows = {}, []
     i = 3
     while tokens[i] != "}":

@@ -238,17 +238,36 @@ def test_list_rejects_negative_max_size(capsys):
 
 @pytest.mark.parametrize("command", list(cli.COMMANDS))
 def test_one_command_parser_parses_and_reports_alike(capsys, command):
+    """Through `run_command`, the one parser reads each command's plain
+    arguments and reports its help and errors: a command's own usage for
+    `--help` and a missing `--graph`, the top-level usage, which lists
+    every command, for an argument no command takes."""
     path = corpus_path("fig1a")
-    for argv in ([command, "--graph", path], [command, "--help"], [command],
-                 [command, "--graph", path, "extra"], [command, "--graph", path, "--bogus"]):
-        seen = []
-        for parser in (cli._build_parser(), cli._build_parser(command)):
-            try:
-                seen.append(vars(parser.parse_args(argv)))
-            except SystemExit as exc:
-                seen.append(exc.code)
-            seen.append(capsys.readouterr())
-        assert seen[:2] == seen[2:], argv
+    own = f"covadjust {command} [-h] --graph FILE [--max-nodes N]"
+    top = "covadjust [-h] {" + ",".join(cli.COMMANDS) + "} ..."
+    # plain arguments parse: the command prints its JSON (fig1a is no DAG
+    # for `project`, whose exit code is then 2)
+    cases = [([command, "--graph", path, *(["--trials", "1"] if command == "verify" else [])],
+              (0, 1, 2), None, None),
+             ([command, "--help"], (0,), own, None),
+             ([command], (2,), own, f"covadjust {command}: error: the following arguments are"
+              " required: --graph"),
+             ([command, "--graph", path, "extra"], (2,), top,
+              "covadjust: error: unrecognized arguments: extra"),
+             ([command, "--graph", path, "--bogus"], (2,), top,
+              "covadjust: error: unrecognized arguments: --bogus")]
+    for argv, codes, usage, error in cases:
+        code = run_command(argv)
+        out, err = capsys.readouterr()
+        assert code in codes, argv
+        if usage is None:
+            assert json.loads(out)["command"] == command, argv
+            continue
+        text = out if code == 0 else err
+        head = re.match(r"usage: (.*?)\n(?=\S|\n|$)", text, re.S)
+        assert head and " ".join(head.group(1).split()).startswith(usage), (argv, text)
+        if error is not None:
+            assert out == "" and err.endswith(f"\n{error}\n"), (argv, err)
 
 
 # Arguments the fast path must leave to argparse, mixed into exact flags
@@ -260,10 +279,10 @@ VALUES = ("F.cg", "", "A,B", " A", "0", "1", "3", "x", "1e3", "\u0663", "list", 
 
 
 def argparse_args(argv):
-    """`vars()` of the namespace of the parser `run_command` builds for
-    `argv`, or None if it exits."""
+    """`vars()` of the namespace of the parser `run_command` builds, or
+    None if it exits."""
     try:
-        return vars(cli._build_parser(argv[0] if argv else None).parse_args(argv))
+        return vars(cli._build_parser().parse_args(argv))
     except SystemExit:
         return None
 
@@ -544,29 +563,36 @@ def test_check_command_does_not_load_numpy():
 
 
 @pytest.mark.parametrize("command, runs", [
-    # amenability and the forbidden set search no path: `paths` stays unrun
-    *((cmd, {"graphs", "criteria"}) for cmd in ("amenable", "forbidden")),
-    *((cmd, {"graphs", "paths", "criteria"}) for cmd in ("check", "backdoor", "list")),
-    *((cmd, {"graphs", "paths", "mec"}) for cmd in ("validate", "mec", "project")),
-    ("verify", set(DEFERRED)),
+    # figure -> the modules the command runs on it.  Amenability and the
+    # forbidden set search no path: on the CPDAG fig1a `paths` stays unrun,
+    # but the class check of the MAG fig3b runs it (`require_maximal`) and
+    # no `mec`.  "dag" is a small DAG for `project`.
+    *((cmd, {"fig1a": {"graphs", "criteria"}, "fig3b": {"graphs", "paths", "criteria"}})
+      for cmd in ("amenable", "forbidden")),
+    *((cmd, {"fig1a": {"graphs", "paths", "criteria"}}) for cmd in ("check", "backdoor", "list")),
+    ("validate", {"fig1a": {"graphs", "paths", "mec"}, "fig3b": {"graphs", "paths"}}),
+    ("mec", {"fig1a": {"graphs", "paths", "mec"}}),
+    ("project", {"dag": {"graphs", "paths", "mec"}}),
+    ("verify", {"fig1a": set(DEFERRED)}),
 ])
 def test_each_command_runs_only_its_modules(tmp_path, command, runs):
-    graph = corpus_path("fig1a")
-    if command == "project":
-        graph = tmp_path / "dag.cg"
-        graph.write_text("graph dag { L -> A L -> B A -> B }")
-    argv = [command, "--graph", str(graph), *(["--trials", "1"] if command == "verify" else [])]
-    out = run_with_src(
-        "-c",
-        RUN_LOG + "import io, contextlib\n"
-        "from covadjust import cli\n"
-        "started = list(ran)\n"
-        "with contextlib.redirect_stdout(io.StringIO()):\n"
-        f"    code = cli.run_command({argv!r})\n"
-        f"print(code in (0, 1), sorted(set(started) & set({DEFERRED})),"
-        f" sorted(set(ran) & set({DEFERRED})), len(ran) == len(set(ran)))"
-    )
-    assert out.strip() == f"True [] {sorted(runs)} True"
+    dag = tmp_path / "dag.cg"
+    dag.write_text("graph dag { L -> A L -> B A -> B }")
+    for figure, modules in runs.items():
+        graph = dag if figure == "dag" else corpus_path(figure)
+        argv = [command, "--graph", str(graph),
+                *(["--trials", "1"] if command == "verify" else [])]
+        out = run_with_src(
+            "-c",
+            RUN_LOG + "import io, contextlib\n"
+            "from covadjust import cli\n"
+            "started = list(ran)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = cli.run_command({argv!r})\n"
+            f"print(code in (0, 1), sorted(set(started) & set({DEFERRED})),"
+            f" sorted(set(ran) & set({DEFERRED})), len(ran) == len(set(ran)))"
+        )
+        assert out.strip() == f"True [] {sorted(modules)} True", figure
 
 
 def test_help_runs_no_deferred_module():

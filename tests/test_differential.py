@@ -152,6 +152,22 @@ def test_list_agrees_with_simple_path_search(cls):
             assert got == want
 
 
+@pytest.mark.parametrize("cls", sorted(GRAPHS))
+def test_minimal_list_agrees_with_the_pairwise_filter(cls):
+    """`list_adjustment_sets(minimal_only=True)` skips the supersets of the
+    sets it keeps; the pairwise filter over the full list must agree."""
+    rng = random.Random(f"minimal-{cls}")
+    pruned = 0
+    for g in GRAPHS[cls]:
+        for x, y, _ in _queries(g, rng, per_graph=4):
+            for max_size in (None, 1):
+                every = ca.list_adjustment_sets(g, x, y, max_size=max_size)
+                got = ca.list_adjustment_sets(g, x, y, minimal_only=True, max_size=max_size)
+                assert got == oracles.minimal_sets(every), (g, x, y, max_size)
+                pruned += len(every) - len(got)
+    assert pruned
+
+
 def test_is_visible_agrees_with_collider_path_dfs():
     seen = []
     for g in GRAPHS["mag"] + GRAPHS["pag"]:

@@ -17,7 +17,8 @@ around the edge operators dropped where that keeps the tokens, as in
 whitespace, the third by the parser's regular expression.  A form's
 time is the fastest of `ROUNDS` runs, each parsing the text
 `max(1, 4096 // n)` times, divided by that count: on a shared machine
-the minimum is the run least disturbed by other work.
+the minimum is the run least disturbed by other work.  The cyclic
+garbage collector runs between the runs, not in them.
 
 The script also times the benchmark's set-up: a fresh process imports
 `covadjust` and parses every input of the `cli-corpus` workload (the
@@ -47,6 +48,7 @@ labels with the same digest parsed the same inputs.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import importlib
 import json
@@ -133,11 +135,17 @@ def _forms(text):
 
 
 def _time(parse, text, reps):
-    """Seconds per parse of one run of `reps` parses."""
-    t0 = time.perf_counter()
-    for _ in range(reps):
-        parse(text)
-    return (time.perf_counter() - t0) / reps
+    """Seconds per parse of one run of `reps` parses.  The cyclic garbage
+    collector runs before the run and not during it, as in `timeit`."""
+    gc.collect()
+    gc.disable()
+    try:
+        t0 = time.perf_counter()
+        for _ in range(reps):
+            parse(text)
+        return (time.perf_counter() - t0) / reps
+    finally:
+        gc.enable()
 
 
 def _setup(src, mode, files):
