@@ -5,24 +5,26 @@ with a criterion that is both sound and complete, and certifies the
 decisions at desk scale by enumerating Markov equivalence classes and
 comparing against an exact linear structural equation oracle.
 
-``import covadjust`` runs only `errors`, `model` and `cgtext`: the mark
-table and the parser, enough to parse .cg text.  The other modules
-(`graphs`, `paths`, `criteria`, `mec`, `sem`) are deferred: each is in
-``sys.modules`` from the start, and its code runs once, on the first
-read of one of its attributes or of a package-level name it defines
-(``covadjust.satisfies_gac``, ``covadjust.Edge``).  `graphs` also runs
-when a graph is built from edges, first reads its `edges` or builds one
-of its search tables, and when a graph is written as .cg text.  The
-first read runs a module under a lock, so threads that reach a deferred
-module together see it run once and whole.
+``import covadjust`` runs only `model` and `cgtext`: the mark table and
+the parser, enough to parse valid .cg text.  The other modules
+(`errors`, `kernel`, `graphs`, `paths`, `criteria`, `mec`, `sem`) are
+deferred: each is in ``sys.modules`` from the start, and its code runs
+once, on the first read of one of its attributes or of a package-level
+name it defines (``covadjust.satisfies_gac``, ``covadjust.Edge``).
+`errors` runs on the first fault, since every module names an error as
+``errors.X`` where it raises or catches it.  `kernel` runs when a graph
+first builds one of its search tables, and `graphs` when a graph is
+built from edges, first reads its `edges` or is written as .cg text, or
+on a public closure or a class check.  So a decision on a CPDAG or PAG
+runs `kernel`, `criteria` and `paths` alone.  The first read runs a
+module under a lock, so threads that reach a deferred module together
+see it run once and whole.
 """
 
 import importlib.util
 import sys
 import threading
 import types
-
-from . import errors
 
 # Module metadata, which the import system, `repr()` and `vars()` read;
 # reading it leaves a deferred module unrun.
@@ -82,8 +84,10 @@ def _defer(name):
     return module
 
 
-# `graphs` is deferred before `model` and `cgtext` run, which read it as
-# the package's attribute
+# deferred before `model` and `cgtext` run, which read them as the
+# package's attributes
+errors = _defer("errors")
+kernel = _defer("kernel")
 graphs = _defer("graphs")
 paths = _defer("paths")
 criteria = _defer("criteria")

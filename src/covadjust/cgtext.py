@@ -24,16 +24,18 @@ to the failing token.  Errors report the line and column of their
 token, and a character that starts no token is reported before any
 syntax error.
 
-The writer, `serialize_graph` and `serialize_document`, reads `Edge`s
-and runs in the deferred module `covadjust.graphs`; this module serves
-both names from there, so parsing alone never runs `graphs`.
+Valid text runs this module alone.  A fault is raised as
+``errors._Fault`` at its token and located by ``errors._located``: that
+path and the exception types live in the deferred module
+`covadjust.errors`, whose code runs on the first fault.  The writer,
+`serialize_graph` and `serialize_document`, reads `Edge`s and runs in
+the deferred module `covadjust.graphs`; this module serves both names
+from there, so parsing alone never runs `graphs`.
 """
 
 import re
-from itertools import islice
 
-from . import graphs  # deferred (see `covadjust/__init__.py`): holds the writer
-from .errors import GraphError, MarkNotAllowedError, ParseError
+from . import errors, graphs  # deferred (see `covadjust/__init__.py`): the fault path, the writer
 from .model import _ALLOWED_MARKS, Graph, GraphClass, Mark, _Record, _set
 
 _EDGE_OPS = {
@@ -93,43 +95,8 @@ class GraphDocument(_Record):
         _set(self, "query", query)
 
 
-class _Fault(Exception):
-    """A syntax error at token `index`, not yet located in the text."""
-
-    def __init__(self, index: int, message: str, expected: str | None = None, error=ParseError):
-        self.index, self.message, self.expected, self.error = index, message, expected, error
-
-
-def _located(text: str, tokens: list, fault: _Fault | None) -> GraphError | None:
-    """The error to raise for `fault`, with its line and column: the first
-    bad character of the text if it has one, else the fault itself."""
-    for i, word in enumerate(tokens):
-        if len(word) == 1 and word not in _ONE_CHAR_TOKENS:
-            fault = _Fault(i, f"unexpected character {word!r}")
-            break
-    if fault is None:
-        return None
-    offset = next(islice(re.finditer(_TOKEN, text), fault.index, None)).start(1)
-    line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
-    if fault.error is ParseError:
-        return ParseError(fault.message, line, col, fault.expected)
-    return fault.error(f"{line}:{col}: {fault.message}")
-
-
 def _is_name(word: str) -> bool:
     return word[:1] in _NAME_START and word not in _EDGE_OPS
-
-
-def _unexpected(tokens: list, i: int, expected: str) -> _Fault:
-    word = tokens[i]
-    return _Fault(i, f"unexpected {word!r}" if word else "unexpected end of input", expected)
-
-
-def _not_a_node(tokens: list, i: int) -> _Fault:
-    word = tokens[i]
-    if word in _RESERVED:
-        return _Fault(i, f"{word!r} is a reserved word", "a node name")
-    return _unexpected(tokens, i, "a node name")
 
 
 def _split_tokens(text: str) -> list | None:
@@ -157,10 +124,10 @@ def parse_document(text: str) -> GraphDocument:
     tokens = _split_tokens(text) or re.findall(_TOKEN, text)
     try:
         return _parse_tokens(tokens)
-    except _Fault as fault:
-        raise _located(text, tokens, fault) from None
-    except GraphError:  # a fault of the edges, found at the closing '}'
-        error = _located(text, tokens, None)
+    except errors._Fault as fault:
+        raise errors._located(text, tokens, fault) from None
+    except errors.GraphError:  # a fault of the edges, found at the closing '}'
+        error = errors._located(text, tokens, None)
         if error is None:
             raise
         raise error from None
@@ -168,15 +135,15 @@ def parse_document(text: str) -> GraphDocument:
 
 def _parse_tokens(tokens: list) -> GraphDocument:
     if tokens[0] != "graph":
-        raise _unexpected(tokens, 0, "'graph'")
+        raise errors._unexpected(tokens, 0, "'graph'")
     word = tokens[1]
     graph_class = _CLASSES.get(word)
     if graph_class is None:
         if _is_name(word):
-            raise _Fault(1, f"unknown graph class {word!r}", "dag|cpdag|mag|pag")
-        raise _unexpected(tokens, 1, "a graph class (dag|cpdag|mag|pag)")
+            raise errors._Fault(1, f"unknown graph class {word!r}", "dag|cpdag|mag|pag")
+        raise errors._unexpected(tokens, 1, "a graph class (dag|cpdag|mag|pag)")
     if tokens[2] != "{":
-        raise _unexpected(tokens, 2, "{")
+        raise errors._unexpected(tokens, 2, "{")
     ops = _CLASS_OPS[graph_class]
     # `marks` becomes `Graph._marks`.  `held` maps a name to its first
     # mention, which stands for every later one (one string per node),
@@ -191,7 +158,7 @@ def _parse_tokens(tokens: list) -> GraphDocument:
         entry = held.get(first)
         if entry is None:
             if first in _NOT_NODES or first[0] not in _NAME_START:
-                raise _not_a_node(tokens, i)
+                raise errors._not_a_node(tokens, i)
             row = marks[first] = {}
             held[first] = first, row
         else:
@@ -202,17 +169,17 @@ def _parse_tokens(tokens: list) -> GraphDocument:
             i += 1
         else:
             if pair is None and op == "--":
-                raise _Fault(i + 1, "'--' is only allowed in CPDAG files",
-                             error=MarkNotAllowedError)
+                raise errors._Fault(i + 1, "'--' is only allowed in CPDAG files",
+                                    error=errors.MarkNotAllowedError)
             second = tokens[i + 2]
             entry = held.get(second)
             if entry is None:
                 if second in _NOT_NODES or second[0] not in _NAME_START:
-                    raise _not_a_node(tokens, i + 2)
+                    raise errors._not_a_node(tokens, i + 2)
                 other = marks[second] = {}
                 held[second] = second, other
             elif entry[0] is first:
-                raise _Fault(i + 2, "self loop")
+                raise errors._Fault(i + 2, "self loop")
             else:
                 second, other = entry
             if pair is None:
@@ -238,7 +205,7 @@ def _parse_tokens(tokens: list) -> GraphDocument:
     if tokens[i] == "query":
         query, i = _parse_query(tokens, i + 1)
     if tokens[i]:
-        raise _unexpected(tokens, i, "end of input")
+        raise errors._unexpected(tokens, i, "end of input")
     return GraphDocument(graph, query)
 
 
@@ -247,7 +214,7 @@ def _parse_query(tokens: list, i: int) -> tuple:
     of the token after its '}'.  A part is a key, '=' and node names
     separated by ','; it ends at ';' or '}'."""
     if tokens[i] != "{":
-        raise _unexpected(tokens, i, "{")
+        raise errors._unexpected(tokens, i, "{")
     i += 1
     parts: dict = {}
     while True:
@@ -258,13 +225,13 @@ def _parse_query(tokens: list, i: int) -> tuple:
             i += 1
             continue
         if not _is_name(key):
-            raise _unexpected(tokens, i, "X, Y or Z")
+            raise errors._unexpected(tokens, i, "X, Y or Z")
         if key not in ("X", "Y", "Z"):
-            raise _Fault(i, f"unknown query key {key!r}", "X, Y or Z")
+            raise errors._Fault(i, f"unknown query key {key!r}", "X, Y or Z")
         if key in parts:
-            raise _Fault(i, f"duplicate query key {key}")
+            raise errors._Fault(i, f"duplicate query key {key}")
         if tokens[i + 1] != "=":
-            raise _unexpected(tokens, i + 1, "=")
+            raise errors._unexpected(tokens, i + 1, "=")
         i += 2
         names = []
         word = tokens[i]
@@ -276,7 +243,7 @@ def _parse_query(tokens: list, i: int) -> tuple:
                 i += 1
                 word = tokens[i]
             elif word != ";" and word != "}":
-                raise _unexpected(tokens, i, "',', ';' or '}'")
+                raise errors._unexpected(tokens, i, "',', ';' or '}'")
         parts[key] = tuple(names)
 
 

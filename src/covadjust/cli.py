@@ -27,8 +27,7 @@ import time
 import types
 from collections import namedtuple
 
-from . import cgtext, criteria, graphs, mec, sem
-from .errors import GraphError, NotAmenableError, SizeCapExceededError
+from . import cgtext, criteria, errors, graphs, mec, sem
 from .model import GraphClass
 
 FORMAT_VERSION = 2
@@ -69,9 +68,9 @@ def _witness_json(witness):
 def _validate(g, args):
     try:
         graphs.validate_graph(g)
-    except SizeCapExceededError:
+    except errors.SizeCapExceededError:
         raise
-    except GraphError as exc:
+    except errors.GraphError as exc:
         return {"valid": False, "reason": type(exc).__name__, "detail": str(exc)}, None, 1
     return {"valid": True, "nodes": len(g.nodes), "edges": len(g.edges)}, None, 0
 
@@ -119,7 +118,7 @@ def _mec(g, args):
 def _project(g, args):
     observed = _split_nodes(args.observed)
     if observed == ():
-        raise GraphError("--observed names no node (leave it out to keep every node)")
+        raise errors.GraphError("--observed names no node (leave it out to keep every node)")
     mag = mec.latent_project(g, g.nodes if observed is None else observed)
     return {"nodes": list(mag.nodes), "edges": graphs._edge_statements(mag)}, None, 0
 
@@ -127,7 +126,7 @@ def _project(g, args):
 def _verify(g, args, x, y, z):
     try:
         reports = sem.verify_adjustment(g, x, y, z, trials=args.trials, seed=args.seed)
-    except NotAmenableError as exc:
+    except errors.NotAmenableError as exc:
         reports, witness = None, list(exc.witness)
     x_order = list(g.sort_nodes(frozenset(x)))  # x is known to be in g by now
     if reports is None:
@@ -281,7 +280,7 @@ def _resolve_sets(sets, args, query) -> list:
             nodes = getattr(query, s)
         resolved.append(() if nodes is None and s == "z" else nodes)
     if not resolved[0] or not resolved[1]:
-        raise GraphError("X and Y are required (flags or a query block in the file)")
+        raise errors.GraphError("X and Y are required (flags or a query block in the file)")
     return resolved
 
 
@@ -307,7 +306,7 @@ def run_command(argv) -> int:
         g = doc.graph
         cap = DEFAULT_NODE_CAP if args.max_nodes is None and row.capped else args.max_nodes
         if cap is not None and len(g.nodes) > cap:
-            raise SizeCapExceededError(
+            raise errors.SizeCapExceededError(
                 f"{len(g.nodes)} nodes exceeds the cap of {cap}",
                 cap="nodes", limit=cap, required=len(g.nodes),
             )
@@ -317,13 +316,13 @@ def run_command(argv) -> int:
             graphs.validate_graph(g)
         sets = _resolve_sets(row.sets, args, doc.query) if row.sets else ()
         result, witness, code = row.run(g, args, *sets)
-    except SizeCapExceededError as exc:
+    except errors.SizeCapExceededError as exc:
         print(f"covadjust: {exc}", file=sys.stderr)
         _emit({"format": FORMAT_VERSION, "command": command,
                "error": {"type": type(exc).__name__, "message": str(exc),
                          "cap": exc.cap, "limit": exc.limit, "required": exc.required}})
         return 3
-    except (GraphError, OSError, UnicodeDecodeError) as exc:
+    except (errors.GraphError, OSError, UnicodeDecodeError) as exc:
         print(f"covadjust: {exc}", file=sys.stderr)
         _emit({"format": FORMAT_VERSION, "command": command,
                "error": {"type": type(exc).__name__, "message": str(exc)}})

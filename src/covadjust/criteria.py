@@ -16,20 +16,9 @@ sufficient-only back-door style criterion for comparison.
 
 import itertools
 
-from . import paths  # deferred: runs on the first Cond2 search
-from .errors import NotDirectedEdgeError
-from .graphs import (
-    Graph,
-    GraphClass,
-    Mark,
-    _bits,
-    _descend,
-    _disjoint_sets,
-    _nodes,
-    _reach_bits,
-    _Record,
-    _set,
-)
+from . import errors, paths  # deferred: run on a fault and on the first Cond2 search
+from .kernel import _bits, _descend, _disjoint_sets, _nodes, _reach_bits
+from .model import Graph, GraphClass, Mark, _Record, _set
 
 
 class AdjustmentQuery(_Record):
@@ -83,7 +72,7 @@ def is_visible(g: Graph, x, y) -> bool:
     if x not in marks or y not in marks:
         g._require(x, y)
     if marks[x].get(y) is not Mark.TAIL:
-        raise NotDirectedEdgeError(f"{x} -> {y} is not an edge")
+        raise errors.NotDirectedEdgeError(f"{x} -> {y} is not an edge")
     index = g.node_index
     return bool(_visible_tails(g, index[x]) >> index[y] & 1)
 

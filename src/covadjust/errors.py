@@ -1,12 +1,34 @@
-"""Exception types raised by the covadjust library.
+"""Exception types raised by the covadjust library, and the parser's
+fault path.
 
 Every failure mode has its own class so callers (and the CLI) can map
-errors to diagnostics and exit codes without string matching.
+errors to diagnostics and exit codes without string matching.  Every
+error pickles and copies with its message, `args` and attributes intact.
+
+This module is deferred (see `covadjust/__init__.py`): the other modules
+name an error as ``errors.X`` where they raise or catch it, and an
+``except`` clause is read only while an exception is in flight, so the
+code here runs on the first fault, or on the first read of one of its
+names.  The fault path of `covadjust.cgtext` (`_Fault`, `_located`,
+`_unexpected`, `_not_a_node`) lives here for the same reason: it runs
+only on text that does not parse.
 """
+
+import copyreg
+import re
+from itertools import islice
+
+from .cgtext import _ONE_CHAR_TOKENS, _RESERVED, _TOKEN
 
 
 class GraphError(Exception):
     """Base class for all covadjust errors."""
+
+    def __reduce__(self):
+        # Rebuilt from `args` and the attributes, without running
+        # `__init__`: a subclass's constructor takes a cycle, a path or
+        # keyword fields, not the message that `args` holds.
+        return copyreg.__newobj__, (self.__class__, *self.args), self.__dict__
 
 
 class DuplicateEdgeError(GraphError):
@@ -129,3 +151,39 @@ class ParseError(GraphError):
         self.expected = expected
         suffix = f" (expected {expected})" if expected else ""
         super().__init__(f"{line}:{col}: {message}{suffix}")
+
+
+class _Fault(Exception):
+    """A syntax error of .cg text at token `index`, not yet located in the
+    text; `error` is the class to raise it as."""
+
+    def __init__(self, index: int, message: str, expected: str | None = None, error=ParseError):
+        self.index, self.message, self.expected, self.error = index, message, expected, error
+
+
+def _located(text: str, tokens: list, fault: _Fault | None) -> GraphError | None:
+    """The error to raise for `fault`, with its line and column: the first
+    bad character of the text if it has one, else the fault itself."""
+    for i, word in enumerate(tokens):
+        if len(word) == 1 and word not in _ONE_CHAR_TOKENS:
+            fault = _Fault(i, f"unexpected character {word!r}")
+            break
+    if fault is None:
+        return None
+    offset = next(islice(re.finditer(_TOKEN, text), fault.index, None)).start(1)
+    line, col = text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+    if fault.error is ParseError:
+        return ParseError(fault.message, line, col, fault.expected)
+    return fault.error(f"{line}:{col}: {fault.message}")
+
+
+def _unexpected(tokens: list, i: int, expected: str) -> _Fault:
+    word = tokens[i]
+    return _Fault(i, f"unexpected {word!r}" if word else "unexpected end of input", expected)
+
+
+def _not_a_node(tokens: list, i: int) -> _Fault:
+    word = tokens[i]
+    if word in _RESERVED:
+        return _Fault(i, f"{word!r} is a reserved word", "a node name")
+    return _unexpected(tokens, i, "a node name")

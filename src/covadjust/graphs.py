@@ -1,12 +1,15 @@
-"""The graph kernel: edges and their entry into a graph, the .cg writer,
-the search tables, the closures, the cycle finders and the class checks
-over `covadjust.model.Graph`.
+"""Edges and their entry into a graph, the .cg writer, the public
+closures, the cycle finders and the class checks over
+`covadjust.model.Graph`.
 
 This module is deferred: ``import covadjust`` registers it, and its code
 runs on first use, such as building a graph from edges, reading its
-`edges`, writing it as .cg text, its first table or a closure.  It holds
-the `Edge` record and re-exports the model's names (`Graph`, `Mark`,
-`GraphClass`), so ``covadjust.graphs.Graph`` is ``covadjust.model.Graph``.
+`edges`, writing it as .cg text, a public closure or a class check.  It
+holds the `Edge` record and re-exports the model's names (`Graph`,
+`Mark`, `GraphClass`), so ``covadjust.graphs.Graph`` is
+``covadjust.model.Graph``.  The search tables, the node masks and the
+one closure they run are the deferred `covadjust.kernel`, which the
+decisions run without this module.
 
 Edge entry checks ``(a, b, mark_a, mark_b)`` rows into the mark table
 (`_enter`): ``Graph(...)`` enters the rows of its `Edge` set, and
@@ -15,42 +18,15 @@ into the table itself and calls `Graph._from_rows` only to report a
 faulty edge.  The writer (`serialize_graph`) reads the edges back out of
 the table.
 
-Every search reads the mark table `Graph._marks`.  The closures (the
-ancestors, descendants and their possible forms) run on one more table,
-built from it on first use (`_steps`): for each kind of step `_reach`
-takes, one bit mask per node of the nodes one step away, where bit i
-stands for the node at position i of `Graph.nodes`.  A closure is then a
-fixpoint over integers, and the criteria keep their closures as masks.
-
-That fixpoint is the one traversal.  It runs in breadth-first rounds,
-and the rounds are layers: round k holds the nodes k steps from the
-seeds.  A witness path is read off the layers of the closure the
-decision has already run, by descending from its first node one layer
-at a time (`_descend`).  Acyclicity is the sinks-first (Kahn) order over
-the same masks, `Graph._sinks_first`, and a directed cycle is a walk through
-the nodes it leaves out.
-
-A MAG's or PAG's visibility table `Graph._visible_tails` holds, per
-node, None until the node is first asked about, then the mask of the
-heads of its visible out-edges.  The other tables are built here by the
-function of their name.  Each is kept on the graph as a
-`functools.cached_property`: concurrent readers at worst compute and
-store one value twice, and equality, hashing and pickling read only the
-class, the nodes and the edges, never a table.
+The closures (`ancestors`, `possible_descendants`, ...) are the kernel's
+`_reach` on checked node sets.  Acyclicity is the kernel's sinks-first
+order, `Graph._sinks_first`, and a directed cycle is a walk through the
+nodes it leaves out; an almost directed cycle is read off the rounds of
+a directed closure (`kernel._descend`).
 """
 
-from . import mec, paths  # deferred: the class checks of CPDAGs, PAGs and MAGs
+from . import errors, kernel, mec, paths  # deferred; mec and paths: the class checks
 from .cgtext import _CLASS_OPS, GraphDocument, Query
-from .errors import (
-    AlmostDirectedCycleError,
-    ClassMismatchError,
-    DirectedCycleError,
-    DuplicateEdgeError,
-    EmptyXOrYError,
-    MarkNotAllowedError,
-    SetsNotDisjointError,
-    UnknownNodeError,
-)
 from .model import _ALLOWED_MARKS, Graph, GraphClass, Mark, Node, _Record, _set  # noqa: F401
 
 
@@ -65,7 +41,7 @@ class Edge(_Record):
 
     def __init__(self, a: Node, b: Node, mark_a: Mark, mark_b: Mark):
         if a == b:
-            raise MarkNotAllowedError(f"self loop at {a}")
+            raise errors.MarkNotAllowedError(f"self loop at {a}")
         if a > b:
             a, b, mark_a, mark_b = b, a, mark_b, mark_a
         _set(self, "a", a)
@@ -109,7 +85,7 @@ class Edge(_Record):
             return self.mark_a
         if node == self.b:
             return self.mark_b
-        raise UnknownNodeError(f"{node} is not an endpoint of {self.a}-{self.b}")
+        raise errors.UnknownNodeError(f"{node} is not an endpoint of {self.a}-{self.b}")
 
     def other(self, node: Node) -> Node:
         return self.b if node == self.a else self.a
@@ -124,7 +100,7 @@ class Edge(_Record):
     def tail_node(self) -> Node:
         """Source of a directed edge."""
         if not self.is_directed():
-            raise MarkNotAllowedError(f"{self} is not a directed edge")
+            raise errors.MarkNotAllowedError(f"{self} is not a directed edge")
         return self.a if self.mark_a is Mark.TAIL else self.b
 
 
@@ -144,10 +120,10 @@ def _enter(g: Graph, graph_class: GraphClass, nodes: tuple, rows: list) -> None:
     marks = {n: {} for n in nodes}
     if len(marks) != len(nodes):
         dup = sorted({n for n in nodes if nodes.count(n) > 1})
-        raise DuplicateEdgeError(f"duplicate node declaration: {', '.join(dup)}")
+        raise errors.DuplicateEdgeError(f"duplicate node declaration: {', '.join(dup)}")
     try:
         _fill_marks(marks, rows, graph_class)
-    except (UnknownNodeError, DuplicateEdgeError, MarkNotAllowedError):
+    except (errors.UnknownNodeError, errors.DuplicateEdgeError, errors.MarkNotAllowedError):
         # the rows come in set or text order: report the first fault in name order
         by_name = sorted(((a, b, ma, mb) if a < b else (b, a, mb, ma) for a, b, ma, mb in rows),
                          key=lambda r: (r[0], r[1], r[2].value, r[3].value))
@@ -166,14 +142,14 @@ def _fill_marks(marks: dict, rows, graph_class: GraphClass) -> None:
         row_a = marks.get(a)
         row_b = marks.get(b)
         if row_a is None or row_b is None:
-            raise UnknownNodeError(f"edge endpoint not declared: {a}-{b}")
+            raise errors.UnknownNodeError(f"edge endpoint not declared: {a}-{b}")
         held = row_a.get(b)
         if held is not None:
             if held is ma and row_b[a] is mb:
                 continue
-            raise DuplicateEdgeError(f"more than one edge between {a} and {b}")
+            raise errors.DuplicateEdgeError(f"more than one edge between {a} and {b}")
         if (ma, mb) not in allowed:
-            raise MarkNotAllowedError(
+            raise errors.MarkNotAllowedError(
                 f"edge {a} {_edge_glyph(ma, mb)} {b} not allowed in a {graph_class.value}"
             )
         row_a[b] = ma
@@ -235,187 +211,16 @@ def serialize_document(doc: GraphDocument) -> str:
     return serialize_graph(doc.graph, doc.query)
 
 
-def _ordered_neighbors(g: Graph) -> dict:
-    """Each node's neighbours in declaration order."""
-    key = g.node_index.__getitem__
-    return {n: tuple(sorted(row, key=key)) for n, row in g._marks.items()}
-
-
-def _steps(g: Graph) -> dict:
-    """The one-step masks of `_reach`: ``_steps[directed, reverse][i]``
-    has bit j set when one step of that kind leads from the node at
-    position i to the node at position j.  ``_steps["into"][i]`` has bit
-    j set when the edge i-j has an arrowhead at i: the other neighbours
-    of i are ``_steps[False, False][i]``."""
-    index = g.node_index
-    n = len(g.nodes)
-    forward, backward = [0] * n, [0] * n  # directed steps
-    possible, possible_back = [0] * n, [0] * n
-    into = [0] * n
-    arrow, tail = Mark.ARROW, Mark.TAIL
-    circles = False
-    for v, row in g._marks.items():
-        i = index[v]
-        bit_v = 1 << i
-        out = kids = heads = 0  # row i of `possible`, `forward` and `into`
-        for w, m in row.items():
-            j = index[w]
-            if m is arrow:
-                heads |= 1 << j
-                continue
-            out |= 1 << j
-            possible_back[j] |= bit_v
-            if m is tail:
-                kids |= 1 << j
-                backward[j] |= bit_v
-            else:
-                circles = True
-        possible[i], forward[i], into[i] = out, kids, heads
-    if not circles:  # every possibly directed step is directed: share the lists
-        possible, possible_back = forward, backward
-    return {(True, False): forward, (True, True): backward,
-            (False, False): possible, (False, True): possible_back, "into": into}
-
-
-def _sinks_first(g: Graph) -> list:
-    """Node positions in an order that puts every child before its
-    parents: Kahn's algorithm from the sinks, over the directed step
-    masks.  A node on a directed cycle, or with a directed path into
-    one, is never freed and is left out, so the order holds every
-    position iff the graph has no directed cycle.  Shared: read it,
-    never change it."""
-    children, parents = g._steps[True, False], g._steps[True, True]
-    left = [kids.bit_count() for kids in children]
-    order = [i for i, count in enumerate(left) if not count]
-    for j in order:  # grows while it is read
-        todo = parents[j]
-        while todo:
-            low = todo & -todo
-            todo ^= low
-            i = low.bit_length() - 1
-            left[i] -= 1
-            if not left[i]:
-                order.append(i)
-    return order
-
-
-def _as_set(g: Graph, nodes) -> frozenset:
-    """`nodes`, one name or an iterable of names, as a node set.
-
-    Raises `UnknownNodeError` naming the first unknown name in argument
-    order, or the smallest one if `nodes` is a set, whose iteration order
-    follows the hash seed of the process.
-    """
-    if isinstance(nodes, str):
-        nodes = (nodes,)
-    elif iter(nodes) is nodes:  # a one-pass iterator: keep its names for the message
-        nodes = tuple(nodes)
-    s = frozenset(nodes)
-    if not g.node_index.keys() >= s:
-        unknown = [v for v in nodes if v not in g.node_index]
-        g._require(min(unknown, key=str) if isinstance(nodes, (set, frozenset)) else unknown[0])
-    return s
-
-
-def _disjoint_sets(g: Graph, x, y, z=()):
-    """`x`, `y` and `z` as node sets; raises unless `x` and `y` are
-    non-empty and the three are pairwise disjoint."""
-    x, y, z = _as_set(g, x), _as_set(g, y), _as_set(g, z)
-    if not x or not y:
-        raise EmptyXOrYError("X and Y must be non-empty")
-    for a, b in ((x, y), (x, z), (y, z)):
-        if a & b:
-            raise SetsNotDisjointError(f"sets overlap: {sorted(a & b)}")
-    return x, y, z
-
-
-def _bits(g: Graph, nodes) -> int:
-    """The mask of `nodes`: bit i for the node at position i."""
-    index = g.node_index
-    mask = 0
-    for v in nodes:
-        mask |= 1 << index[v]
-    return mask
-
-
-def _nodes(g: Graph, mask: int) -> frozenset:
-    """The nodes of `mask`."""
-    nodes = g.nodes
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(nodes[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(out)
-
-
-def _reach_bits(g: Graph, seeds: int, *, directed: bool, reverse: bool = False,
-                avoid: int = 0, layers: list | None = None) -> int:
-    """`_reach` on masks.  A `layers` list gets the mask each round
-    expands appended: round k holds the nodes k steps from the seeds."""
-    step = g._steps[directed, reverse]
-    seen = seeds | avoid
-    todo = seeds
-    while todo:
-        if layers is not None:
-            layers.append(todo)
-        new = 0
-        while todo:
-            low = todo & -todo
-            new |= step[low.bit_length() - 1]
-            todo ^= low
-        todo = new & ~seen
-        seen |= todo
-    return seen & ~avoid
-
-
-def _reach(g: Graph, seeds, *, directed: bool, reverse: bool = False, avoid=frozenset()) -> frozenset:
-    """Nodes reached from `seeds` along directed or possibly directed paths.
-
-    A forward step v -> w reads the mark at v of the edge v-w: it must be a
-    tail on a directed path (the edge is then v -> w) and anything but an
-    arrowhead on a possibly directed path.  With `reverse` the paths run
-    into the seeds, so the step reads the mark at w.  The search expands
-    every seed and enters no node of `avoid`; the result holds the seeds
-    and every node reached, minus `avoid`.
-
-    The steps come from the graph's table `Graph._steps`, one mask per
-    node and kind of step, and the search is a fixpoint on masks
-    (`_reach_bits`): one round ORs the step masks of the nodes still to
-    expand, taken lowest bit first, and the nodes of that union not yet
-    seen are the ones the next round expands.
-    """
-    return _nodes(g, _reach_bits(g, _bits(g, seeds), directed=directed, reverse=reverse,
-                                 avoid=_bits(g, avoid)))
-
-
-def _descend(g: Graph, start: int, layers: list, directed: bool) -> tuple:
-    """The path from the node at position `start` into the seeds of a
-    reverse closure whose rounds are `layers`, as a tuple of names.  Each
-    step goes forward to the lowest position one round down, so the path
-    is the shortest one and, among those, the first in declaration order;
-    `start` must lie in some round."""
-    step = g._steps[directed, False]
-    nodes = g.nodes
-    k = next(k for k, layer in enumerate(layers) if layer >> start & 1)
-    path = [nodes[start]]
-    for layer in reversed(layers[:k]):
-        down = step[start] & layer
-        start = (down & -down).bit_length() - 1
-        path.append(nodes[start])
-    return tuple(path)
-
-
 def parents(g: Graph, s) -> frozenset:
     """Nodes W with a directed edge W -> v into some v in `s`."""
-    s = _as_set(g, s)
+    s = kernel._as_set(g, s)
     marks = g._marks
     return frozenset(w for v in s for w in marks[v] if marks[w][v] is Mark.TAIL)
 
 
 def children(g: Graph, s) -> frozenset:
     """Nodes W with a directed edge v -> W out of some v in `s`."""
-    s = _as_set(g, s)
+    s = kernel._as_set(g, s)
     marks = g._marks
     return frozenset(w for v in s for w, m in marks[v].items() if m is Mark.TAIL)
 
@@ -423,15 +228,15 @@ def children(g: Graph, s) -> frozenset:
 def descendants(g: Graph, s) -> frozenset:
     """Directed-edge reachability from `s`, including `s`.  DAG/MAG only."""
     if g.graph_class not in (GraphClass.DAG, GraphClass.MAG):
-        raise ClassMismatchError("descendants is defined for DAGs and MAGs only")
-    return _reach(g, _as_set(g, s), directed=True)
+        raise errors.ClassMismatchError("descendants is defined for DAGs and MAGs only")
+    return kernel._reach(g, kernel._as_set(g, s), directed=True)
 
 
 def ancestors(g: Graph, s) -> frozenset:
     """Directed-edge reachability into `s`, including `s`.  DAG/MAG only."""
     if g.graph_class not in (GraphClass.DAG, GraphClass.MAG):
-        raise ClassMismatchError("ancestors is defined for DAGs and MAGs only")
-    return _reach(g, _as_set(g, s), directed=True, reverse=True)
+        raise errors.ClassMismatchError("ancestors is defined for DAGs and MAGs only")
+    return kernel._reach(g, kernel._as_set(g, s), directed=True, reverse=True)
 
 
 def possible_descendants(g: Graph, s) -> frozenset:
@@ -441,12 +246,12 @@ def possible_descendants(g: Graph, s) -> frozenset:
     endpoint nearer the start, so the traversal follows any edge whose
     near-side mark is not an arrow.
     """
-    return _reach(g, _as_set(g, s), directed=False)
+    return kernel._reach(g, kernel._as_set(g, s), directed=False)
 
 
 def possible_ancestors(g: Graph, s) -> frozenset:
     """Nodes with a possibly directed path into `s`, including `s`."""
-    return _reach(g, _as_set(g, s), directed=False, reverse=True)
+    return kernel._reach(g, kernel._as_set(g, s), directed=False, reverse=True)
 
 
 def _find_directed_cycle(g: Graph):
@@ -492,11 +297,11 @@ def _find_almost_directed_cycle(g: Graph):
         for src, dst in ((index[a], index[b]), (index[b], index[a])):
             if dst not in closures:
                 layers = []
-                closures[dst] = (_reach_bits(g, 1 << dst, directed=True, reverse=True,
+                closures[dst] = (kernel._reach_bits(g, 1 << dst, directed=True, reverse=True,
                                              layers=layers), layers)
             reach, layers = closures[dst]
             if reach >> src & 1:
-                return _descend(g, src, layers, directed=True)
+                return kernel._descend(g, src, layers, directed=True)
     return None
 
 
@@ -512,7 +317,7 @@ def validate_graph(g: Graph) -> None:
     if g.graph_class is GraphClass.DAG:
         cycle = _find_directed_cycle(g)
         if cycle:
-            raise DirectedCycleError(cycle)
+            raise errors.DirectedCycleError(cycle)
     elif g.graph_class is GraphClass.MAG:
         validate_ancestral(g)
         paths.require_maximal(g)
@@ -524,10 +329,10 @@ def validate_ancestral(g: Graph) -> None:
     """Raise unless the graph has no directed and no almost directed cycle."""
     cycle = _find_directed_cycle(g)
     if cycle:
-        raise DirectedCycleError(cycle)
+        raise errors.DirectedCycleError(cycle)
     almost = _find_almost_directed_cycle(g)
     if almost:
-        raise AlmostDirectedCycleError(almost)
+        raise errors.AlmostDirectedCycleError(almost)
 
 
 def build_graph(graph_class: GraphClass, nodes, edges) -> Graph:

@@ -12,43 +12,23 @@ d-separation search per pair.
 
 import itertools
 
-from .errors import (
-    AlmostDirectedCycleError,
-    ClassMismatchError,
-    DirectedCycleError,
-    InvalidCpdagError,
-    InvalidPagError,
-    NodeSetMismatchError,
-    NotEquivalentError,
-    NotMaximalError,
-    SizeCapExceededError,
-    SkeletonMismatchError,
-)
-from .graphs import (
-    Edge,
-    Graph,
-    GraphClass,
-    Mark,
-    _ALLOWED_MARKS,
-    _as_set,
-    _find_directed_cycle,
-    _reach,
-    _Record,
-    _set,
-    validate_ancestral,
-)
+from . import errors  # deferred: runs on the first fault
+from .graphs import Edge, _find_directed_cycle, validate_ancestral
+from .kernel import _as_set, _reach
+from .model import _ALLOWED_MARKS, Graph, GraphClass, Mark, _Record, _set
 from .paths import _open_walk, require_maximal
 
 DEFAULT_ORIENTATION_CAP = 20  # undirected edges in a CPDAG -> DAG search
 DEFAULT_MARK_SLOT_CAP = 16  # circle marks in a PAG -> MAG search
 DEFAULT_FINGERPRINT_NODE_CAP = 12
 
-# member class -> (representative class, its error, cap name, cap limit,
-# circle marks per unit the cap counts: two per CPDAG undirected edge)
+# member class -> (representative class, the name of its error in
+# `errors`, read only on a fault, cap name, cap limit, circle marks per
+# unit the cap counts: two per CPDAG undirected edge)
 _SEARCHES = {
-    GraphClass.DAG: (GraphClass.CPDAG, InvalidCpdagError, "undirected_edges",
+    GraphClass.DAG: (GraphClass.CPDAG, "InvalidCpdagError", "undirected_edges",
                      DEFAULT_ORIENTATION_CAP, 2),
-    GraphClass.MAG: (GraphClass.PAG, InvalidPagError, "circle_marks", DEFAULT_MARK_SLOT_CAP, 1),
+    GraphClass.MAG: (GraphClass.PAG, "InvalidPagError", "circle_marks", DEFAULT_MARK_SLOT_CAP, 1),
 }
 
 
@@ -82,7 +62,7 @@ def separation_fingerprint(g: Graph) -> frozenset:
     """All m-separated triples (a, b, conditioning set), a < b by name."""
     cap = DEFAULT_FINGERPRINT_NODE_CAP
     if len(g.nodes) > cap:
-        raise SizeCapExceededError(
+        raise errors.SizeCapExceededError(
             f"{len(g.nodes)} nodes exceeds the fingerprint cap of {cap}",
             cap="fingerprint_nodes", limit=cap, required=len(g.nodes),
         )
@@ -114,9 +94,9 @@ def _equivalence_key(g: Graph):
 def markov_equivalent(g1: Graph, g2: Graph) -> bool:
     """Whether two DAGs (or two MAGs) encode identical m-separations."""
     if set(g1.nodes) != set(g2.nodes):
-        raise NodeSetMismatchError("graphs are over different node sets")
+        raise errors.NodeSetMismatchError("graphs are over different node sets")
     if g1.graph_class is not g2.graph_class or g1.graph_class not in _SEARCHES:
-        raise ClassMismatchError("markov_equivalent compares two DAGs or two MAGs")
+        raise errors.ClassMismatchError("markov_equivalent compares two DAGs or two MAGs")
     return _equivalence_key(g1) == _equivalence_key(g2)
 
 
@@ -139,18 +119,18 @@ def union_representative(members) -> Graph:
     """
     members = list(members)
     if not members:
-        raise NotEquivalentError("no members given")
+        raise errors.NotEquivalentError("no members given")
     classes = {m.graph_class for m in members}
     if len(classes) > 1 or not classes <= _SEARCHES.keys():
-        raise ClassMismatchError("members must be all DAGs or all MAGs")
+        raise errors.ClassMismatchError("members must be all DAGs or all MAGs")
     skel = _skeleton(members[0])
     for m in members[1:]:
         if set(m.nodes) != set(members[0].nodes):
-            raise NodeSetMismatchError("members are over different node sets")
+            raise errors.NodeSetMismatchError("members are over different node sets")
         if _skeleton(m) != skel:
-            raise SkeletonMismatchError("members differ in skeleton")
+            raise errors.SkeletonMismatchError("members differ in skeleton")
     if len({_equivalence_key(m) for m in members}) > 1:
-        raise NotEquivalentError("members are not Markov equivalent")
+        raise errors.NotEquivalentError("members are not Markov equivalent")
     return _mark_union(members, _SEARCHES[classes.pop()][0], members[0].nodes)
 
 
@@ -168,7 +148,7 @@ def _class_members(rep: Graph, member_class: GraphClass) -> tuple:
     edges = sorted(rep.edges, key=lambda e: (rep.node_index[e.a], rep.node_index[e.b]))
     required = sum((e.mark_a is Mark.CIRCLE) + (e.mark_b is Mark.CIRCLE) for e in edges) // per_unit
     if required > limit:
-        raise SizeCapExceededError(
+        raise errors.SizeCapExceededError(
             f"{required} {cap.replace('_', ' ')} exceeds the cap of {limit}",
             cap=cap, limit=limit, required=required,
         )
@@ -186,20 +166,21 @@ def _class_members(rep: Graph, member_class: GraphClass) -> tuple:
             continue
         try:
             validate_ancestral(candidate)
-        except (DirectedCycleError, AlmostDirectedCycleError):
+        except (errors.DirectedCycleError, errors.AlmostDirectedCycleError):
             continue
         groups.setdefault(_equivalence_key(candidate), []).append(candidate)
     matching = [m for m in groups.values() if _mark_union(m, rep_class, rep.nodes) == rep]
     if not matching:
-        raise error(f"no Markov equivalence class of {member_class.name}s has this mark union")
+        raise getattr(errors, error)(
+            f"no Markov equivalence class of {member_class.name}s has this mark union")
     if len(matching) > 1:
-        raise error("mark union is ambiguous between fingerprint groups")
+        raise getattr(errors, error)("mark union is ambiguous between fingerprint groups")
     members = matching[0]
     # equivalent graphs on one skeleton are all maximal or none, so one check covers the group
     try:
         require_maximal(members[0])
-    except NotMaximalError as exc:
-        raise error(f"class members are not maximal: {exc}") from exc
+    except errors.NotMaximalError as exc:
+        raise getattr(errors, error)(f"class members are not maximal: {exc}") from exc
     return tuple(members)
 
 
@@ -213,7 +194,7 @@ def enumerate_dags(c: Graph) -> EquivalenceClass:
     if c.graph_class is GraphClass.DAG:
         return EquivalenceClass(c, (c,))
     if c.graph_class is not GraphClass.CPDAG:
-        raise ClassMismatchError("enumerate_dags expects a CPDAG")
+        raise errors.ClassMismatchError("enumerate_dags expects a CPDAG")
     members = _class_members(c, GraphClass.DAG)
     compelled = c._steps[True, False]
     for m in members:
@@ -223,8 +204,8 @@ def enumerate_dags(c: Graph) -> EquivalenceClass:
                 h = (heads & -heads).bit_length() - 1
                 heads &= heads - 1
                 if pa[h] == pa[t] | 1 << t:
-                    raise InvalidCpdagError(f"edge {c.nodes[t]} -> {c.nodes[h]} is reversible: "
-                                            "covered in a member")
+                    raise errors.InvalidCpdagError(
+                        f"edge {c.nodes[t]} -> {c.nodes[h]} is reversible: covered in a member")
     return EquivalenceClass(c, members)
 
 
@@ -233,7 +214,7 @@ def enumerate_mags(p: Graph) -> EquivalenceClass:
     if p.graph_class is GraphClass.MAG:
         return EquivalenceClass(p, (p,))
     if p.graph_class is not GraphClass.PAG:
-        raise ClassMismatchError("enumerate_mags expects a PAG or MAG")
+        raise errors.ClassMismatchError("enumerate_mags expects a PAG or MAG")
     return EquivalenceClass(p, _class_members(p, GraphClass.MAG))
 
 
@@ -254,7 +235,7 @@ def latent_project(d: Graph, observed) -> Graph:
     A is an ancestor of B.
     """
     if d.graph_class is not GraphClass.DAG:
-        raise ClassMismatchError("latent_project expects a DAG")
+        raise errors.ClassMismatchError("latent_project expects a DAG")
     observed = _as_set(d, observed)
     obs = [n for n in d.nodes if n in observed]
     # a and b are adjacent iff (An({a, b}) & observed) minus {a, b} does
@@ -281,7 +262,7 @@ def canonical_dag(m: Graph) -> Graph:
     Projecting the result back onto the MAG's nodes returns the MAG.
     """
     if m.graph_class is not GraphClass.MAG:
-        raise ClassMismatchError("canonical_dag expects a MAG")
+        raise errors.ClassMismatchError("canonical_dag expects a MAG")
     nodes = list(m.nodes)
     edges = []
     used = set(nodes)
@@ -301,5 +282,5 @@ def canonical_dag(m: Graph) -> Graph:
     dag = Graph(GraphClass.DAG, tuple(nodes), frozenset(edges))
     cycle = _find_directed_cycle(dag)
     if cycle is not None:
-        raise ClassMismatchError(f"input is not ancestral: directed cycle {cycle}")
+        raise errors.ClassMismatchError(f"input is not ancestral: directed cycle {cycle}")
     return dag

@@ -13,14 +13,17 @@ functions, so everything in this package is safe for concurrent reads.
 
 This module is the model alone: the marks, the classes, the records, and
 the graph's data, its mark table `Graph._marks` and the accessors that
-read it.  It is all that parsing .cg text needs, so it runs on ``import
-covadjust``.  Everything else runs on first use in the deferred module
-`covadjust.graphs`: the `Edge` record, the checks that enter edges into a
-graph (``Graph(...)``, `Graph._from_rows`), the edge set of a parsed
-graph, the .cg writer, the tables the searches read (the step masks, the
-sinks-first order, the neighbour order), the closures, the cycle finders
-and the class checks.  ``covadjust.model.Edge`` still names the edge
-record, which pickles written when it lived here name.
+read it.  With the parser it is all that ``import covadjust`` runs, and
+all that parsing valid .cg text needs.  The rest runs on first use in
+deferred modules.  `covadjust.kernel` builds the tables the searches
+read (the step masks, the sinks-first order, the neighbour order), each
+a one-line call from the `cached_property` of its name here.
+`covadjust.graphs` holds the `Edge` record, the checks that enter edges
+into a graph (``Graph(...)``, `Graph._from_rows`), the edge set of a
+parsed graph, the .cg writer, the closures, the cycle finders and the
+class checks.  `covadjust.errors` runs only on a fault, such as an
+unknown node.  ``covadjust.model.Edge`` still names the edge record,
+which pickles written when it lived here name.
 """
 
 from collections.abc import Iterable
@@ -28,8 +31,7 @@ from enum import Enum
 from functools import cached_property
 from operator import attrgetter
 
-from . import graphs  # deferred (see `covadjust/__init__.py`): runs on first use
-from .errors import UnknownNodeError
+from . import errors, graphs, kernel  # deferred (see `covadjust/__init__.py`): run on first use
 
 Node = str
 
@@ -131,7 +133,8 @@ class Graph(_Record):
     keeps the edge set it was given; one parsed from text holds only the
     mark table, and its `edges` are derived from it on first use.  Edge
     entry, the edge set and `edge_between` are one-line calls into
-    `covadjust.graphs`, which holds `Edge`.
+    `covadjust.graphs`, which holds `Edge`; the search tables are
+    one-line calls into `covadjust.kernel`.
     """
 
     _fields = ("graph_class", "nodes", "edges")
@@ -159,19 +162,19 @@ class Graph(_Record):
         return {n: i for i, n in enumerate(self.nodes)}
 
     # The tables of the searches, each but the last built by its namesake
-    # in `graphs`.
+    # in `kernel`.
 
     @cached_property
     def _ordered_neighbors(self) -> dict:
-        return graphs._ordered_neighbors(self)
+        return kernel._ordered_neighbors(self)
 
     @cached_property
     def _steps(self) -> dict:
-        return graphs._steps(self)
+        return kernel._steps(self)
 
     @cached_property
     def _sinks_first(self) -> list:
-        return graphs._sinks_first(self)
+        return kernel._sinks_first(self)
 
     @cached_property
     def _visible_tails(self) -> list:
@@ -202,7 +205,7 @@ class Graph(_Record):
         m = self._marks.get(near, {}).get(far)
         if m is None:
             self._require(near, far)
-            raise UnknownNodeError(f"no edge between {near} and {far}")
+            raise errors.UnknownNodeError(f"no edge between {near} and {far}")
         return m
 
     def sort_nodes(self, nodes: Iterable[Node]) -> tuple:
@@ -212,7 +215,7 @@ class Graph(_Record):
     def _require(self, *nodes: Node):
         for n in nodes:
             if n not in self.node_index:
-                raise UnknownNodeError(f"unknown node: {n}")
+                raise errors.UnknownNodeError(f"unknown node: {n}")
 
 
 def __getattr__(name):  # `Edge`, which pickles written when it was defined here name

@@ -27,8 +27,9 @@ classified and tested for blocking by `tests/oracles.py` alone.
 
 from collections import deque
 
-from .errors import NoPathWitnessError, NotMaximalError
-from .graphs import Graph, Mark, _bits, _disjoint_sets, _nodes, _reach_bits
+from . import errors  # deferred: runs only on a fault
+from .kernel import _bits, _disjoint_sets, _nodes, _reach_bits
+from .model import Graph, Mark
 
 
 def _open_walk(g: Graph, x, y, z, exempt=None, *, an_z=None):
@@ -149,7 +150,7 @@ def _open_path(g: Graph, x, y, z, exempt=None):
     """`find_open_definite_path` on checked sets, with `exempt` as `_open_walk` takes it."""
     walk = _open_walk(g, x, y, z, exempt)
     if walk is not None and len(set(walk)) < len(walk):
-        raise NoPathWitnessError(walk)
+        raise errors.NoPathWitnessError(walk)
     return walk
 
 
@@ -197,4 +198,4 @@ def require_maximal(g: Graph) -> None:
             an = _reach_bits(g, ab, directed=True, reverse=True)
             z = _nodes(g, an & ~ab)
             if _open_walk(g, frozenset([a]), frozenset([b]), z, an_z=an) is not None:
-                raise NotMaximalError((a, b))
+                raise errors.NotMaximalError((a, b))

@@ -26,24 +26,11 @@ running this module (to unpickle a `LinearSEM`, say) loads neither.
 import random
 from itertools import chain
 
+from . import errors  # deferred: runs only on a fault
 from .criteria import find_amenability_violation
-from .errors import (
-    ClassMismatchError,
-    DirectedCycleError,
-    GraphError,
-    NotAmenableError,
-    SetsNotDisjointError,
-    SingularDesignError,
-)
-from .graphs import (
-    Graph,
-    GraphClass,
-    Mark,
-    _disjoint_sets,
-    _find_directed_cycle,
-    _Record,
-    _set,
-)
+from .graphs import _find_directed_cycle
+from .kernel import _disjoint_sets
+from .model import Graph, GraphClass, Mark, _Record, _set
 from .mec import _class_of, canonical_dag
 
 WEIGHTS = (-3, -2, -1, 1, 2, 3)
@@ -65,7 +52,7 @@ class LinearSEM(_Record):
 
     def __init__(self, graph: Graph, coeffs, noise_var):
         if graph.graph_class is not GraphClass.DAG:
-            raise ClassMismatchError("a linear SEM needs a DAG")
+            raise errors.ClassMismatchError("a linear SEM needs a DAG")
         nodes = graph.nodes
         coeffs = tuple(map(tuple, coeffs))
         noise = tuple(noise_var)
@@ -120,7 +107,7 @@ def random_sem(dag: Graph, seed) -> LinearSEM:
     variances in declaration order.
     """
     if dag.graph_class is not GraphClass.DAG:
-        raise ClassMismatchError("random_sem needs a DAG")
+        raise errors.ClassMismatchError("random_sem needs a DAG")
     rng = random.Random(seed)
     n = len(dag.nodes)
     edges = []
@@ -144,7 +131,7 @@ def _weights_sinks_first(sem: LinearSEM):
     g = sem.graph
     order = g._sinks_first
     if len(order) < len(g.nodes):
-        raise DirectedCycleError(_find_directed_cycle(g))
+        raise errors.DirectedCycleError(_find_directed_cycle(g))
     return sem._weights, order
 
 
@@ -153,7 +140,7 @@ def _single_y(y) -> tuple:
     raises `GraphError` if it holds more than one, repeats included."""
     names = (y,) if isinstance(y, str) else tuple(y)
     if len(names) > 1:
-        raise GraphError("verify needs a single Y node")
+        raise errors.GraphError("verify needs a single Y node")
     return names
 
 
@@ -200,7 +187,7 @@ def adjusted_estimate(sigma, x_idx, y_idx: int, z_idx=()) -> tuple:
     x_idx = list(x_idx)
     w = x_idx + list(z_idx)
     if len(set(w + [y_idx])) != len(w) + 1:
-        raise SetsNotDisjointError("regression indices overlap")
+        raise errors.SetsNotDisjointError("regression indices overlap")
     rows = [[sigma[a][b] for b in w] + [sigma[a][y_idx]] for a in w]
     if not set(map(type, chain(*rows))) <= {int}:
         raise TypeError("adjusted_estimate solves over integer covariances only")
@@ -210,7 +197,7 @@ def adjusted_estimate(sigma, x_idx, y_idx: int, z_idx=()) -> tuple:
 
     solved = _exact.solve(rows)
     if solved is None:
-        raise SingularDesignError("the design covariance is singular")
+        raise errors.SingularDesignError("the design covariance is singular")
     numerators, d = solved
     return tuple(Fraction(v, d) for v in numerators[: len(x_idx)])
 
@@ -254,7 +241,7 @@ def verify_adjustment(g: Graph, x, y, z, trials: int = 20, seed: int = 0):
     (y,) = ys
     violation = find_amenability_violation(g, x, ys)
     if violation is not None:
-        raise NotAmenableError(violation)
+        raise errors.NotAmenableError(violation)
     reports = []
     for m_idx, substrate in enumerate(_member_substrates(g)):
         # the covariance is needed between X, Z and Y only, in that order

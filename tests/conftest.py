@@ -65,4 +65,4 @@ RUN_LOG = (
     "            ran.append(file[:-3])\n"
     "sys.addaudithook(log)\n"
 )
-DEFERRED = ("graphs", "paths", "criteria", "mec", "sem")
+DEFERRED = ("errors", "kernel", "graphs", "paths", "criteria", "mec", "sem")

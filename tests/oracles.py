@@ -436,7 +436,7 @@ def children_loop(g, s):
 
 
 def closure_loop(g, seeds, *, directed, reverse=False, avoid=frozenset()):
-    """The contract of `graphs._reach` over edge objects: every seed is
+    """The contract of `kernel._reach` over edge objects: every seed is
     expanded, no node of `avoid` is entered, and the result holds the
     seeds and the nodes reached, minus `avoid`.  A step v -> w takes a
     directed edge v -> w (`directed`) or an edge with no arrowhead at v;
@@ -547,7 +547,7 @@ def require_maximal_subsets(g):
 def require_maximal_every_pair(g):
     """`paths.require_maximal` as it was before its pruning: one search
     on every non-adjacent pair, given An({a, b}) minus {a, b}."""
-    from covadjust.graphs import _nodes, _reach_bits
+    from covadjust.kernel import _nodes, _reach_bits
     from covadjust.paths import _open_walk
 
     nodes = g.nodes

@@ -564,15 +564,22 @@ def test_check_command_does_not_load_numpy():
 
 @pytest.mark.parametrize("command, runs", [
     # figure -> the modules the command runs on it.  Amenability and the
-    # forbidden set search no path: on the CPDAG fig1a `paths` stays unrun,
-    # but the class check of the MAG fig3b runs it (`require_maximal`) and
-    # no `mec`.  "dag" is a small DAG for `project`.
-    *((cmd, {"fig1a": {"graphs", "criteria"}, "fig3b": {"graphs", "paths", "criteria"}})
+    # forbidden set search no path: on the CPDAG fig1a and the PAG fig4a
+    # only the kernel and `criteria` run, but the class check of the MAG
+    # fig3b runs `graphs` and `paths` (`require_maximal`) and no `mec`.  A
+    # decision runs no `errors`: no fault is raised or caught.  The member
+    # search of `validate` and `mec` on fig1a catches the directed cycles
+    # of its candidates, and so runs `errors`.  "dag" is a small DAG for
+    # `project`.
+    *((cmd, {"fig1a": {"kernel", "criteria"}, "fig4a": {"kernel", "criteria"},
+             "fig3b": {"kernel", "graphs", "paths", "criteria"}})
       for cmd in ("amenable", "forbidden")),
-    *((cmd, {"fig1a": {"graphs", "paths", "criteria"}}) for cmd in ("check", "backdoor", "list")),
-    ("validate", {"fig1a": {"graphs", "paths", "mec"}, "fig3b": {"graphs", "paths"}}),
-    ("mec", {"fig1a": {"graphs", "paths", "mec"}}),
-    ("project", {"dag": {"graphs", "paths", "mec"}}),
+    *((cmd, {"fig1a": {"kernel", "paths", "criteria"}, "fig4a": {"kernel", "paths", "criteria"}})
+      for cmd in ("check", "backdoor", "list")),
+    ("validate", {"fig1a": {"errors", "kernel", "graphs", "paths", "mec"},
+                  "fig3b": {"kernel", "graphs", "paths"}}),
+    ("mec", {"fig1a": {"errors", "kernel", "graphs", "paths", "mec"}}),
+    ("project", {"dag": {"kernel", "graphs", "paths", "mec"}}),
     ("verify", {"fig1a": set(DEFERRED)}),
 ])
 def test_each_command_runs_only_its_modules(tmp_path, command, runs):
@@ -608,8 +615,45 @@ def test_help_runs_no_deferred_module():
         "        code = exc.code\n"
         "print(code, text.getvalue().startswith('usage: covadjust'), sorted(ran))"
     )
-    modules = sorted(["__init__", "__main__", "errors", "model", "cgtext", "cli"])
+    modules = sorted(["__init__", "__main__", "model", "cgtext", "cli"])
     assert out.strip() == f"0 True {modules}"
+
+
+@pytest.mark.parametrize("text, argv, code", [
+    ("graph dag { A -> }", ["check", "-X", "A", "-Y", "B"], 2),
+    ("fig1a", ["check", "-X", "Q", "-Y", "Y"], 2),
+    ("fig1a", ["check", "-X", "X", "-Y", "Y", "-Z", "X"], 2),
+    ("fig1a", ["check", "--max-nodes", "3"], 3),
+    ("graph dag { A -> B B -> A }", ["check", "-X", "A", "-Y", "B"], 2),
+], ids=["parse", "unknown-node", "overlapping-sets", "node-cap", "class-check"])
+def test_a_fault_runs_errors_and_reports_as_in_a_loaded_process(tmp_path, capsys, text, argv,
+                                                                 code):
+    # In a fresh process `errors` runs first at the fault.  The exit code,
+    # the error's class and message (with its line:col) and stderr match
+    # those of this process, where `errors` ran long ago.
+    graph = tmp_path / "graph.cg"
+    if text.startswith("fig"):
+        graph = corpus_path(text)
+    else:
+        graph.write_text(text)
+    full = [argv[0], "--graph", str(graph), *argv[1:]]
+    want = list(run(capsys, *full))
+    assert want[0] == code and "elapsed_ms" not in want[1]
+    out = run_with_src(
+        "-c",
+        RUN_LOG + "import contextlib, io, json\n"
+        "from covadjust import cli\n"
+        "before = 'errors' in ran\n"
+        "out, err = io.StringIO(), io.StringIO()\n"
+        "with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        f"    code = cli.run_command({full!r})\n"
+        "print(json.dumps([before, code, json.loads(out.getvalue()), err.getvalue(),"
+        " 'errors' in ran]))"
+    )
+    assert json.loads(out) == [False, *want, True]
+    if text == "graph dag { A -> }":
+        assert want[1]["error"] == {"type": "ParseError",
+                                    "message": "1:18: unexpected '}' (expected a node name)"}
 
 
 def test_verify_process_loads_no_numpy():

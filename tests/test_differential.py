@@ -16,7 +16,7 @@ import random
 import pytest
 
 import covadjust as ca
-from covadjust import criteria, graphs
+from covadjust import criteria, graphs, kernel
 from covadjust.errors import NoPathWitnessError
 from covadjust.graphs import Edge, Graph, GraphClass, Mark
 
@@ -204,8 +204,8 @@ def test_is_visible_through_bidirected_chain_of_parents():
 
 @pytest.mark.parametrize("cls", sorted(GRAPHS))
 def test_shortest_path_agrees_with_the_old_searches(cls):
-    """The paths read off the closure's rounds (`graphs._reach_bits` with
-    `layers`, then `graphs._descend`) against the directed and the
+    """The paths read off the closure's rounds (`kernel._reach_bits` with
+    `layers`, then `kernel._descend`) against the directed and the
     possibly directed searches they replaced: every directed pair, the
     Cond0 witness of every query with one or two X nodes, and the almost
     directed cycles that one added bidirected edge closes."""
@@ -215,10 +215,10 @@ def test_shortest_path_agrees_with_the_old_searches(cls):
         for src, dst in itertools.permutations(g.nodes, 2):
             want = oracles.shortest_directed_path(g, src, dst)
             layers = []
-            reach = graphs._reach_bits(g, 1 << index[dst], directed=True, reverse=True,
+            reach = kernel._reach_bits(g, 1 << index[dst], directed=True, reverse=True,
                                        layers=layers)
             if reach >> index[src] & 1:
-                assert graphs._descend(g, index[src], layers, directed=True) == want
+                assert kernel._descend(g, index[src], layers, directed=True) == want
             else:
                 assert want is None
             if want is not None and not g.adjacent(src, dst):

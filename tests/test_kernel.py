@@ -1,7 +1,7 @@
 """The mark table and the closure kernel against the edge objects.
 
 Every search reads marks from `Graph._marks` and every closure runs on
-`graphs._reach`, a fixpoint over the one-step masks of `Graph._steps`.
+`kernel._reach`, a fixpoint over the one-step masks of `Graph._steps`.
 Here the table is compared with the edge objects, each closure with the
 edge-object loop it replaced (kept in `oracles`), the
 ancestral-separator forms of `require_maximal` and `latent_project` with
@@ -34,18 +34,8 @@ from covadjust.errors import (
     SizeCapExceededError,
     UnknownNodeError,
 )
-from covadjust.graphs import (
-    _ALLOWED_MARKS,
-    Edge,
-    Graph,
-    GraphClass,
-    Mark,
-    _as_set,
-    _bits,
-    _nodes,
-    _reach,
-    _reach_bits,
-)
+from covadjust.graphs import _ALLOWED_MARKS, Edge, Graph, GraphClass, Mark
+from covadjust.kernel import _as_set, _bits, _nodes, _reach, _reach_bits
 from covadjust.paths import _open_path, require_maximal
 
 import oracles

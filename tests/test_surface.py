@@ -1,15 +1,22 @@
 """Every exported name, and every name that `perfbench/tracing.py` wraps
 by module and name, resolves.  The tracer imports only the standard
 library, so it is loaded here by path.  The deferred modules resolve
-the same way from a fresh process, from several threads at once."""
+the same way from a fresh process, from several threads at once.
+Records and errors pickle, also into a fresh process."""
 
+import copy
 import importlib
 import importlib.util
 import inspect
 import json
+import multiprocessing
 import pickle
+from concurrent.futures import ProcessPoolExecutor
+
+import pytest
 
 import covadjust as ca
+from covadjust import errors
 
 from conftest import DEFERRED, REPO_ROOT, RUN_LOG, run_with_src
 
@@ -65,12 +72,14 @@ def test_records_of_deferred_modules_pickle_into_a_fresh_process(tmp_path):
     )
     again, ran = out.split(maxsplit=1)
     assert pickle.loads(bytes.fromhex(again)) == records
-    assert ran.strip() == str(sorted(["__init__", "errors", "model", "cgtext", *DEFERRED]))
+    # every deferred module but `errors`: no record faults
+    assert ran.strip() == str(sorted(["__init__", "model", "cgtext",
+                                      *(m for m in DEFERRED if m != "errors")]))
 
 
 def test_parsing_and_writing_run_only_the_model_and_the_parser():
     # in a fresh process: every corpus figure parsed, then written again;
-    # the writer reads `Edge`s, which live in `graphs`
+    # the writer reads `Edge`s, which live in `graphs`, and no search table
     out = run_with_src(
         "-c",
         RUN_LOG + "import glob\n"
@@ -84,8 +93,78 @@ def test_parsing_and_writing_run_only_the_model_and_the_parser():
         "    covadjust.serialize_graph(doc.graph, doc.query)\n"
         "print(parsed, sorted(ran))"
     )
-    model = sorted(["__init__", "errors", "model", "cgtext"])
+    model = sorted(["__init__", "model", "cgtext"])
     assert out.strip() == f"{model} {sorted([*model, 'graphs'])}"
+
+
+# the constructor arguments of the errors whose `__init__` takes more or
+# other than a message
+ERROR_ARGS = {
+    "DirectedCycleError": ((("d", "i", "r", "d"),), {}),
+    "AlmostDirectedCycleError": ((("A", "B", "C"),), {}),
+    "NotMaximalError": ((("A", "B"),), {}),
+    "NoPathWitnessError": ((("X", "A", "B", "A", "Y"),), {}),
+    "NotAmenableError": ((("X", "A", "Y"),), {}),
+    "SizeCapExceededError": (("16 nodes exceeds the cap of 15",),
+                             {"cap": "nodes", "limit": 15, "required": 16}),
+    "ParseError": (("unexpected '}'", 1, 18, "a node name"), {}),
+}
+
+
+def _every_error():
+    """One instance of every exception class of `errors`."""
+    out = []
+    for name, cls in vars(errors).items():
+        if isinstance(cls, type) and issubclass(cls, errors.GraphError):
+            args, kwargs = ERROR_ARGS.get(name, (("a message",), {}))
+            out.append(cls(*args, **kwargs))
+    return out
+
+
+def _view(error):
+    return type(error).__name__, str(error), error.args, repr(error), vars(error)
+
+
+def test_every_error_survives_pickle_and_copy():
+    every = _every_error()
+    assert len(every) == 21 and ERROR_ARGS.keys() <= {type(e).__name__ for e in every}
+    for error in every:
+        again = [pickle.loads(pickle.dumps(error, protocol))
+                 for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for other in (*again, copy.copy(error), copy.deepcopy(error)):
+            assert type(other) is type(error) and _view(other) == _view(error)
+
+
+def test_errors_unpickle_into_a_fresh_process_where_errors_is_deferred(tmp_path):
+    every = _every_error()
+    dump = tmp_path / "errors.pickle"
+    dump.write_bytes(pickle.dumps(every))
+    out = run_with_src(
+        "-c",
+        RUN_LOG + "import json, pickle\n"
+        "import covadjust\n"
+        "before = sorted(ran)\n"
+        f"every = pickle.loads(open({str(dump)!r}, 'rb').read())\n"
+        "views = [(type(e).__name__, str(e), e.args, repr(e), vars(e)) for e in every]\n"
+        "print(json.dumps([before, sorted(ran), views]))"
+    )
+    before, after, views = json.loads(out)
+    assert before == sorted(["__init__", "model", "cgtext"])
+    assert after == sorted([*before, "errors"])
+    assert views == json.loads(json.dumps([_view(e) for e in every]))
+
+
+def test_a_parse_error_crosses_a_process_pool():
+    text = "graph dag { A -> }"
+    with pytest.raises(errors.ParseError) as here:
+        ca.parse_document(text)
+    context = multiprocessing.get_context("spawn")
+    with ProcessPoolExecutor(max_workers=1, mp_context=context) as pool:
+        future = pool.submit(ca.parse_document, text)
+        with pytest.raises(errors.ParseError) as there:
+            future.result(timeout=120)
+    assert _view(there.value) == _view(here.value)
+    assert (there.value.line, there.value.col) == (1, 18)
 
 
 # `(parse_graph("graph pag { A o-> B B <-> C C -> D D o-o E }"), Edge.partial("A", "B"),
@@ -154,12 +233,14 @@ def test_concurrent_first_use_runs_each_module_once():
         "    covadjust.mec.enumerate_mags\n"
         "def gac():\n"
         "    from covadjust import satisfies_gac\n"
-        "touches = [sem, mec, gac]\n"
+        "def fault():\n"
+        "    covadjust.errors.GraphError\n"
+        "touches = [sem, mec, gac, fault]\n"
         "start = threading.Barrier(8)\n"
         "errors = []\n"
         "def work(i):\n"
         "    start.wait()\n"
-        "    for touch in touches[i % 3:] + touches[:i % 3]:\n"
+        "    for touch in touches[i % 4:] + touches[:i % 4]:\n"
         "        try:\n"
         "            touch()\n"
         "        except Exception as exc:\n"

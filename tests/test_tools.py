@@ -67,3 +67,17 @@ def test_bench_parse_forms_take_both_token_routes():
             for text in forms.values():
                 parsed = ca.parse_graph(text)
                 assert parsed == g and parsed._marks == g._marks
+
+
+def test_bench_verify_counts_the_source_of_the_modules_that_ran():
+    import bench_verify
+
+    modules, size = bench_verify._modules_ran(str(REPO_ROOT / "src"), "check",
+                                              str(REPO_ROOT / "corpus" / "fig1a.cg"))
+    # a decision on a CPDAG runs the kernel, `criteria` and `paths`: no
+    # `graphs` and no `errors`
+    assert modules == sorted(f"covadjust{m}" for m in ("", ".__main__", ".cli", ".model", ".cgtext",
+                                                      ".kernel", ".criteria", ".paths"))
+    folder = REPO_ROOT / "src" / "covadjust"
+    assert size == sum((folder / f"{m.partition('.')[2] or '__init__'}.py").stat().st_size
+                       for m in modules)

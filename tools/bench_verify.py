@@ -22,9 +22,13 @@ calls time the refusal.
 `--command NAME` times another command the same way, and `--command all`
 times each of `COMMANDS` (every command but `project`, which needs a DAG,
 and the corpus has none).  Their rows give, per figure and command, the
-exit code, `process_ms`, `elapsed_ms` and `modules`: the `covadjust`
-modules whose code ran, from one more process that runs the command
-under an audit hook.  They go to `BENCH_cli.json` by default.
+exit code, `process_ms`, `elapsed_ms`, `modules`, the `covadjust`
+modules whose code ran, and `source_bytes`, the total size of their
+source files, from one more process that runs the command under an
+audit hook.  No `.pyc` is written where `PYTHONDONTWRITEBYTECODE` is
+set, so each process compiles that source: `source_bytes` measures the
+compile work without timing noise.  They go to `BENCH_cli.json` by
+default.
 
 `--src` names the source directory the `covadjust` package is imported
 from, so one checkout can time another; the figures are always this
@@ -80,7 +84,8 @@ print(json.dumps({"first_call_ms": times[0] * 1e3, "call_ms": statistics.median(
 
 
 # Runs `python -m covadjust` with argv and then writes, as the last line
-# of stderr, the sorted names of the covadjust modules whose code ran.
+# of stderr, the sorted names of the covadjust modules whose code ran and
+# the total size in bytes of their source files.
 MODULES_RAN = bench_parse.RUN_LOG + r"""
 import runpy
 sys.addaudithook(log)
@@ -88,7 +93,10 @@ sys.argv = ["covadjust", *sys.argv[1:]]
 try:
     runpy.run_module("covadjust", run_name="__main__", alter_sys=True)
 finally:
-    print(json.dumps(sorted(ran)), file=sys.stderr)
+    folder = os.path.dirname(sys.modules["covadjust"].__file__)
+    size = sum(os.path.getsize(os.path.join(folder, (name.partition(".")[2] or "__init__") + ".py"))
+               for name in ran)
+    print(json.dumps([sorted(ran), size]), file=sys.stderr)
 """
 
 
@@ -159,8 +167,9 @@ def main(argv=None):
                     detail = f"{row['call_ms']:7.2f} ms call numpy={row['numpy_loaded']}"
                 else:
                     row["command"] = command
-                    row["modules"] = _modules_ran(src, command, path)
-                    detail = f"{command:9} {len(row['modules'])} modules"
+                    row["modules"], row["source_bytes"] = _modules_ran(src, command, path)
+                    detail = (f"{command:9} {len(row['modules'])} modules"
+                              f" {row['source_bytes']} source bytes")
                 rows[label].append(row)
                 print(f"{label:8} {fig:10} exit {code} {row['process_ms']:7.1f} ms process"
                       f" {row['elapsed_ms']:7.2f} ms elapsed {detail}", flush=True)
@@ -174,11 +183,12 @@ def main(argv=None):
         else:
             totals = {command: {key: round(sum(r[key] for r in rows[label]
                                                if r["command"] == command), 1)
-                                for key in ("process_ms", "elapsed_ms")}
+                                for key in ("process_ms", "elapsed_ms", "source_bytes")}
                       for command in commands}
             about = ("each command on each corpus figure: median process wall time and "
                      "reported elapsed_ms over fresh processes, and the covadjust modules "
-                     "whose code ran, written by tools/bench_verify.py --command")
+                     "whose code ran with the bytes of their source, written by "
+                     "tools/bench_verify.py --command")
         print(f"{label:8} totals {totals}")
         bench_parse.record(out, label, texts, rows[label], about, runs=RUNS, totals=totals)
 
